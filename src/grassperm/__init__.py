@@ -1,9 +1,9 @@
 """Grassmannian permutations: the permutations with at most one descent.
 
 Counting formulas, pattern avoidance, and bijections onto Dyck paths
-and flat-step Schroder words, each closed form backed by a brute-force
-scan.  See the grassperm command line tool for the same features at
-the shell.
+and flat-step Schroder words, each closed form backed by an
+independent count.  See the grassperm command line tool for the same
+features at the shell.
 """
 
 from grassperm.perms import (
@@ -47,6 +47,7 @@ from grassperm.patterns import (
     count_avoiders_closed_form,
     enumerate_avoiders,
     finite_class_count,
+    finite_class_formula,
     one_descent_patterns,
     summarize_pattern_class,
     verify_weiner,
@@ -82,6 +83,11 @@ from grassperm.parity import (
     odd_count_descent_at,
 )
 from grassperm import kernels
-from grassperm.kernels import available_backends, backend
 
 __version__ = "0.1.0"
+
+
+def backend() -> str:
+    """Name of the counting kernels in use.  Only the pure-Python
+    counters exist; benchmark results are stamped with this name."""
+    return "pure-python"

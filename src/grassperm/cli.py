@@ -6,7 +6,9 @@
     grassperm table table1 --kmax 10
     grassperm map phi UUUDDDUUDUDUUDDD
 
-Exit codes: 0 success, 1 verification mismatch, 2 invalid input.
+Exit codes: 0 success, 1 verification mismatch or stdout closed before
+the output was written (a broken pipe, as under "| head"), 2 invalid
+input.
 Data goes to stdout; counts and progress notes go to stderr.
 """
 
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Callable, Iterable, Sequence
 from math import comb
@@ -54,9 +57,9 @@ from grassperm.patterns import (
     count_avoiders_closed_form,
     enumerate_avoiders,
     finite_class_count,
+    finite_class_formula,
     one_descent_patterns,
     verify_weiner,
-    weiner_formula,
 )
 from grassperm.perms import (
     descent_positions,
@@ -167,17 +170,8 @@ def _count_family(args: argparse.Namespace) -> tuple[
         if args.k is None:
             raise ValueError("count finite-class needs --k")
         k = args.k
-
-        def formula(m: int) -> int:
-            if m < k:
-                return 2 ** m - m
-            if m == k:
-                return 2 ** k - k - 1
-            if m >= 2 * k - 1:
-                return 0
-            return weiner_formula(m, k)
-
-        return formula, lambda m: finite_class_count(m, k)
+        return (lambda m: finite_class_formula(m, k),
+                lambda m: finite_class_count(m, k))
     # avoiders
     if args.pattern is None:
         raise ValueError("count avoiders needs --pattern")
@@ -407,7 +401,7 @@ def verify_prop53(args: argparse.Namespace) -> int:
 
 VERIFY_TARGETS: dict[str, tuple[Callable[[argparse.Namespace], int], str]] = {
     "weiner": (verify_weiner_sweep,
-               "finite-class scan counts equal the alternating-sum formula"),
+               "finite-class walk counts equal the alternating-sum formula"),
     "theorem34": (verify_theorem34,
                   "one-descent pattern classes follow 1 + sum C(n,j-1)"),
     "prop21": (verify_prop21,
@@ -516,7 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="descent position (descent-at) or rising-pattern"
                             " size (finite-class)")
     count.add_argument("--oracle", action="store_true",
-                       help="add a brute-force column and an agree flag")
+                       help="add an independent count column and an agree"
+                            " flag")
     count.add_argument("--format", choices=["csv", "json", "bfile"],
                        default="csv")
     count.add_argument("--cap", type=int, default=None,
@@ -583,10 +578,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader has gone; send what is still buffered to devnull so
+        # that the flush at interpreter exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

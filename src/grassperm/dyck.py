@@ -21,14 +21,24 @@ from grassperm.perms import Perm, check_cap
 Path = str
 
 
+# parse_path refuses longer paths before expanding them, so that a
+# short run-length input has a bounded cost; semilength 100,000 is far
+# beyond what the enumerations and bijections here are used for.
+MAX_PATH_STEPS = 200_000
+
+
 def parse_path(text: str, alphabet: str = "UD") -> str:
     """Expand run-length digits and validate the letters.
+
+    Refuses a path of more than MAX_PATH_STEPS steps (semilength
+    100,000) before expanding the run that crosses the limit.
 
     >>> parse_path("U3D3UD")
     'UUUDDDUD'
     """
     text = text.strip()
     out: list[str] = []
+    steps = 0
     i = 0
     while i < len(text):
         ch = text[i]
@@ -36,11 +46,17 @@ def parse_path(text: str, alphabet: str = "UD") -> str:
             raise ValueError(f"bad step {ch!r} in {text!r}")
         i += 1
         j = i
-        while j < len(text) and text[j].isdigit():
+        while j < len(text) and "0" <= text[j] <= "9":
             j += 1
+        if j - i > len(str(MAX_PATH_STEPS)):
+            raise ValueError(f"run length with {j - i} digits; paths are"
+                             f" limited to {MAX_PATH_STEPS} steps")
         count = int(text[i:j]) if j > i else 1
         if count < 1:
             raise ValueError(f"zero-length run in {text!r}")
+        steps += count
+        if steps > MAX_PATH_STEPS:
+            raise ValueError(f"path longer than {MAX_PATH_STEPS} steps")
         out.append(ch * count)
         i = j
     return "".join(out)

@@ -11,8 +11,9 @@ The headline facts implemented here:
   from size 2k-1 on, with an alternating-sum count (conjectured by
   Weiner) on the sizes k..2k-2 where the count is still shrinking.
 
-contains_pattern is the correctness reference; the counting functions
-lean on the scan kernels, which the tests hold to the reference.
+contains_pattern is the correctness reference.  The counts that check
+the closed forms come from the kernels, which share no code with the
+formulas and which the tests hold to the reference.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def enumerate_avoiders(n: int, sigma: Sequence[int],
 
 
 def count_avoiders_by_scan(n: int, sigma: Sequence[int]) -> int:
-    """Brute-force avoider count via the scan kernels."""
+    """Avoider count from the kernels, independent of the closed forms."""
     return kernels.count_grassmannian_avoiders(n, tuple(sigma))
 
 
@@ -93,7 +94,7 @@ def count_avoiders_closed_form(n: int, sigma: Sequence[int]) -> int:
 
     Two or more descents: nothing to avoid, 2^n - n.  Exactly one
     descent, size k: 1 + sum_{j=3..k} C(n, j-1), regardless of which
-    one-descent pattern it is.  Rising: the finite-class count.
+    one-descent pattern it is.  Rising: finite_class_formula.
 
     >>> count_avoiders_closed_form(10, (2, 4, 1, 3))
     166
@@ -109,7 +110,7 @@ def count_avoiders_closed_form(n: int, sigma: Sequence[int]) -> int:
     if des >= 2:
         return 2 ** n - n
     if des == 0:
-        return finite_class_count(n, len(sigma))
+        return finite_class_formula(n, len(sigma))
     k = len(sigma)
     return 1 + sum(comb(n, j - 1) for j in range(3, k + 1))
 
@@ -117,13 +118,23 @@ def count_avoiders_closed_form(n: int, sigma: Sequence[int]) -> int:
 @lru_cache(maxsize=None)
 def finite_class_count(m: int, k: int) -> int:
     """Members of the size-m family with no rising subsequence of
-    length k.
-
-    Shortcuts: the whole family (2^m - m) while m < k, all but the
-    identity (2^k - k - 1) at m = k, and zero from m = 2k - 1 on; the
-    sizes between stream through the scan kernel.
+    length k, counted by the kernels' lattice-walk DP at every size up
+    to kernels.MAX_SCAN_SIZE; finite_class_formula is the closed form
+    it checks.
 
     >>> [finite_class_count(m, 4) for m in range(1, 8)]
+    [1, 2, 5, 11, 10, 5, 0]
+    """
+    return kernels.count_grassmannian_avoiding_increasing(m, k)
+
+
+def finite_class_formula(m: int, k: int) -> int:
+    """The closed form for finite_class_count: the whole family
+    (2^m - m) while m < k, all but the identity (2^k - k - 1) at
+    m = k, Weiner's alternating sum up to m = 2k - 2, and zero from
+    m = 2k - 1 on.
+
+    >>> [finite_class_formula(m, 4) for m in range(1, 8)]
     [1, 2, 5, 11, 10, 5, 0]
     """
     if m < 1:
@@ -134,9 +145,9 @@ def finite_class_count(m: int, k: int) -> int:
         return 2 ** m - m
     if m == k:
         return 2 ** k - k - 1
-    if m >= 2 * k - 1:
-        return 0
-    return kernels.count_grassmannian_avoiding_increasing(m, k)
+    if m <= 2 * k - 2:
+        return weiner_formula(m, k)
+    return 0
 
 
 def catalan(j: int) -> int:
@@ -201,8 +212,8 @@ def summarize_pattern_class(n: int, sigma: Sequence[int],
 
 
 def verify_weiner(k_max: int) -> list[CountReport]:
-    """Compare the alternating sum against the streamed count over its
-    whole claimed range, for every pattern length up to k_max."""
+    """Compare the alternating sum against the lattice-walk count over
+    its whole claimed range, for every pattern length up to k_max."""
     if k_max < 2:
         raise ValueError(f"k_max must be at least 2, got {k_max}")
     rows = []

@@ -1,15 +1,20 @@
 """End-to-end tests for the grassperm command line."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from grassperm import cli
+from grassperm import cli, kernels
+from grassperm.patterns import finite_class_count
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -116,6 +121,35 @@ def test_count_finite_class(capsys):
                        "--k", "3", "--n", "3..5", "--oracle")
     assert code == 0
     assert out.splitlines()[1:] == ["3,4,4,true", "4,2,2,true", "5,0,0,true"]
+
+
+def test_finite_class_oracle_is_independent(capsys, monkeypatch):
+    # a wrong counter must show at every size, the closed form's
+    # special cases m <= k and m >= 2k - 1 included
+    monkeypatch.setattr(kernels, "count_grassmannian_avoiding_increasing",
+                        lambda m, k: -1)
+    finite_class_count.cache_clear()
+    try:
+        for sizes in ("1..3", "4", "7..8"):
+            code, out, _ = run(capsys, "count", "finite-class",
+                               "--k", "4", "--n", sizes, "--oracle")
+            assert code == 1, sizes
+            assert all(line.endswith(",-1,false")
+                       for line in out.splitlines()[1:]), sizes
+    finally:
+        finite_class_count.cache_clear()
+
+
+def test_finite_class_oracle_refuses_beyond_scan_size(capsys):
+    n = kernels.MAX_SCAN_SIZE + 1
+    code, _, err = run(capsys, "count", "finite-class",
+                       "--k", "4", "--n", str(n), "--oracle")
+    assert code == 2
+    assert err.startswith("error:")
+    code, out, _ = run(capsys, "count", "finite-class",
+                       "--k", "4", "--n", str(n))
+    assert code == 0
+    assert out.splitlines()[1] == f"{n},0"
 
 
 def test_count_descent_at(capsys):
@@ -240,6 +274,20 @@ def test_map_invalid_inputs(capsys):
         assert err.startswith("error:")
 
 
+def test_map_refuses_long_paths_before_expanding(capsys):
+    for value in ("U2000000D2000000", "U100001D100001",
+                  "U" + "9" * 5000 + "D"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "map", "phi", value)
+        assert time.perf_counter() - start < 1, value[:20]
+        assert code == 2, value[:20]
+        assert out == ""
+        assert err.startswith("error:") and "200000 steps" in err
+    code, out, _ = run(capsys, "map", "phi", "U3D3UD")
+    assert code == 0
+    assert out.strip() == "2314"
+
+
 BFILE_FAMILIES = [
     ("grassmannian", "b000325.txt"),
     ("union-inverse", "b088921.txt"),
@@ -263,3 +311,34 @@ def test_console_script_installed(capsys):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "21"
+
+
+def module_env():
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + ([path] if path else [])))
+
+
+def test_python_dash_m():
+    proc = subprocess.run(
+        [sys.executable, "-m", "grassperm", "map", "phi", "UUDD"],
+        capture_output=True, text=True, timeout=60, env=module_env())
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "21"
+
+
+def test_closed_pipe_exits_without_traceback():
+    # about 2.5 MB of output, far more than a pipe buffers, so the
+    # writer is still printing when the reader goes away
+    with subprocess.Popen(
+            [sys.executable, "-m", "grassperm", "enum", "grassmannian",
+             "--n", "16"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=module_env()) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert first.decode().strip() == ",".join(map(str, range(1, 17)))
+    assert "Traceback" not in err
+    assert code == 1

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from grassperm.dyck import (
+    MAX_PATH_STEPS,
     enumerate_dyck_paths,
     enumerate_grassmannian_paths,
     heights,
@@ -37,7 +38,17 @@ def test_parse_dyck_path():
     for bad in ("UDD", "UDU", "DU", "UXD", "U0D0", "3UD", "UD2U"):
         with pytest.raises(ValueError):
             parse_dyck_path(bad)
+    with pytest.raises(ValueError, match="bad step"):
+        parse_dyck_path("U\u00b2D\u00b2")  # superscript two is no run length
     assert parse_dyck_path("") == ""
+
+
+def test_parse_path_step_limit():
+    half = MAX_PATH_STEPS // 2
+    assert parse_dyck_path(f"U{half}D{half}") == "U" * half + "D" * half
+    for bad in (f"U{half}D{half}UD", "UD" * (half + 1)):
+        with pytest.raises(ValueError):
+            parse_dyck_path(bad)
 
 
 def test_path_statistics():
