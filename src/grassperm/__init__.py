@@ -34,6 +34,7 @@ from grassperm.grassmann import (
     count_union_with_inverse,
     enumerate_grassmannian,
     enumerate_involutions,
+    grassmannian_lines,
     is_bigrassmannian,
     is_grassmannian,
     sole_descent,

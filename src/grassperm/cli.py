@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from collections.abc import Callable, Iterable, Sequence
+from itertools import islice
 from math import comb
 
 from grassperm import kernels
@@ -41,6 +42,7 @@ from grassperm.grassmann import (
     count_union_with_inverse,
     enumerate_grassmannian,
     enumerate_involutions,
+    grassmannian_lines,
     is_bigrassmannian,
     sole_descent,
 )
@@ -93,6 +95,32 @@ def parse_range(text: str) -> range:
 
 # ---------------------------------------------------------------- enum
 
+# enum writes its output this many lines at a time, so that its memory
+# stays bounded however large the family is
+ENUM_CHUNK_LINES = 4096
+
+
+def _write_stream(items: Iterable[str], as_json: bool) -> int:
+    """Write the items to stdout, one per line or as a JSON list equal
+    to json.dumps(list(items)), a chunk at a time; return how many."""
+    write = sys.stdout.write
+    items = iter(items)
+    count = 0
+    sep = ""
+    if as_json:
+        write("[")
+    while chunk := list(islice(items, ENUM_CHUNK_LINES)):
+        count += len(chunk)
+        if as_json:
+            write(sep + json.dumps(chunk)[1:-1])
+            sep = ", "
+        else:
+            write("\n".join(chunk) + "\n")
+    if as_json:
+        write("]\n")
+    return count
+
+
 def cmd_enum(args: argparse.Namespace) -> int:
     n = args.n
     cap = args.cap
@@ -103,8 +131,7 @@ def cmd_enum(args: argparse.Namespace) -> int:
         items: Iterable[str] = (
             format_permutation(p) for p in enumerate_avoiders(n, sigma, cap=cap))
     elif args.family == "grassmannian":
-        items = (format_permutation(p)
-                 for p in enumerate_grassmannian(n, cap=cap))
+        items = grassmannian_lines(n, cap=cap)
     elif args.family == "bigrassmannian":
         items = (format_permutation(p)
                  for p in enumerate_grassmannian(n, cap=cap)
@@ -120,13 +147,8 @@ def cmd_enum(args: argparse.Namespace) -> int:
     else:  # schroder
         items = enumerate_uudd_avoiding(n, cap=cap)
 
-    listed = list(items)
-    if args.format == "json":
-        print(json.dumps(listed))
-    else:
-        for line in listed:
-            print(line)
-    print(f"count: {len(listed)}", file=sys.stderr)
+    count = _write_stream(items, args.format == "json")
+    print(f"count: {count}", file=sys.stderr)
     return 0
 
 
@@ -399,38 +421,55 @@ def verify_prop53(args: argparse.Namespace) -> int:
     return sweep.finish("prop53")
 
 
-VERIFY_TARGETS: dict[str, tuple[Callable[[argparse.Namespace], int], str]] = {
+# target -> (runner, one-line description, defaults of unset flags)
+VERIFY_TARGETS: dict[str, tuple[Callable[[argparse.Namespace], int], str,
+                                dict[str, int]]] = {
     "weiner": (verify_weiner_sweep,
-               "finite-class walk counts equal the alternating-sum formula"),
+               "finite-class walk counts equal the alternating-sum formula",
+               {"kmax": 10}),
     "theorem34": (verify_theorem34,
-                  "one-descent pattern classes follow 1 + sum C(n,j-1)"),
+                  "one-descent pattern classes follow 1 + sum C(n,j-1)",
+                  {"max_n": 10}),
     "prop21": (verify_prop21,
                "doubly one-descent members are the 2413-avoiders,"
-               " 1 + C(n+1,3) many"),
+               " 1 + C(n+1,3) many",
+               {"max_n": 10}),
     "prop22": (verify_prop22,
-               "family-plus-inverses count equals the two-pattern class"),
+               "family-plus-inverses count equals the two-pattern class",
+               {"max_n": 10}),
     "prop23": (verify_prop23,
-               "self-inverse members match the quadratic count"),
+               "self-inverse members match the quadratic count",
+               {"max_n": 10}),
     "prop31": (verify_prop31,
-               "finite classes end in Catalan and twice-Catalan counts"),
+               "finite classes end in Catalan and twice-Catalan counts",
+               {"kmax": 9}),
     "prop41": (verify_prop41,
-               "single-long-ascent paths map onto the whole family"),
+               "single-long-ascent paths map onto the whole family",
+               {"max_n": 9}),
     "prop42": (verify_prop42,
-               "few-high-peak paths map onto k12...(k-1) avoiders"),
+               "few-high-peak paths map onto k12...(k-1) avoiders",
+               {"max_n": 9}),
     "prop43": (verify_prop43,
-               "bounded-height paths map onto 23...k1 avoiders"),
+               "bounded-height paths map onto 23...k1 avoiders",
+               {"max_n": 9}),
     "prop46": (verify_prop46,
-               "flat-step words map onto 35124 avoiders via Lehmer codes"),
+               "flat-step words map onto 35124 avoiders via Lehmer codes",
+               {"max_n": 9}),
     "thm51": (verify_thm51,
               "odd-count recurrence, closed form, oracle, and both"
-              " size-raising maps"),
+              " size-raising maps",
+              {"max_n": 40}),
     "prop53": (verify_prop53,
-               "inversion parity equals even-height peak parity"),
+               "inversion parity equals even-height peak parity",
+               {"max_n": 10}),
 }
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    runner, _ = VERIFY_TARGETS[args.target]
+    runner, _, defaults = VERIFY_TARGETS[args.target]
+    for flag, value in defaults.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, value)
     return runner(args)
 
 
@@ -438,8 +477,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     if args.which == "table1":
-        if not 2 <= args.kmax <= 12:
-            raise ValueError("table1 supports --kmax 2..12")
+        if not 2 <= args.kmax <= 14:
+            raise ValueError("table1 supports --kmax 2..14")
         for k in range(2, args.kmax + 1):
             row = [finite_class_count(m, k) for m in range(k, 2 * k - 1)]
             print(",".join([str(k)] + [str(v) for v in row]))
@@ -521,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser(
         "verify", help="run a formula-vs-brute-force sweep")
     verify.add_argument("target", choices=sorted(VERIFY_TARGETS),
-                        help="; ".join(f"{name}: {doc}" for name, doc
+                        help="; ".join(f"{name}: {doc}" for name, (_, doc, _)
                                        in sorted(VERIFY_TARGETS.items())))
     verify.add_argument("--kmax", type=int, default=None,
                         help="largest rising-pattern size"
@@ -530,13 +569,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="largest size swept (defaults per target)")
     verify.add_argument("--max-size", type=int, default=5,
                         help="largest pattern size (theorem34, default 5)")
-    verify.set_defaults(run=_verify_with_defaults)
+    verify.set_defaults(run=cmd_verify)
 
     table = sub.add_parser(
         "table", help="reproduce the two summary tables as CSV")
     table.add_argument("which", choices=["table1", "table2"])
     table.add_argument("--kmax", type=int, default=10,
-                       help="table1: last rising-pattern size, 2..12"
+                       help="table1: last rising-pattern size, 2..14"
                             " (default 10)")
     table.set_defaults(run=cmd_table)
 
@@ -549,29 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
     mapper.set_defaults(run=cmd_map)
 
     return parser
-
-
-VERIFY_DEFAULTS = {
-    "weiner": {"kmax": 10},
-    "theorem34": {"max_n": 10},
-    "prop21": {"max_n": 10},
-    "prop22": {"max_n": 10},
-    "prop23": {"max_n": 10},
-    "prop31": {"kmax": 9},
-    "prop41": {"max_n": 9},
-    "prop42": {"max_n": 9},
-    "prop43": {"max_n": 9},
-    "prop46": {"max_n": 9},
-    "thm51": {"max_n": 40},
-    "prop53": {"max_n": 10},
-}
-
-
-def _verify_with_defaults(args: argparse.Namespace) -> int:
-    for flag, value in VERIFY_DEFAULTS[args.target].items():
-        if getattr(args, flag) is None:
-            setattr(args, flag, value)
-    return cmd_verify(args)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -148,26 +148,28 @@ def is_grassmannian_path(path: str) -> bool:
     return long_ascent_count(path) <= 1
 
 
+def _dyck_walk(n: int) -> Iterator[str]:
+    # once all n up-steps are placed the rest of the path is forced
+    downs = ["D" * h for h in range(n + 1)]
+    stack = [("", 0, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        prefix, h, ups = pop()
+        if ups == n:
+            yield prefix + downs[h]
+            continue
+        # pushed U first so that the D branch comes out first
+        push((prefix + "U", h + 1, ups + 1))
+        if h > 0:
+            push((prefix + "D", h - 1, ups))
+
+
 def enumerate_dyck_paths(n: int, *, cap: int | None = None) -> Iterator[str]:
     """All Dyck paths of semilength n, lexicographic (D before U)."""
     if n < 0:
         raise ValueError(f"semilength must be non-negative, got {n}")
     check_cap(n, cap)
-
-    def walk(prefix: list[str], h: int, ups: int) -> Iterator[str]:
-        if ups == n and h == 0:
-            yield "".join(prefix)
-            return
-        if h > 0:
-            prefix.append("D")
-            yield from walk(prefix, h - 1, ups)
-            prefix.pop()
-        if ups < n:
-            prefix.append("U")
-            yield from walk(prefix, h + 1, ups + 1)
-            prefix.pop()
-
-    return walk([], 0, 0)
+    return _dyck_walk(n)
 
 
 def enumerate_grassmannian_paths(n: int, *, cap: int | None = None) -> Iterator[str]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from math import comb
+from operator import itemgetter
 
 from grassperm.perms import (
     Perm,
@@ -51,6 +52,39 @@ def _require_positive(n: int) -> None:
         raise ValueError(f"size must be at least 1, got {n}")
 
 
+def _rising_prefix_walk(n: int, atoms: Sequence) -> Iterator:
+    """Every member of the size-n family, built from atoms[1..n].
+
+    Each node of the walk is a rising prefix S, with last = max S: the
+    member whose first rising block is S is the prefix, then low (the
+    values below last missing from S, carried down the tree), then
+    every value above last.  A node is emitted when low is non-empty,
+    which spends the descent, or when last = n, which gives the
+    identity; the prefixes 1..j with j < n would repeat the identity.
+    Children, one per value above last, come in increasing order after
+    their parent, so the members come in lexicographic order; every
+    member costs a few concatenations of atoms.
+    """
+    empty = atoms[0]
+    tails = [empty] * (n + 1)        # tails[v]: the values above v
+    for v in range(n - 1, -1, -1):
+        tails[v] = atoms[v + 1] + tails[v + 1]
+    # gaps[a][v]: the values strictly between a and v, for a < v
+    gaps = [[empty] * (n + 1) for _ in range(n + 1)]
+    for a in range(n + 1):
+        for v in range(a + 2, n + 1):
+            gaps[a][v] = gaps[a][v - 1] + atoms[v - 1]
+    stack = [(empty, empty, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        prefix, low, last = pop()
+        if low or last == n:
+            yield prefix + low + tails[last]
+        below = gaps[last]
+        for v in range(n, last, -1):
+            push((prefix + atoms[v], low + below[v], v))
+
+
 def enumerate_grassmannian(n: int, *, cap: int | None = None) -> Iterator[Perm]:
     """All permutations of size n with at most one descent, in
     lexicographic order.
@@ -65,20 +99,25 @@ def enumerate_grassmannian(n: int, *, cap: int | None = None) -> Iterator[Perm]:
     """
     _require_positive(n)
     check_cap(n, cap)
+    return _rising_prefix_walk(n, [()] + [(v,) for v in range(1, n + 1)])
 
-    def walk(prefix: list[int], remaining: list[int]) -> Iterator[Perm]:
-        if not remaining:
-            yield tuple(prefix)
-            return
-        last = prefix[-1] if prefix else 0
-        if remaining[0] < last:
-            # spend the descent; the suffix must rise, so it is forced
-            yield tuple(prefix) + tuple(remaining)
-        for i, v in enumerate(remaining):
-            if v > last:
-                yield from walk(prefix + [v], remaining[:i] + remaining[i + 1:])
 
-    return walk([], list(range(1, n + 1)))
+def grassmannian_lines(n: int, *, cap: int | None = None) -> Iterator[str]:
+    """The members of enumerate_grassmannian(n) as format_permutation
+    prints them, built as strings by the same walk.
+
+    >>> list(grassmannian_lines(3))
+    ['123', '132', '213', '231', '312']
+    >>> next(grassmannian_lines(10))
+    '1,2,3,4,5,6,7,8,9,10'
+    """
+    _require_positive(n)
+    check_cap(n, cap)
+    if n <= 9:
+        return _rising_prefix_walk(n, [""] + [str(v) for v in range(1, n + 1)])
+    # every member ends in "v,"; drop the final comma
+    return map(itemgetter(slice(None, -1)), _rising_prefix_walk(
+        n, [""] + [f"{v}," for v in range(1, n + 1)]))
 
 
 def count_grassmannian(n: int) -> int:
@@ -93,7 +132,7 @@ def count_grassmannian(n: int) -> int:
 
 def count_descent_at(n: int, k: int) -> int:
     """How many members of the size-n family have their descent at
-    position k.
+    position k: C(n, k) - 1, every k-subset but the prefix one.
 
     >>> count_descent_at(4, 1)
     3
@@ -103,7 +142,7 @@ def count_descent_at(n: int, k: int) -> int:
     _require_positive(n)
     if not 1 <= k <= n - 1:
         raise ValueError(f"descent position {k} outside 1..{n - 1}")
-    return sum(comb(n - j - 1, k - j) for j in range(k))
+    return comb(n, k) - 1
 
 
 def is_bigrassmannian(p: Sequence[int]) -> bool:

@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 from grassperm import cli, kernels
-from grassperm.patterns import finite_class_count
+from grassperm.grassmann import enumerate_grassmannian
+from grassperm.patterns import finite_class_count, finite_class_formula
+from grassperm.perms import format_permutation
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -59,6 +61,61 @@ def test_enum_json_format(capsys):
                        "--format", "json")
     assert code == 0
     assert json.loads(out) == ["123", "132", "213", "231", "312"]
+
+
+def test_enum_json_is_json_dumps_of_the_list(capsys):
+    # 16,370 members, more than one chunk of output
+    members = [format_permutation(p) for p in enumerate_grassmannian(14)]
+    assert len(members) > cli.ENUM_CHUNK_LINES
+    code, out, err = run(capsys, "enum", "grassmannian", "--n", "14",
+                         "--format", "json")
+    assert code == 0
+    assert out == json.dumps(members) + "\n"
+    assert err == f"count: {len(members)}\n"
+    code, out, err = run(capsys, "enum", "grassmannian", "--n", "14")
+    assert code == 0
+    assert out == "\n".join(members) + "\n"
+    code, out, err = run(capsys, "enum", "avoiders", "--pattern", "123",
+                         "--n", "5", "--format", "json")
+    assert code == 0
+    assert out == json.dumps([]) + "\n"
+    assert err == "count: 0\n"
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone: every write fails.  Its fileno
+    is a real descriptor, which main points at os.devnull."""
+
+    def __init__(self, sink):
+        self.sink = sink
+
+    def write(self, text):
+        raise BrokenPipeError
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.sink.fileno()
+
+
+def test_enum_streams_into_a_closed_pipe(monkeypatch):
+    pulled = 0
+    lines = cli.grassmannian_lines
+
+    def counted(n, *, cap=None):
+        nonlocal pulled
+        for line in lines(n, cap=cap):
+            pulled += 1
+            yield line
+
+    monkeypatch.setattr(cli, "grassmannian_lines", counted)
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(sink))
+        code = cli.main(["enum", "grassmannian", "--n", "20"])
+    assert code == 1
+    # the first chunk fails to write; the walk is not run to its end
+    assert 0 < pulled <= cli.ENUM_CHUNK_LINES < 2 ** 20 - 20
 
 
 def test_enum_dyck(capsys):
@@ -203,6 +260,17 @@ def test_verify_unknown_target():
     assert exc.value.code == 2
 
 
+def test_verify_help_describes_every_target(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--help"])
+    assert exc.value.code == 0
+    # argparse wraps lines, also after hyphens, so compare without spaces
+    text = "".join(capsys.readouterr().out.split())
+    for name, (_, doc, _) in cli.VERIFY_TARGETS.items():
+        assert "".join(f"{name}: {doc}".split()) in text
+    assert "<function" not in text
+
+
 def test_sweep_reports_mismatch(capsys):
     sweep = cli.Sweep()
     sweep.check("good", 1, 1)
@@ -224,9 +292,16 @@ def test_table1(capsys):
     assert code == 0
     assert out.splitlines()[-1] == ("12,4083,8034,15353,27976,47762,75140,"
                                     "106964,134368,142766,117572,58786")
-    code, _, err = run(capsys, "table", "table1", "--kmax", "13")
+    code, out, _ = run(capsys, "table", "table1", "--kmax", "14")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 13
+    for k in (13, 14):
+        row = [finite_class_formula(m, k) for m in range(k, 2 * k - 1)]
+        assert lines[k - 2] == ",".join(map(str, [k] + row))
+    code, _, err = run(capsys, "table", "table1", "--kmax", "15")
     assert code == 2
-    assert "2..12" in err
+    assert "2..14" in err
 
 
 def test_table2(capsys):

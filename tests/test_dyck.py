@@ -18,6 +18,7 @@ from grassperm.dyck import (
     peaks_above_height_one,
     peaks_at_even_height,
     permutation_to_path,
+    validate_dyck,
 )
 from grassperm.grassmann import enumerate_grassmannian, is_grassmannian
 from grassperm.patterns import catalan, contains_pattern
@@ -98,6 +99,20 @@ def test_round_trip_exhaustive():
             images.add(p)
         # injective onto all 321-avoiders
         assert len(images) == catalan(n)
+
+
+def _is_dyck(word):
+    try:
+        validate_dyck(word)
+    except ValueError:
+        return False
+    return True
+
+
+def test_enumerate_dyck_paths_matches_brute_force():
+    for n in range(0, 9):
+        words = ("".join(w) for w in itertools.product("DU", repeat=2 * n))
+        assert list(enumerate_dyck_paths(n)) == list(filter(_is_dyck, words))
 
 
 def test_image_characterizations():

@@ -13,6 +13,7 @@ from grassperm.grassmann import (
     count_union_with_inverse,
     enumerate_grassmannian,
     enumerate_involutions,
+    grassmannian_lines,
     is_bigrassmannian,
     is_grassmannian,
     sole_descent,
@@ -20,6 +21,7 @@ from grassperm.grassmann import (
 from grassperm.patterns import contains_pattern
 from grassperm.perms import (
     descent_positions,
+    format_permutation,
     identity,
     inverse,
     is_involution,
@@ -51,6 +53,18 @@ def test_enumeration_matches_definition():
         assert len(members) == count_grassmannian(n) == 2 ** n - n
 
 
+def test_lines_match_formatted_members():
+    # n = 9 prints digit strings, n = 10 comma-separated ones
+    for n in range(1, 13):
+        assert list(grassmannian_lines(n)) == [
+            format_permutation(p) for p in enumerate_grassmannian(n)]
+    with pytest.raises(ValueError):
+        grassmannian_lines(0)
+    with pytest.raises(ValueError):
+        grassmannian_lines(26)
+    grassmannian_lines(30, cap=31)
+
+
 def test_enumeration_small_goldens():
     assert list(enumerate_grassmannian(1)) == [(1,)]
     assert list(enumerate_grassmannian(2)) == [(1, 2), (2, 1)]
@@ -77,6 +91,12 @@ def test_size_validation():
 
 
 def test_count_descent_at():
+    # the closed form against the k-term sum over j, the number of
+    # leading fixed points 1..j of the first rising block
+    for n in range(2, 60):
+        for k in range(1, n):
+            assert count_descent_at(n, k) == sum(
+                comb(n - j - 1, k - j) for j in range(k))
     for n in range(1, 9):
         by_descent = {}
         for p in enumerate_grassmannian(n):
