@@ -11,8 +11,9 @@ brute-force cross-checks live with the pattern tooling and the tests.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from itertools import islice
 from math import comb
-from operator import itemgetter
+from operator import gt, itemgetter
 
 from grassperm.perms import (
     Perm,
@@ -33,7 +34,7 @@ def is_grassmannian(p: Sequence[int]) -> bool:
     >>> is_grassmannian((3, 1, 4, 2))
     False
     """
-    return len(descent_positions(p)) <= 1
+    return sum(map(gt, p, islice(p, 1, None))) <= 1
 
 
 def sole_descent(p: Sequence[int]) -> int | None:

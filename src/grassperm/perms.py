@@ -45,14 +45,23 @@ def identity(n: int) -> Perm:
 def inverse(p: Sequence[int]) -> Perm:
     """Group inverse: position i holds the position of value i in p.
 
+    Raises ValueError unless p is a permutation: every value must lie
+    in 1..n and fill a slot no earlier value filled.
+
     >>> inverse((2, 4, 1, 3))
     (3, 1, 4, 2)
+    >>> inverse((1, 1))
+    Traceback (most recent call last):
+    ...
+    ValueError: not a permutation: (1, 1)
     """
-    if not is_permutation(p):
-        raise ValueError(f"not a permutation: {tuple(p)!r}")
-    q = [0] * len(p)
-    for i, v in enumerate(p):
-        q[v - 1] = i + 1
+    n = len(p)
+    q = [0] * n
+    for i, v in enumerate(p, 1):
+        # test the range first: q[v - 1] with v <= 0 would wrap around
+        if not 0 < v <= n or q[v - 1]:
+            raise ValueError(f"not a permutation: {tuple(p)!r}")
+        q[v - 1] = i
     return tuple(q)
 
 
@@ -80,9 +89,20 @@ def descent_positions(p: Sequence[int]) -> tuple[int, ...]:
 
 
 def inversion_count(p: Sequence[int]) -> int:
-    """Number of pairs i < j with p(i) > p(j)."""
-    n = len(p)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
+    """Number of pairs i < j with p(i) > p(j).
+
+    >>> inversion_count((2, 3, 1, 7, 4, 5, 8, 6))
+    6
+    >>> inversion_count(())
+    0
+    """
+    # bit v of seen marks value v as already read, so each value adds
+    # the number of larger values to its left
+    count = seen = 0
+    for v in p:
+        count += (seen >> v).bit_count()
+        seen |= 1 << v
+    return count
 
 
 def dip_pairs(p: Sequence[int]) -> tuple[tuple[int, int], ...]:
@@ -106,9 +126,14 @@ def lehmer_encode(p: Sequence[int]) -> tuple[int, ...]:
     >>> lehmer_encode((2, 3, 1, 7, 4, 5, 8, 6))
     (1, 1, 0, 3, 0, 0, 1, 0)
     """
-    n = len(p)
-    return tuple(sum(1 for j in range(i + 1, n) if p[j] < p[i])
-                 for i in range(n))
+    # read right to left; bit v of seen marks value v as already read
+    code = [0] * len(p)
+    seen = 0
+    for i in range(len(p) - 1, -1, -1):
+        v = p[i]
+        code[i] = (seen & ((1 << v) - 1)).bit_count()
+        seen |= 1 << v
+    return tuple(code)
 
 
 def lehmer_decode(code: Sequence[int]) -> Perm:

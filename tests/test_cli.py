@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 from grassperm import cli, kernels
-from grassperm.grassmann import enumerate_grassmannian
+from grassperm.grassmann import count_involutions, enumerate_grassmannian
 from grassperm.patterns import finite_class_count, finite_class_formula
-from grassperm.perms import format_permutation
+from grassperm.perms import format_permutation, inverse
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -207,6 +207,42 @@ def test_finite_class_oracle_refuses_beyond_scan_size(capsys):
                        "--k", "4", "--n", str(n))
     assert code == 0
     assert out.splitlines()[1] == f"{n},0"
+
+
+def test_union_oracle_matches_set_union():
+    for n in range(1, 12):
+        family = set(enumerate_grassmannian(n))
+        union = family | {inverse(p) for p in family}
+        assert cli._count_union_with_inverse(n) == len(union)
+
+
+def test_union_oracle_flags_a_repeated_member(capsys, monkeypatch):
+    # a set union would hide an enumerator that yields a member twice
+    def repeating(n, cap=None):
+        members = enumerate_grassmannian(n, cap=cap)
+        first = next(members)
+        yield first
+        yield first
+        yield from members
+    monkeypatch.setattr(cli, "enumerate_grassmannian", repeating)
+    code, out, _ = run(capsys, "count", "union-inverse", "--n", "4",
+                       "--oracle")
+    assert code == 1
+    assert out.splitlines()[1].endswith(",false")
+
+
+def test_involution_oracle_is_independent(capsys, monkeypatch):
+    # the oracle filters the family by p == inverse(p); the structured
+    # enumerator builds the very shapes that the closed form counts
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle used enumerate_involutions")
+    monkeypatch.setattr(cli, "enumerate_involutions", refuse)
+    code, out, _ = run(capsys, "count", "involutions", "--n", "1..8",
+                       "--oracle")
+    assert code == 0
+    assert out.splitlines() == ["n,formula,oracle,agree"] + [
+        f"{n},{count_involutions(n)},{count_involutions(n)},true"
+        for n in range(1, 9)]
 
 
 def test_count_descent_at(capsys):

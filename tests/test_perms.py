@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from grassperm.perms import (
     descent_positions,
@@ -29,6 +30,19 @@ def all_perms(n):
     return itertools.permutations(range(1, n + 1))
 
 
+def pair_inversion_count(p):
+    # reference: every pair of positions
+    n = len(p)
+    return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
+
+
+def pair_lehmer_encode(p):
+    # reference: every later position for every position
+    n = len(p)
+    return tuple(sum(1 for j in range(i + 1, n) if p[j] < p[i])
+                 for i in range(n))
+
+
 def test_is_permutation():
     assert is_permutation((1,))
     assert is_permutation((2, 4, 1, 3))
@@ -47,6 +61,14 @@ def test_identity_and_inverse():
         inverse((1, 1))
 
 
+def test_inverse_rejects_non_permutations():
+    # repeated value, value below 1 (q[v - 1] would wrap around for
+    # v <= 0), value above n, and a repeat after a valid start
+    for bad in ((1, 1), (0, 1), (2, 3), (1, -1), (2, 2, 1)):
+        with pytest.raises(ValueError):
+            inverse(bad)
+
+
 def test_reverse_complement():
     assert reverse_complement((1, 3, 2)) == (2, 1, 3)
     for p in all_perms(6):
@@ -62,6 +84,24 @@ def test_descents_and_inversions():
     assert descent_positions((2, 3, 1, 7, 4, 5, 8, 6)) == (2, 4, 7)
     assert inversion_count((2, 3, 1, 7, 4, 5, 8, 6)) == 6
     assert inversion_count((4, 6, 7, 1, 2, 3, 5)) == 11
+
+
+def test_bitmask_counts_match_pair_loops():
+    for n in range(8):
+        for p in all_perms(n):
+            assert inversion_count(p) == pair_inversion_count(p)
+            assert lehmer_encode(p) == pair_lehmer_encode(p)
+    falling = tuple(range(200, 0, -1))
+    assert inversion_count(falling) == 200 * 199 // 2
+    assert lehmer_encode(falling) == tuple(range(199, -1, -1))
+
+
+# sizes past 64 so that the value masks span several machine words
+@given(st.integers(1, 200).flatmap(
+    lambda n: st.permutations(range(1, n + 1))).map(tuple))
+def test_bitmask_counts_match_pair_loops_large(p):
+    assert inversion_count(p) == pair_inversion_count(p)
+    assert lehmer_encode(p) == pair_lehmer_encode(p)
 
 
 def test_dip_pairs():
