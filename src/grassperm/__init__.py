@@ -41,7 +41,6 @@ from grassperm.grassmann import (
 )
 from grassperm.patterns import (
     CountReport,
-    PatternClassSummary,
     catalan,
     contains_pattern,
     count_avoiders_by_scan,
@@ -50,7 +49,6 @@ from grassperm.patterns import (
     finite_class_count,
     finite_class_formula,
     one_descent_patterns,
-    summarize_pattern_class,
     verify_weiner,
     weiner_formula,
 )

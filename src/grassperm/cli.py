@@ -20,13 +20,11 @@ import os
 import sys
 from collections.abc import Callable, Iterable, Sequence
 from itertools import islice
-from math import comb
 
 from grassperm import kernels
 from grassperm.dyck import (
     enumerate_dyck_paths,
     enumerate_grassmannian_paths,
-    is_grassmannian_path,
     max_height,
     parse_dyck_path,
     path_to_permutation,
@@ -65,15 +63,18 @@ from grassperm.patterns import (
     verify_weiner,
 )
 from grassperm.perms import (
+    Perm,
     descent_positions,
     format_lehmer_code,
     format_permutation,
     inverse,
     inversion_count,
+    is_involution,
     lehmer_decode,
     lehmer_encode,
     parse_lehmer_code,
     parse_permutation,
+    shown,
 )
 from grassperm.schroder import code_to_word, enumerate_uudd_avoiding, word_to_code
 
@@ -88,9 +89,9 @@ def parse_range(text: str) -> range:
         else:
             start = stop = int(text)
     except ValueError:
-        raise ValueError(f"bad range {text!r}; use N or LO..HI") from None
+        raise ValueError(f"bad range {shown(text)}; use N or LO..HI") from None
     if start > stop:
-        raise ValueError(f"empty range {text!r}")
+        raise ValueError(f"empty range {shown(text)}")
     return range(start, stop + 1)
 
 
@@ -141,10 +142,9 @@ def cmd_enum(args: argparse.Namespace) -> int:
         items = (format_permutation(p)
                  for p in enumerate_involutions(n, cap=cap))
     elif args.family == "dyck":
-        paths = enumerate_dyck_paths(n, cap=cap)
-        if args.grassmannian_only:
-            paths = enumerate_grassmannian_paths(n, cap=cap)
-        items = paths
+        walk = (enumerate_grassmannian_paths if args.grassmannian_only
+                else enumerate_dyck_paths)
+        items = walk(n, cap=cap)
     else:  # schroder
         items = enumerate_uudd_avoiding(n, cap=cap)
 
@@ -155,48 +155,39 @@ def cmd_enum(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- count
 
-def _count_union_with_inverse(n: int, cap: int | None = None) -> int:
-    """Size of the union of the size-n family F and its inverses, by
-    inclusion-exclusion over the enumerated members of F.
+# family -> (closed form, what one enumerated member adds to the
+# independent count); count --oracle and the verify sweeps both read it
+MEMBER_COUNTS: dict[str, tuple[Callable[[int], int],
+                               Callable[[Perm], int]]] = {
+    # every member is a non-empty tuple, so bool counts it as one
+    "grassmannian": (count_grassmannian, bool),
+    "bigrassmannian": (count_bigrassmannian, is_bigrassmannian),
+    # inclusion-exclusion: inversion is a bijection, so the family and
+    # its inverses are equally many, and they share the members whose
+    # inverse also has at most one descent.  No set is kept, so a
+    # member enumerated twice miscounts rather than being hidden.
+    "union-inverse": (count_union_with_inverse,
+                      lambda p: 2 - is_grassmannian(inverse(p))),
+    "involutions": (count_involutions, is_involution),
+    "odd": (odd_count, lambda p: inversion_count(p) % 2),
+    "even": (even_count, lambda p: 1 - inversion_count(p) % 2),
+}
 
-    Inversion is a bijection, so F and its inverses are equally many,
-    and they share the members whose inverse also has at most one
-    descent: the union has 2 |F| minus that many.  No set is kept, and
-    an enumerator that repeated a member would miscount here rather
-    than be hidden by a set.
-    """
-    members = both = 0
-    for p in enumerate_grassmannian(n, cap=cap):
-        members += 1
-        both += is_grassmannian(inverse(p))
-    return 2 * members - both
+
+def brute_count(family: str, n: int, cap: int | None = None) -> int:
+    """The independent count of a MEMBER_COUNTS family: the weights of
+    the enumerated size-n members, summed."""
+    weight = MEMBER_COUNTS[family][1]
+    return sum(map(weight, enumerate_grassmannian(n, cap=cap)))
 
 
 def _count_family(args: argparse.Namespace) -> tuple[
         Callable[[int], int], Callable[[int], int]]:
     """Formula column and brute-force column for one family."""
     family = args.family
-    if family == "grassmannian":
-        return count_grassmannian, lambda n: sum(
-            1 for _ in enumerate_grassmannian(n, cap=args.cap))
-    if family == "bigrassmannian":
-        return count_bigrassmannian, lambda n: sum(
-            is_bigrassmannian(p)
-            for p in enumerate_grassmannian(n, cap=args.cap))
-    if family == "union-inverse":
-        return (count_union_with_inverse,
-                lambda n: _count_union_with_inverse(n, args.cap))
-    if family == "involutions":
-        return count_involutions, lambda n: sum(
-            p == inverse(p) for p in enumerate_grassmannian(n, cap=args.cap))
-    if family == "odd":
-        return odd_count, lambda n: sum(
-            inversion_count(p) % 2
-            for p in enumerate_grassmannian(n, cap=args.cap))
-    if family == "even":
-        return even_count, lambda n: sum(
-            1 - inversion_count(p) % 2
-            for p in enumerate_grassmannian(n, cap=args.cap))
+    if family in MEMBER_COUNTS:
+        return (MEMBER_COUNTS[family][0],
+                lambda n: brute_count(family, n, args.cap))
     if family == "descent-at":
         if args.k is None:
             raise ValueError("count descent-at needs --k")
@@ -286,8 +277,8 @@ def verify_theorem34(args: argparse.Namespace) -> int:
         for sigma in one_descent_patterns(size):
             name = format_permutation(sigma)
             for n in range(1, args.max_n + 1):
-                want = 1 + sum(comb(n, j - 1) for j in range(3, size + 1))
-                sweep.check(f"sigma={name} n={n}", want,
+                sweep.check(f"sigma={name} n={n}",
+                            count_avoiders_closed_form(n, sigma),
                             count_avoiders_by_scan(n, sigma))
     return sweep.finish("theorem34")
 
@@ -295,8 +286,8 @@ def verify_theorem34(args: argparse.Namespace) -> int:
 def verify_prop21(args: argparse.Namespace) -> int:
     sweep = Sweep()
     for n in range(1, args.max_n + 1):
-        brute = sum(is_bigrassmannian(p) for p in enumerate_grassmannian(n))
-        sweep.check(f"count n={n}", 1 + comb(n + 1, 3), brute)
+        sweep.check(f"count n={n}", count_bigrassmannian(n),
+                    brute_count("bigrassmannian", n))
         same_class = all(
             is_bigrassmannian(p) == (not contains_pattern(p, (2, 4, 1, 3)))
             for p in enumerate_grassmannian(n))
@@ -310,7 +301,7 @@ def verify_prop22(args: argparse.Namespace) -> int:
         if n <= kernels.MAX_FULL_SN_SIZE:
             oracle = kernels.count_sn_avoiding_321_2143(n)
         else:
-            oracle = _count_union_with_inverse(n)
+            oracle = brute_count("union-inverse", n)
         sweep.check(f"n={n}", count_union_with_inverse(n), oracle)
     return sweep.finish("prop22")
 
@@ -319,8 +310,7 @@ def verify_prop23(args: argparse.Namespace) -> int:
     sweep = Sweep()
     for n in range(1, args.max_n + 1):
         listed = list(enumerate_involutions(n))
-        brute = [p for p in enumerate_grassmannian(n)
-                 if p == inverse(p)]
+        brute = list(filter(is_involution, enumerate_grassmannian(n)))
         sweep.check(f"members n={n}", brute, listed)
         sweep.check(f"count n={n}", count_involutions(n), len(listed))
     return sweep.finish("prop23")
@@ -341,7 +331,7 @@ def verify_prop41(args: argparse.Namespace) -> int:
     sweep = Sweep()
     for n in range(1, args.max_n + 1):
         paths = list(enumerate_grassmannian_paths(n))
-        sweep.check(f"path count n={n}", 2 ** n - n, len(paths))
+        sweep.check(f"path count n={n}", count_grassmannian(n), len(paths))
         image = sorted(path_to_permutation(p) for p in paths)
         sweep.check(f"image n={n}", list(enumerate_grassmannian(n)), image)
     return sweep.finish("prop41")
@@ -358,8 +348,7 @@ def _verify_path_class(args: argparse.Namespace, target: str,
             chosen = [p for p in enumerate_grassmannian_paths(n)
                       if keep(p, k)]
             image = {path_to_permutation(p) for p in chosen}
-            avoiders = {p for p in enumerate_grassmannian(n)
-                        if not contains_pattern(p, sigma)}
+            avoiders = set(enumerate_avoiders(n, sigma))
             sweep.check(f"sigma={name} n={n} count",
                         count_avoiders_closed_form(n, sigma), len(chosen))
             sweep.check(f"sigma={name} n={n} image", True, image == avoiders)
@@ -388,8 +377,7 @@ def verify_prop46(args: argparse.Namespace) -> int:
         round_trips = all(code_to_word(word_to_code(w)) == w for w in words)
         sweep.check(f"round trip n={n}", True, round_trips)
         image = {lehmer_decode(word_to_code(w)) for w in words}
-        avoiders = {p for p in enumerate_grassmannian(n + 1)
-                    if not contains_pattern(p, sigma)}
+        avoiders = set(enumerate_avoiders(n + 1, sigma))
         sweep.check(f"image n={n}", True, image == avoiders)
         sweep.check(f"count n={n}",
                     count_avoiders_closed_form(n + 1, sigma), len(words))
@@ -399,15 +387,13 @@ def verify_prop46(args: argparse.Namespace) -> int:
 def verify_thm51(args: argparse.Namespace) -> int:
     sweep = Sweep()
     for n in range(1, args.max_n + 1):
-        closed = 2 ** (n - 1) - 2 ** ((n - 1) // 2)
-        sweep.check(f"closed form n={n}", closed, odd_count(n))
+        sweep.check(f"closed form n={n}", odd_count(n),
+                    kernels.count_odd_members(n))
         if n > 2:
             sweep.check(f"recurrence n={n}",
                         2 * odd_count(n - 2) + 2 ** (n - 2), odd_count(n))
         if n <= 14:
-            brute = sum(inversion_count(p) % 2
-                        for p in enumerate_grassmannian(n))
-            sweep.check(f"oracle n={n}", odd_count(n), brute)
+            sweep.check(f"oracle n={n}", odd_count(n), brute_count("odd", n))
     for m in range(1, 6):
         odd = [p for p in enumerate_grassmannian(2 * m)
                if inversion_count(p) % 2]

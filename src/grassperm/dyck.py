@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 
-from grassperm.perms import Perm, check_cap
+from grassperm.perms import Perm, check_cap, shown
 
 Path = str
 
@@ -27,7 +27,7 @@ Path = str
 MAX_PATH_STEPS = 200_000
 
 
-def parse_path(text: str, alphabet: str = "UD") -> str:
+def parse_path(text: str) -> str:
     """Expand run-length digits and validate the letters.
 
     Refuses a path of more than MAX_PATH_STEPS steps (semilength
@@ -42,8 +42,8 @@ def parse_path(text: str, alphabet: str = "UD") -> str:
     i = 0
     while i < len(text):
         ch = text[i]
-        if ch not in alphabet:
-            raise ValueError(f"bad step {ch!r} in {text!r}")
+        if ch not in "UD":
+            raise ValueError(f"bad step {ch!r} in {shown(text)}")
         i += 1
         j = i
         while j < len(text) and "0" <= text[j] <= "9":
@@ -53,7 +53,7 @@ def parse_path(text: str, alphabet: str = "UD") -> str:
                              f" limited to {MAX_PATH_STEPS} steps")
         count = int(text[i:j]) if j > i else 1
         if count < 1:
-            raise ValueError(f"zero-length run in {text!r}")
+            raise ValueError(f"zero-length run in {shown(text)}")
         steps += count
         if steps > MAX_PATH_STEPS:
             raise ValueError(f"path longer than {MAX_PATH_STEPS} steps")
@@ -148,20 +148,28 @@ def is_grassmannian_path(path: str) -> bool:
     return long_ascent_count(path) <= 1
 
 
-def _dyck_walk(n: int) -> Iterator[str]:
+def _dyck_walk(n: int, most: int) -> Iterator[str]:
+    """Dyck paths of semilength n with at most `most` long ascents,
+    lexicographic (D before U)."""
     # once all n up-steps are placed the rest of the path is forced
     downs = ["D" * h for h in range(n + 1)]
-    stack = [("", 0, 0)]
+    # prefix, height, up-steps so far, the current U-run (0 after a D,
+    # 1 after its first U, 2 beyond) and the long ascents so far
+    stack = [("", 0, 0, 0, 0)]
     pop, push = stack.pop, stack.append
     while stack:
-        prefix, h, ups = pop()
+        prefix, h, ups, run, longs = pop()
         if ups == n:
             yield prefix + downs[h]
             continue
-        # pushed U first so that the D branch comes out first
-        push((prefix + "U", h + 1, ups + 1))
+        # pushed U first so that the D branch comes out first; a run's
+        # second U makes it long, and is refused once `most` are spent
+        if run != 1:
+            push((prefix + "U", h + 1, ups + 1, 1 if run == 0 else 2, longs))
+        elif longs != most:
+            push((prefix + "U", h + 1, ups + 1, 2, longs + 1))
         if h > 0:
-            push((prefix + "D", h - 1, ups))
+            push((prefix + "D", h - 1, ups, 0, longs))
 
 
 def enumerate_dyck_paths(n: int, *, cap: int | None = None) -> Iterator[str]:
@@ -169,7 +177,7 @@ def enumerate_dyck_paths(n: int, *, cap: int | None = None) -> Iterator[str]:
     if n < 0:
         raise ValueError(f"semilength must be non-negative, got {n}")
     check_cap(n, cap)
-    return _dyck_walk(n)
+    return _dyck_walk(n, n)
 
 
 def enumerate_grassmannian_paths(n: int, *, cap: int | None = None) -> Iterator[str]:
@@ -178,22 +186,7 @@ def enumerate_grassmannian_paths(n: int, *, cap: int | None = None) -> Iterator[
     if n < 1:
         raise ValueError(f"semilength must be at least 1, got {n}")
     check_cap(n, cap)
-
-    def walk(prefix: list[str], h: int, ups: int, run: int,
-             spent: bool) -> Iterator[str]:
-        if ups == n and h == 0:
-            yield "".join(prefix)
-            return
-        if h > 0:
-            prefix.append("D")
-            yield from walk(prefix, h - 1, ups, 0, spent or run >= 2)
-            prefix.pop()
-        if ups < n and not (spent and run == 1):
-            prefix.append("U")
-            yield from walk(prefix, h + 1, ups + 1, run + 1, spent)
-            prefix.pop()
-
-    return walk([], 0, 0, 0, False)
+    return _dyck_walk(n, 1)
 
 
 def path_to_permutation(path: str) -> Perm:
@@ -232,7 +225,7 @@ def permutation_to_path(p: Sequence[int]) -> str:
     """
     n = len(p)
     if _has_321(p):
-        raise ValueError(f"{tuple(p)} contains 321; no path corresponds")
+        raise ValueError(f"{shown(tuple(p))} contains 321; no path corresponds")
     minima = []
     low = n + 1
     for i in range(n - 1, -1, -1):

@@ -22,6 +22,7 @@ from grassperm.perms import (
     direct_sum,
     identity,
     inverse,
+    shown,
     skew_sum,
 )
 
@@ -44,7 +45,7 @@ def sole_descent(p: Sequence[int]) -> int | None:
     """
     ds = descent_positions(p)
     if len(ds) > 1:
-        raise ValueError(f"{p} has {len(ds)} descents")
+        raise ValueError(f"{shown(p)} has {len(ds)} descents")
     return ds[0] if ds else None
 
 

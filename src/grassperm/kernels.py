@@ -1,14 +1,15 @@
-"""Counters for the three brute-force checks: polynomial where the
-family allows it, a pruned search where it does not.
+"""Counters for the brute-force checks: polynomial where the family
+allows it, a pruned search where it does not.
 
 A one-descent member of size n is fixed by its first rising block S.
 Reading the values 1..n in order and writing A for a value in S and B
 for one outside turns each member into a word over {A, B}; the n + 1
 words A^j B^(n-j) all give the identity, every other word gives one
-member of its own.  Both one-descent counters walk these words letter
-by letter and subtract the n surplus identity words at the end.  The
-two-pattern count over the whole symmetric group shares nothing with
-this encoding: it grows permutations one value at a time.
+member of its own.  The one-descent counters walk these words letter
+by letter, and the avoider counters subtract the n surplus identity
+words at the end.  The two-pattern count over the whole symmetric
+group shares nothing with this encoding: it grows permutations one
+value at a time.
 """
 
 from __future__ import annotations
@@ -97,6 +98,31 @@ def count_grassmannian_avoiders(n: int, sigma: tuple[int, ...]) -> int:
                 step[state + (letter == word[state])] += matched[state]
         matched = step
     return sum(matched[:k]) - n
+
+
+def count_odd_members(n: int) -> int:
+    """Count one-descent permutations of size n with an odd number of
+    inversions.
+
+    The inversions are the pairs of a B-value below an A-value, so an
+    A adds #B inversions and a B adds none: the state is (#B mod 2,
+    inversion parity).  The identity words have no inversions, so
+    every odd word is one member.
+
+    >>> [count_odd_members(n) for n in range(1, 8)]
+    [0, 1, 2, 6, 12, 28, 56]
+    """
+    if n < 1:
+        raise ValueError(f"size must be at least 1, got {n}")
+    # words by #B mod 2, then inversion parity: even_odd counts the
+    # words with an even #B and an odd inversion count
+    even_even, even_odd, odd_even, odd_odd = 1, 0, 0, 0
+    for _ in range(n):
+        # an A flips the parity when #B is odd; a B flips #B
+        even_even, even_odd, odd_even, odd_odd = (
+            even_even + odd_even, even_odd + odd_odd,
+            even_even + odd_odd, even_odd + odd_even)
+    return even_odd + odd_odd
 
 
 def count_sn_avoiding_321_2143(n: int) -> int:

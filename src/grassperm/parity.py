@@ -17,7 +17,7 @@ from collections.abc import Sequence
 from math import comb
 
 from grassperm.grassmann import is_grassmannian, sole_descent
-from grassperm.perms import Perm, direct_sum, inversion_count
+from grassperm.perms import Perm, direct_sum, inversion_count, shown
 
 
 def odd_count(n: int) -> int:
@@ -66,9 +66,9 @@ def _check_odd_member(p: Sequence[int], want_even_size: bool) -> None:
     if want_even_size != (n % 2 == 0):
         raise ValueError(f"size {n} has the wrong parity for this map")
     if not is_grassmannian(p):
-        raise ValueError(f"{tuple(p)} has more than one descent")
+        raise ValueError(f"{shown(tuple(p))} has more than one descent")
     if inversion_count(p) % 2 == 0:
-        raise ValueError(f"{tuple(p)} has an even inversion count")
+        raise ValueError(f"{shown(tuple(p))} has an even inversion count")
 
 
 def extend_to_odd_size(p: Sequence[int]) -> Perm:

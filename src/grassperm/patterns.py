@@ -18,10 +18,10 @@ formulas and which the tests hold to the reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
 from collections.abc import Iterator, Sequence
+from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 from grassperm import kernels
 from grassperm.grassmann import enumerate_grassmannian
@@ -180,8 +180,7 @@ def weiner_formula(m: int, k: int) -> int:
                for j in range(1, k - m // 2 + 1))
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(NamedTuple):
     """One verified count: a closed-form value next to its brute-force
     check, if one was run."""
     family: str
@@ -189,26 +188,6 @@ class CountReport:
     formula: int
     oracle: int | None
     agree: bool | None
-
-
-@dataclass(frozen=True)
-class PatternClassSummary:
-    """Avoider count for one pattern at one size."""
-    pattern: Perm
-    n: int
-    formula_count: int
-    oracle_count: int | None
-    agreement: bool | None
-
-
-def summarize_pattern_class(n: int, sigma: Sequence[int],
-                            *, oracle: bool = False) -> PatternClassSummary:
-    sigma = tuple(sigma)
-    formula = count_avoiders_closed_form(n, sigma)
-    if not oracle:
-        return PatternClassSummary(sigma, n, formula, None, None)
-    scanned = count_avoiders_by_scan(n, sigma)
-    return PatternClassSummary(sigma, n, formula, scanned, scanned == formula)
 
 
 def verify_weiner(k_max: int) -> list[CountReport]:

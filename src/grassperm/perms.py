@@ -16,13 +16,28 @@ Operations assume their permutation arguments are valid; use
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Sequence, Sized
 
 Perm = tuple[int, ...]
 
 # Enumerators refuse sizes above this unless told otherwise; closed-form
 # counting has no cap.
 DEFAULT_ENUMERATION_CAP = 25
+
+
+def shown(value: Sized) -> str:
+    """repr(value) for an error message, cut in the middle when longer
+    than 80 characters, so that a huge input gives a short line.
+
+    >>> shown((2, 1))
+    '(2, 1)'
+    >>> shown(tuple(range(1, 1001)))[-38:]
+    '96, 997, 998, 999, 1000) (length 1000)'
+    """
+    text = repr(value)
+    if len(text) <= 80:
+        return text
+    return f"{text[:48]} ... {text[-24:]} (length {len(value)})"
 
 
 def check_cap(n: int, cap: int | None) -> None:
@@ -60,7 +75,7 @@ def inverse(p: Sequence[int]) -> Perm:
     for i, v in enumerate(p, 1):
         # test the range first: q[v - 1] with v <= 0 would wrap around
         if not 0 < v <= n or q[v - 1]:
-            raise ValueError(f"not a permutation: {tuple(p)!r}")
+            raise ValueError(f"not a permutation: {shown(tuple(p))}")
         q[v - 1] = i
     return tuple(q)
 
@@ -208,13 +223,13 @@ def parse_permutation(text: str) -> Perm:
         try:
             values = tuple(int(part) for part in text.split(","))
         except ValueError:
-            raise ValueError(f"malformed permutation {text!r}") from None
+            raise ValueError(f"malformed permutation {shown(text)}") from None
     elif text.isdigit():
         values = tuple(int(ch) for ch in text)
     else:
-        raise ValueError(f"malformed permutation {text!r}")
+        raise ValueError(f"malformed permutation {shown(text)}")
     if not is_permutation(values):
-        raise ValueError(f"{text!r} is not a permutation of 1..{len(values)}")
+        raise ValueError(f"{shown(text)} is not a permutation of 1..{len(values)}")
     return values
 
 
@@ -237,11 +252,11 @@ def parse_lehmer_code(text: str) -> tuple[int, ...]:
         try:
             code = tuple(int(part) for part in text.split(","))
         except ValueError:
-            raise ValueError(f"malformed Lehmer code {text!r}") from None
+            raise ValueError(f"malformed Lehmer code {shown(text)}") from None
     elif text.isdigit():
         code = tuple(int(ch) for ch in text)
     else:
-        raise ValueError(f"malformed Lehmer code {text!r}")
+        raise ValueError(f"malformed Lehmer code {shown(text)}")
     if any(c < 0 for c in code):
-        raise ValueError(f"negative entry in Lehmer code {text!r}")
+        raise ValueError(f"negative entry in Lehmer code {shown(text)}")
     return code

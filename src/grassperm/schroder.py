@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from itertools import groupby
 
-from grassperm.perms import check_cap
+from grassperm.perms import check_cap, shown
 
 Word = str
 
@@ -123,7 +123,7 @@ def word_to_code(word: str) -> tuple[int, ...]:
     (1, 3, 0, 0, 0, 0)
     """
     if not is_uudd_avoiding(word):
-        raise ValueError(f"{word!r} climbs past level one or has three U's")
+        raise ValueError(f"{shown(word)} climbs past level one or has three U's")
     ups = word.count("U")
     n = word_semilength(word)
     if ups == 0:
@@ -170,7 +170,7 @@ def code_to_word(code: Sequence[int]) -> Word:
     """
     code = tuple(code)
     if not is_35124_code(code):
-        raise ValueError(f"{code} is not an admissible code")
+        raise ValueError(f"{shown(code)} is not an admissible code")
     n = len(code) - 1
     runs = [(v, len(list(g))) for v, g in groupby(code)]
     values = [v for v, _ in runs]

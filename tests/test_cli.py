@@ -12,8 +12,9 @@ import pytest
 
 from grassperm import cli, kernels
 from grassperm.grassmann import count_involutions, enumerate_grassmannian
+from grassperm.parity import odd_count
 from grassperm.patterns import finite_class_count, finite_class_formula
-from grassperm.perms import format_permutation, inverse
+from grassperm.perms import format_permutation, inverse, inversion_count
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -213,7 +214,7 @@ def test_union_oracle_matches_set_union():
     for n in range(1, 12):
         family = set(enumerate_grassmannian(n))
         union = family | {inverse(p) for p in family}
-        assert cli._count_union_with_inverse(n) == len(union)
+        assert cli.brute_count("union-inverse", n) == len(union)
 
 
 def test_union_oracle_flags_a_repeated_member(capsys, monkeypatch):
@@ -243,6 +244,29 @@ def test_involution_oracle_is_independent(capsys, monkeypatch):
     assert out.splitlines() == ["n,formula,oracle,agree"] + [
         f"{n},{count_involutions(n)},{count_involutions(n)},true"
         for n in range(1, 9)]
+
+
+def test_member_counts_feed_count_and_verify(capsys, monkeypatch):
+    # count --oracle and verify read the same oracle table: a wrong
+    # weight must show in both
+    monkeypatch.setitem(cli.MEMBER_COUNTS, "odd",
+                        (odd_count, lambda p: 1 - inversion_count(p) % 2))
+    code, out, _ = run(capsys, "count", "odd", "--n", "3", "--oracle")
+    assert code == 1
+    assert out.splitlines()[1].endswith(",false")
+    code, out, _ = run(capsys, "verify", "thm51", "--max-n", "6")
+    assert code == 1
+    assert "FAIL oracle n=3" in out
+
+
+def test_thm51_closed_form_rows_use_the_word_count(capsys, monkeypatch):
+    # the closed form rows compare odd_count with the word DP, so a
+    # wrong DP must fail them, also where no enumeration oracle runs
+    monkeypatch.setattr(kernels, "count_odd_members", lambda n: -1)
+    code, out, _ = run(capsys, "verify", "thm51")
+    assert code == 1
+    assert "FAIL closed form n=40: expected" in out
+    assert "ok   oracle n=14" in out
 
 
 def test_count_descent_at(capsys):
@@ -399,6 +423,20 @@ def test_map_refuses_long_paths_before_expanding(capsys):
     assert out.strip() == "2314"
 
 
+def test_errors_shorten_long_inputs(capsys):
+    # a huge argument is cut in the message, not echoed in full
+    rising = ",".join(map(str, range(1, 20_001)))
+    falling = ",".join(map(str, range(20_000, 0, -1)))
+    for argv in (["map", "xi", rising], ["map", "phi-inverse", falling],
+                 ["map", "xi", rising + ",1"],
+                 ["count", "grassmannian", "--n", "1.." + rising]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv[:2]
+        assert out == ""
+        assert err.startswith("error: ") and len(err.encode()) < 300, err
+        assert "(length " in err
+
+
 BFILE_FAMILIES = [
     ("grassmannian", "b000325.txt"),
     ("union-inverse", "b088921.txt"),
@@ -436,6 +474,15 @@ def test_python_dash_m():
         capture_output=True, text=True, timeout=60, env=module_env())
     assert proc.returncode == 0
     assert proc.stdout.strip() == "21"
+
+
+def test_cli_does_not_import_dataclasses():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, grassperm.cli; print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, env=module_env())
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"
 
 
 def test_closed_pipe_exits_without_traceback():

@@ -147,6 +147,10 @@ def test_enumerate_grassmannian_paths():
                               if is_grassmannian_path(p)}
     assert list(enumerate_grassmannian_paths(1)) == ["UD"]
     assert len(list(enumerate_grassmannian_paths(3))) == 5
+    for n in range(1, 9):
+        words = ("".join(w) for w in itertools.product("DU", repeat=2 * n))
+        assert list(enumerate_grassmannian_paths(n)) == [
+            w for w in words if _is_dyck(w) and is_grassmannian_path(w)]
 
 
 def test_image_of_grassmannian_paths_is_the_family():

@@ -14,7 +14,8 @@ from grassperm.patterns import (
     count_avoiders_closed_form,
     weiner_formula,
 )
-from grassperm.perms import inverse
+from grassperm.parity import odd_count
+from grassperm.perms import inverse, inversion_count
 
 PATTERNS = [(1, 2), (1, 2, 3), (1, 3, 2), (2, 3, 1), (1, 2, 3, 4),
             (2, 4, 1, 3), (3, 1, 2, 4), (1, 2, 3, 4, 5), (3, 5, 1, 2, 4),
@@ -104,6 +105,19 @@ def test_scan_guards():
         kernels.count_sn_avoiding_321_2143(0)
     with pytest.raises(ValueError):
         kernels.count_sn_avoiding_321_2143(kernels.MAX_FULL_SN_SIZE + 1)
+
+
+def test_odd_member_count_matches_enumeration():
+    for n in range(1, 15):
+        odd = sum(inversion_count(p) % 2 for p in enumerate_grassmannian(n))
+        assert kernels.count_odd_members(n) == odd, n
+
+
+def test_odd_member_count_matches_closed_form():
+    for n in range(1, 201):
+        assert kernels.count_odd_members(n) == odd_count(n), n
+    with pytest.raises(ValueError):
+        kernels.count_odd_members(0)
 
 
 def test_module_level_reexports():

@@ -15,7 +15,6 @@ from grassperm.patterns import (
     enumerate_avoiders,
     finite_class_count,
     one_descent_patterns,
-    summarize_pattern_class,
     verify_weiner,
     weiner_formula,
 )
@@ -219,12 +218,3 @@ def test_rising_pattern_convention():
         [0, 0, 0]
     assert list(enumerate_avoiders(3, (1,))) == []
 
-
-def test_summarize_pattern_class():
-    summary = summarize_pattern_class(6, (1, 3, 2))
-    assert summary.formula_count == 16
-    assert summary.oracle_count is None
-    assert summary.agreement is None
-    checked = summarize_pattern_class(6, (1, 3, 2), oracle=True)
-    assert checked.oracle_count == 16
-    assert checked.agreement is True
