@@ -40,7 +40,6 @@ from grassperm.grassmann import (
     sole_descent,
 )
 from grassperm.patterns import (
-    CountReport,
     catalan,
     contains_pattern,
     count_avoiders_by_scan,
@@ -49,7 +48,6 @@ from grassperm.patterns import (
     finite_class_count,
     finite_class_formula,
     one_descent_patterns,
-    verify_weiner,
     weiner_formula,
 )
 from grassperm.dyck import (

@@ -18,7 +18,7 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import islice
 
 from grassperm import kernels
@@ -60,7 +60,7 @@ from grassperm.patterns import (
     finite_class_count,
     finite_class_formula,
     one_descent_patterns,
-    verify_weiner,
+    weiner_formula,
 )
 from grassperm.perms import (
     Perm,
@@ -155,6 +155,10 @@ def cmd_enum(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- count
 
+# count refuses sizes above this: every column stays within seconds and
+# every number far below int()'s 4300-digit printing limit
+MAX_COUNT_SIZE = 1000
+
 # family -> (closed form, what one enumerated member adds to the
 # independent count); count --oracle and the verify sweeps both read it
 MEMBER_COUNTS: dict[str, tuple[Callable[[int], int],
@@ -213,6 +217,9 @@ def cmd_count(args: argparse.Namespace) -> int:
     sizes = parse_range(args.n)
     if sizes.start < 1:
         raise ValueError("sizes start at 1")
+    if sizes[-1] > MAX_COUNT_SIZE:
+        raise ValueError(f"sizes end at {MAX_COUNT_SIZE}, got"
+                         f" {shown(args.n.strip())}")
     formula, oracle = _count_family(args)
     rows = []
     mismatch = False
@@ -263,84 +270,75 @@ class Sweep:
         return 1 if self.failures else 0
 
 
-def verify_weiner_sweep(args: argparse.Namespace) -> int:
-    sweep = Sweep()
-    for report in verify_weiner(args.kmax):
-        sweep.check(f"{report.family} m={report.n}",
-                    report.formula, report.oracle)
-    return sweep.finish("weiner")
+# a verify target yields (label, expected, got) rows; cmd_verify checks
+# them one by one in a single Sweep
+Row = tuple[str, object, object]
 
 
-def verify_theorem34(args: argparse.Namespace) -> int:
-    sweep = Sweep()
+def verify_weiner(args: argparse.Namespace) -> Iterator[Row]:
+    for k in range(2, args.kmax + 1):
+        for m in range(k, 2 * k - 1):
+            yield (f"rising k={k} m={m}", weiner_formula(m, k),
+                   finite_class_count(m, k))
+
+
+def verify_theorem34(args: argparse.Namespace) -> Iterator[Row]:
     for size in range(3, args.max_size + 1):
         for sigma in one_descent_patterns(size):
             name = format_permutation(sigma)
             for n in range(1, args.max_n + 1):
-                sweep.check(f"sigma={name} n={n}",
-                            count_avoiders_closed_form(n, sigma),
-                            count_avoiders_by_scan(n, sigma))
-    return sweep.finish("theorem34")
+                yield (f"sigma={name} n={n}",
+                       count_avoiders_closed_form(n, sigma),
+                       count_avoiders_by_scan(n, sigma))
 
 
-def verify_prop21(args: argparse.Namespace) -> int:
-    sweep = Sweep()
+def verify_prop21(args: argparse.Namespace) -> Iterator[Row]:
     for n in range(1, args.max_n + 1):
-        sweep.check(f"count n={n}", count_bigrassmannian(n),
-                    brute_count("bigrassmannian", n))
+        yield (f"count n={n}", count_bigrassmannian(n),
+               brute_count("bigrassmannian", n))
         same_class = all(
             is_bigrassmannian(p) == (not contains_pattern(p, (2, 4, 1, 3)))
             for p in enumerate_grassmannian(n))
-        sweep.check(f"2413-avoidance n={n}", True, same_class)
-    return sweep.finish("prop21")
+        yield (f"2413-avoidance n={n}", True, same_class)
 
 
-def verify_prop22(args: argparse.Namespace) -> int:
-    sweep = Sweep()
+def verify_prop22(args: argparse.Namespace) -> Iterator[Row]:
     for n in range(1, args.max_n + 1):
         if n <= kernels.MAX_FULL_SN_SIZE:
             oracle = kernels.count_sn_avoiding_321_2143(n)
         else:
             oracle = brute_count("union-inverse", n)
-        sweep.check(f"n={n}", count_union_with_inverse(n), oracle)
-    return sweep.finish("prop22")
+        yield (f"n={n}", count_union_with_inverse(n), oracle)
 
 
-def verify_prop23(args: argparse.Namespace) -> int:
-    sweep = Sweep()
+def verify_prop23(args: argparse.Namespace) -> Iterator[Row]:
     for n in range(1, args.max_n + 1):
         listed = list(enumerate_involutions(n))
         brute = list(filter(is_involution, enumerate_grassmannian(n)))
-        sweep.check(f"members n={n}", brute, listed)
-        sweep.check(f"count n={n}", count_involutions(n), len(listed))
-    return sweep.finish("prop23")
+        yield (f"members n={n}", brute, listed)
+        yield (f"count n={n}", count_involutions(n), len(listed))
 
 
-def verify_prop31(args: argparse.Namespace) -> int:
-    sweep = Sweep()
+def verify_prop31(args: argparse.Namespace) -> Iterator[Row]:
     for k in range(2, args.kmax + 1):
-        sweep.check(f"k={k} m={2 * k - 2}", catalan(k - 1),
-                    finite_class_count(2 * k - 2, k))
+        yield (f"k={k} m={2 * k - 2}", catalan(k - 1),
+               finite_class_count(2 * k - 2, k))
         if k >= 3:
-            sweep.check(f"k={k} m={2 * k - 3}", 2 * catalan(k - 1),
-                        finite_class_count(2 * k - 3, k))
-    return sweep.finish("prop31")
+            yield (f"k={k} m={2 * k - 3}", 2 * catalan(k - 1),
+                   finite_class_count(2 * k - 3, k))
 
 
-def verify_prop41(args: argparse.Namespace) -> int:
-    sweep = Sweep()
+def verify_prop41(args: argparse.Namespace) -> Iterator[Row]:
     for n in range(1, args.max_n + 1):
         paths = list(enumerate_grassmannian_paths(n))
-        sweep.check(f"path count n={n}", count_grassmannian(n), len(paths))
+        yield (f"path count n={n}", count_grassmannian(n), len(paths))
         image = sorted(path_to_permutation(p) for p in paths)
-        sweep.check(f"image n={n}", list(enumerate_grassmannian(n)), image)
-    return sweep.finish("prop41")
+        yield (f"image n={n}", list(enumerate_grassmannian(n)), image)
 
 
-def _verify_path_class(args: argparse.Namespace, target: str,
+def _verify_path_class(args: argparse.Namespace,
                        keep: Callable[[str, int], bool],
-                       sigma_of: Callable[[int], tuple[int, ...]]) -> int:
-    sweep = Sweep()
+                       sigma_of: Callable[[int], Perm]) -> Iterator[Row]:
     for k in (3, 4, 5):
         sigma = sigma_of(k)
         name = format_permutation(sigma)
@@ -349,83 +347,77 @@ def _verify_path_class(args: argparse.Namespace, target: str,
                       if keep(p, k)]
             image = {path_to_permutation(p) for p in chosen}
             avoiders = set(enumerate_avoiders(n, sigma))
-            sweep.check(f"sigma={name} n={n} count",
-                        count_avoiders_closed_form(n, sigma), len(chosen))
-            sweep.check(f"sigma={name} n={n} image", True, image == avoiders)
-    return sweep.finish(target)
+            yield (f"sigma={name} n={n} count",
+                   count_avoiders_closed_form(n, sigma), len(chosen))
+            yield (f"sigma={name} n={n} image", True, image == avoiders)
 
 
-def verify_prop42(args: argparse.Namespace) -> int:
+def verify_prop42(args: argparse.Namespace) -> Iterator[Row]:
     return _verify_path_class(
-        args, "prop42",
+        args,
         lambda path, k: peaks_above_height_one(path) <= k - 2,
         lambda k: (k,) + tuple(range(1, k)))
 
 
-def verify_prop43(args: argparse.Namespace) -> int:
+def verify_prop43(args: argparse.Namespace) -> Iterator[Row]:
     return _verify_path_class(
-        args, "prop43",
+        args,
         lambda path, k: max_height(path) <= k - 1,
         lambda k: tuple(range(2, k + 1)) + (1,))
 
 
-def verify_prop46(args: argparse.Namespace) -> int:
-    sweep = Sweep()
+def verify_prop46(args: argparse.Namespace) -> Iterator[Row]:
     sigma = (3, 5, 1, 2, 4)
     for n in range(0, args.max_n + 1):
         words = list(enumerate_uudd_avoiding(n))
         round_trips = all(code_to_word(word_to_code(w)) == w for w in words)
-        sweep.check(f"round trip n={n}", True, round_trips)
+        yield (f"round trip n={n}", True, round_trips)
         image = {lehmer_decode(word_to_code(w)) for w in words}
         avoiders = set(enumerate_avoiders(n + 1, sigma))
-        sweep.check(f"image n={n}", True, image == avoiders)
-        sweep.check(f"count n={n}",
-                    count_avoiders_closed_form(n + 1, sigma), len(words))
-    return sweep.finish("prop46")
+        yield (f"image n={n}", True, image == avoiders)
+        yield (f"count n={n}",
+               count_avoiders_closed_form(n + 1, sigma), len(words))
 
 
-def verify_thm51(args: argparse.Namespace) -> int:
-    sweep = Sweep()
+def verify_thm51(args: argparse.Namespace) -> Iterator[Row]:
     for n in range(1, args.max_n + 1):
-        sweep.check(f"closed form n={n}", odd_count(n),
-                    kernels.count_odd_members(n))
+        yield (f"closed form n={n}", odd_count(n),
+               kernels.count_odd_members(n))
         if n > 2:
-            sweep.check(f"recurrence n={n}",
-                        2 * odd_count(n - 2) + 2 ** (n - 2), odd_count(n))
+            yield (f"recurrence n={n}",
+                   2 * odd_count(n - 2) + 2 ** (n - 2), odd_count(n))
         if n <= 14:
-            sweep.check(f"oracle n={n}", odd_count(n), brute_count("odd", n))
+            yield (f"oracle n={n}", odd_count(n), brute_count("odd", n))
     for m in range(1, 6):
         odd = [p for p in enumerate_grassmannian(2 * m)
                if inversion_count(p) % 2]
         images = {extend_to_odd_size(p) for p in odd}
         target = {p for p in enumerate_grassmannian(2 * m + 1)
                   if inversion_count(p) % 2 and p[-1] != 2 * m + 1}
-        sweep.check(f"xi image m={m}", True, images == target)
+        yield (f"xi image m={m}", True, images == target)
         odd_up = [p for p in enumerate_grassmannian(2 * m + 1)
                   if inversion_count(p) % 2]
         images = {extend_to_even_size(p) for p in odd_up}
         target = {p for p in enumerate_grassmannian(2 * m + 2)
                   if inversion_count(p) % 2
                   and descent_positions(p)[0] % 2 == 0}
-        sweep.check(f"psi image m={m}", True, images == target)
-    return sweep.finish("thm51")
+        yield (f"psi image m={m}", True, images == target)
 
 
-def verify_prop53(args: argparse.Namespace) -> int:
-    sweep = Sweep()
+def verify_prop53(args: argparse.Namespace) -> Iterator[Row]:
     for n in range(1, args.max_n + 1):
         bridged = all(
             inversion_count(path_to_permutation(path)) % 2
             == peaks_at_even_height(path) % 2
             for path in enumerate_grassmannian_paths(n))
-        sweep.check(f"n={n}", True, bridged)
-    return sweep.finish("prop53")
+        yield (f"n={n}", True, bridged)
 
 
-# target -> (runner, one-line description, defaults of unset flags)
-VERIFY_TARGETS: dict[str, tuple[Callable[[argparse.Namespace], int], str,
+# target -> (rows, one-line description, defaults of unset flags)
+VERIFY_TARGETS: dict[str, tuple[Callable[[argparse.Namespace],
+                                         Iterable[Row]], str,
                                 dict[str, int]]] = {
-    "weiner": (verify_weiner_sweep,
+    "weiner": (verify_weiner,
                "finite-class walk counts equal the alternating-sum formula",
                {"kmax": 10}),
     "theorem34": (verify_theorem34,
@@ -467,11 +459,17 @@ VERIFY_TARGETS: dict[str, tuple[Callable[[argparse.Namespace], int], str,
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    runner, _, defaults = VERIFY_TARGETS[args.target]
+    rows, _, defaults = VERIFY_TARGETS[args.target]
     for flag, value in defaults.items():
         if getattr(args, flag) is None:
             setattr(args, flag, value)
-    return runner(args)
+    sweep = Sweep()
+    for row in rows(args):
+        sweep.check(*row)
+    if not sweep.rows:
+        raise ValueError(f"verify {args.target} has no rows to check"
+                         " in this range")
+    return sweep.finish(args.target)
 
 
 # ---------------------------------------------------------------- table

@@ -18,6 +18,7 @@ from operator import gt, itemgetter
 from grassperm.perms import (
     Perm,
     check_cap,
+    check_size,
     descent_positions,
     direct_sum,
     identity,
@@ -47,11 +48,6 @@ def sole_descent(p: Sequence[int]) -> int | None:
     if len(ds) > 1:
         raise ValueError(f"{shown(p)} has {len(ds)} descents")
     return ds[0] if ds else None
-
-
-def _require_positive(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"size must be at least 1, got {n}")
 
 
 def _rising_prefix_walk(n: int, atoms: Sequence) -> Iterator:
@@ -99,7 +95,7 @@ def enumerate_grassmannian(n: int, *, cap: int | None = None) -> Iterator[Perm]:
     >>> [p for p in enumerate_grassmannian(3)]
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2)]
     """
-    _require_positive(n)
+    check_size(n)
     check_cap(n, cap)
     return _rising_prefix_walk(n, [()] + [(v,) for v in range(1, n + 1)])
 
@@ -113,7 +109,7 @@ def grassmannian_lines(n: int, *, cap: int | None = None) -> Iterator[str]:
     >>> next(grassmannian_lines(10))
     '1,2,3,4,5,6,7,8,9,10'
     """
-    _require_positive(n)
+    check_size(n)
     check_cap(n, cap)
     if n <= 9:
         return _rising_prefix_walk(n, [""] + [str(v) for v in range(1, n + 1)])
@@ -128,7 +124,7 @@ def count_grassmannian(n: int) -> int:
     >>> [count_grassmannian(n) for n in range(1, 7)]
     [1, 2, 5, 12, 27, 58]
     """
-    _require_positive(n)
+    check_size(n)
     return 2 ** n - n
 
 
@@ -141,7 +137,7 @@ def count_descent_at(n: int, k: int) -> int:
     >>> sum(count_descent_at(6, k) for k in range(1, 6)) == 2**6 - 6 - 1
     True
     """
-    _require_positive(n)
+    check_size(n)
     if not 1 <= k <= n - 1:
         raise ValueError(f"descent position {k} outside 1..{n - 1}")
     return comb(n, k) - 1
@@ -158,7 +154,7 @@ def count_bigrassmannian(n: int) -> int:
     >>> count_bigrassmannian(4)
     11
     """
-    _require_positive(n)
+    check_size(n)
     return 1 + comb(n + 1, 3)
 
 
@@ -172,7 +168,7 @@ def count_union_with_inverse(n: int) -> int:
     >>> [count_union_with_inverse(n) for n in range(1, 8)]
     [1, 2, 5, 13, 33, 80, 185]
     """
-    _require_positive(n)
+    check_size(n)
     return 2 ** (n + 1) - comb(n + 1, 3) - 2 * n - 1
 
 
@@ -184,7 +180,7 @@ def enumerate_involutions(n: int, *, cap: int | None = None) -> Iterator[Perm]:
     a flat start, a block of b values swapped with the following b, and
     a flat finish.  All choices with b = 0 collapse to the identity.
     """
-    _require_positive(n)
+    check_size(n)
     check_cap(n, cap)
     out = {identity(n)}
     for b in range(1, n // 2 + 1):
@@ -202,6 +198,6 @@ def count_involutions(n: int) -> int:
     >>> [count_involutions(n) for n in range(1, 12)]
     [1, 2, 3, 5, 7, 10, 13, 17, 21, 26, 31]
     """
-    _require_positive(n)
+    check_size(n)
     m = n // 2
     return 1 + m * n - m * m

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import defaultdict
 
 from grassperm.grassmann import enumerate_grassmannian
-from grassperm.perms import descent_positions
+from grassperm.perms import check_size, descent_positions
 
 # Size guards, kept from the exhaustive scans these counters replace
 # so that callers see the same domain: 2^26 subsets, 12! permutations.
@@ -112,8 +112,7 @@ def count_odd_members(n: int) -> int:
     >>> [count_odd_members(n) for n in range(1, 8)]
     [0, 1, 2, 6, 12, 28, 56]
     """
-    if n < 1:
-        raise ValueError(f"size must be at least 1, got {n}")
+    check_size(n)
     # words by #B mod 2, then inversion parity: even_odd counts the
     # words with an even #B and an odd inversion count
     even_even, even_odd, odd_even, odd_odd = 1, 0, 0, 0

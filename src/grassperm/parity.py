@@ -17,7 +17,13 @@ from collections.abc import Sequence
 from math import comb
 
 from grassperm.grassmann import is_grassmannian, sole_descent
-from grassperm.perms import Perm, direct_sum, inversion_count, shown
+from grassperm.perms import (
+    Perm,
+    check_size,
+    direct_sum,
+    inversion_count,
+    shown,
+)
 
 
 def odd_count(n: int) -> int:
@@ -26,8 +32,7 @@ def odd_count(n: int) -> int:
     >>> [odd_count(n) for n in range(1, 11)]
     [0, 1, 2, 6, 12, 28, 56, 120, 240, 496]
     """
-    if n < 1:
-        raise ValueError(f"size must be at least 1, got {n}")
+    check_size(n)
     return 2 ** (n - 1) - 2 ** ((n - 1) // 2)
 
 
@@ -40,8 +45,7 @@ def even_count(n: int) -> int:
     >>> all(odd_count(n) + even_count(n) == 2**n - n for n in range(1, 40))
     True
     """
-    if n < 1:
-        raise ValueError(f"size must be at least 1, got {n}")
+    check_size(n)
     return 2 ** (n - 1) + 2 ** ((n - 1) // 2) - n
 
 

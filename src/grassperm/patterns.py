@@ -21,11 +21,10 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from math import comb
-from typing import NamedTuple
 
 from grassperm import kernels
 from grassperm.grassmann import enumerate_grassmannian
-from grassperm.perms import Perm, descent_positions
+from grassperm.perms import Perm, check_size, descent_positions
 
 
 def contains_pattern(p: Sequence[int], sigma: Sequence[int]) -> bool:
@@ -101,8 +100,7 @@ def count_avoiders_closed_form(n: int, sigma: Sequence[int]) -> int:
     >>> count_avoiders_closed_form(3, (1, 3, 2))
     4
     """
-    if n < 1:
-        raise ValueError(f"size must be at least 1, got {n}")
+    check_size(n)
     sigma = tuple(sigma)
     if len(sigma) < 1:
         raise ValueError("pattern must be non-empty")
@@ -137,8 +135,7 @@ def finite_class_formula(m: int, k: int) -> int:
     >>> [finite_class_formula(m, 4) for m in range(1, 8)]
     [1, 2, 5, 11, 10, 5, 0]
     """
-    if m < 1:
-        raise ValueError(f"size must be at least 1, got {m}")
+    check_size(m)
     if k < 1:
         raise ValueError(f"pattern length {k} must be at least 1")
     if m < k:
@@ -178,31 +175,6 @@ def weiner_formula(m: int, k: int) -> int:
         raise ValueError(f"size {m} outside {k}..{2 * k - 2}")
     return sum((-1) ** (j - 1) * j * comb(2 * k - m - j, j) * catalan(k - j)
                for j in range(1, k - m // 2 + 1))
-
-
-class CountReport(NamedTuple):
-    """One verified count: a closed-form value next to its brute-force
-    check, if one was run."""
-    family: str
-    n: int
-    formula: int
-    oracle: int | None
-    agree: bool | None
-
-
-def verify_weiner(k_max: int) -> list[CountReport]:
-    """Compare the alternating sum against the lattice-walk count over
-    its whole claimed range, for every pattern length up to k_max."""
-    if k_max < 2:
-        raise ValueError(f"k_max must be at least 2, got {k_max}")
-    rows = []
-    for k in range(2, k_max + 1):
-        for m in range(k, 2 * k - 1):
-            formula = weiner_formula(m, k)
-            scanned = finite_class_count(m, k)
-            rows.append(CountReport(f"rising k={k}", m, formula,
-                                    scanned, formula == scanned))
-    return rows
 
 
 def one_descent_patterns(k: int) -> tuple[Perm, ...]:

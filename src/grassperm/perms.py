@@ -40,6 +40,11 @@ def shown(value: Sized) -> str:
     return f"{text[:48]} ... {text[-24:]} (length {len(value)})"
 
 
+def check_size(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"size must be at least 1, got {n}")
+
+
 def check_cap(n: int, cap: int | None) -> None:
     limit = DEFAULT_ENUMERATION_CAP if cap is None else cap
     if n > limit:
@@ -208,6 +213,22 @@ def format_permutation(p: Sequence[int]) -> str:
     return ",".join(str(v) for v in p)
 
 
+def _read_entries(text: str, what: str) -> tuple[int, ...]:
+    """The integers of a comma-separated text, or the digits of a text
+    with no comma; what names the input in the malformed message."""
+    text = text.strip()
+    if not text:
+        raise ValueError("empty input")
+    if "," in text:
+        try:
+            return tuple(int(part) for part in text.split(","))
+        except ValueError:
+            pass
+    elif text.isdigit():
+        return tuple(int(ch) for ch in text)
+    raise ValueError(f"malformed {what} {shown(text)}")
+
+
 def parse_permutation(text: str) -> Perm:
     """Parse either serialization of a permutation.
 
@@ -216,20 +237,10 @@ def parse_permutation(text: str) -> Perm:
     >>> parse_permutation("10,1,2,3,4,5,6,7,8,9")[0]
     10
     """
-    text = text.strip()
-    if not text:
-        raise ValueError("empty input")
-    if "," in text:
-        try:
-            values = tuple(int(part) for part in text.split(","))
-        except ValueError:
-            raise ValueError(f"malformed permutation {shown(text)}") from None
-    elif text.isdigit():
-        values = tuple(int(ch) for ch in text)
-    else:
-        raise ValueError(f"malformed permutation {shown(text)}")
+    values = _read_entries(text, "permutation")
     if not is_permutation(values):
-        raise ValueError(f"{shown(text)} is not a permutation of 1..{len(values)}")
+        raise ValueError(
+            f"{shown(text.strip())} is not a permutation of 1..{len(values)}")
     return values
 
 
@@ -245,18 +256,8 @@ def parse_lehmer_code(text: str) -> tuple[int, ...]:
     >>> parse_lehmer_code("130000")
     (1, 3, 0, 0, 0, 0)
     """
-    text = text.strip()
-    if not text:
-        raise ValueError("empty input")
-    if "," in text:
-        try:
-            code = tuple(int(part) for part in text.split(","))
-        except ValueError:
-            raise ValueError(f"malformed Lehmer code {shown(text)}") from None
-    elif text.isdigit():
-        code = tuple(int(ch) for ch in text)
-    else:
-        raise ValueError(f"malformed Lehmer code {shown(text)}")
+    code = _read_entries(text, "Lehmer code")
     if any(c < 0 for c in code):
-        raise ValueError(f"negative entry in Lehmer code {shown(text)}")
+        raise ValueError(
+            f"negative entry in Lehmer code {shown(text.strip())}")
     return code

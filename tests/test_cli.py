@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -13,7 +14,11 @@ import pytest
 from grassperm import cli, kernels
 from grassperm.grassmann import count_involutions, enumerate_grassmannian
 from grassperm.parity import odd_count
-from grassperm.patterns import finite_class_count, finite_class_formula
+from grassperm.patterns import (
+    finite_class_count,
+    finite_class_formula,
+    weiner_formula,
+)
 from grassperm.perms import format_permutation, inverse, inversion_count
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -289,6 +294,18 @@ def test_count_input_errors(capsys):
         assert err.startswith("error:")
 
 
+def test_count_refuses_sizes_above_the_bound(capsys):
+    # refused before any row is computed, so nothing reaches stdout
+    for n in ("1001", "1..1001", "1..100000000000"):
+        code, out, err = run(capsys, "count", "odd", "--n", n)
+        assert (code, out) == (2, ""), n
+        assert err.startswith(f"error: sizes end at {cli.MAX_COUNT_SIZE}")
+    code, out, _ = run(capsys, "count", "grassmannian", "--n",
+                       str(cli.MAX_COUNT_SIZE))
+    assert code == 0
+    assert out.splitlines()[1] == f"1000,{2 ** 1000 - 1000}"
+
+
 VERIFY_SMALL = [
     ("weiner", ["--kmax", "6"]),
     ("theorem34", ["--max-n", "6", "--max-size", "4"]),
@@ -312,6 +329,63 @@ def test_verify_targets(capsys, target, flags):
     assert code == 0
     assert "FAIL" not in out
     assert "all agree" in err
+
+
+# rows each target checks at its defaults; perfbench's paper-check
+# workload expects their sum
+DEFAULT_ROWS = {
+    "weiner": 45, "theorem34": 410, "prop21": 20, "prop22": 10,
+    "prop23": 20, "prop31": 15, "prop41": 18, "prop42": 54, "prop43": 54,
+    "prop46": 30, "thm51": 102, "prop53": 10,
+}
+
+
+@pytest.mark.parametrize("target", list(DEFAULT_ROWS))
+def test_verify_rows_at_defaults(capsys, target):
+    code, out, err = run(capsys, "verify", target)
+    assert code == 0
+    assert err == f"{target}: {DEFAULT_ROWS[target]} checks, all agree\n"
+    assert len(out.splitlines()) == DEFAULT_ROWS[target]
+
+
+def test_default_rows_cover_every_target():
+    assert set(DEFAULT_ROWS) == set(cli.VERIFY_TARGETS)
+    assert sum(DEFAULT_ROWS.values()) == 788
+
+
+EMPTY_SWEEPS = [
+    ["prop22", "--max-n", "0"],
+    ["prop31", "--kmax", "1"],
+    ["theorem34", "--max-size", "2"],
+    ["prop46", "--max-n", "-1"],
+    ["weiner", "--kmax", "1"],
+]
+
+
+@pytest.mark.parametrize("flags", EMPTY_SWEEPS,
+                         ids=[" ".join(f) for f in EMPTY_SWEEPS])
+def test_empty_sweep_is_refused(capsys, flags):
+    code, out, err = run(capsys, "verify", *flags)
+    assert (code, out) == (2, "")
+    assert err == (f"error: verify {flags[0]} has no rows to check"
+                   " in this range\n")
+
+
+def test_sweep_streams_rows_before_a_refusal(capsys):
+    # k = 15 needs size 28, beyond the scan; the rows up to there print
+    code, out, err = run(capsys, "verify", "weiner", "--kmax", "15")
+    assert code == 2
+    assert out.splitlines()[-1] == (
+        f"ok   rising k=15 m=26: {weiner_formula(26, 15)}")
+    assert err.startswith("error: ")
+
+
+def test_weiner_rows_check_the_cli_formula(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "weiner_formula", lambda m, k: -1)
+    code, out, err = run(capsys, "verify", "weiner", "--kmax", "4")
+    assert code == 1
+    assert "FAIL rising k=2 m=2: expected -1, got 1" in out
+    assert err == "weiner: 6 checks, 6 mismatch(es)\n"
 
 
 def test_verify_unknown_target():
@@ -500,3 +574,33 @@ def test_closed_pipe_exits_without_traceback():
     assert first.decode().strip() == ",".join(map(str, range(1, 17)))
     assert "Traceback" not in err
     assert code == 1
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_cli_examples():
+    """(argv, expected stdout or None) for every grassperm line of the
+    README's CLI block; a trailing "# -> X" gives the expected output."""
+    block = README.read_text().split("## CLI", 1)[1]
+    block = block.split("```sh", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if not line.startswith("grassperm "):
+            continue
+        command, _, comment = line.partition("#")
+        expected = comment.strip()
+        examples.append((shlex.split(command)[1:],
+                         expected[3:] if expected.startswith("-> ") else None))
+    return examples
+
+
+def test_readme_cli_examples_run(capsys):
+    examples = readme_cli_examples()
+    assert len(examples) >= 15
+    assert sum(expected is not None for _, expected in examples) >= 4
+    for argv, expected in examples:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        if expected is not None:
+            assert out == expected + "\n", argv
