@@ -20,6 +20,7 @@ import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import islice
+from typing import BinaryIO, NoReturn
 
 from grassperm import kernels
 from grassperm.dyck import (
@@ -159,6 +160,11 @@ def cmd_enum(args: argparse.Namespace) -> int:
 # every number far below int()'s 4300-digit printing limit
 MAX_COUNT_SIZE = 1000
 
+# count --oracle refuses --cap above this: a row at the cap enumerates
+# 2^28 - 28 members, minutes of work on one core (enum, which streams in
+# bounded memory, keeps an unbounded --cap)
+MAX_ORACLE_CAP = 28
+
 # family -> (closed form, what one enumerated member adds to the
 # independent count); count --oracle and the verify sweeps both read it
 MEMBER_COUNTS: dict[str, tuple[Callable[[int], int],
@@ -213,6 +219,95 @@ def _count_family(args: argparse.Namespace) -> tuple[
             lambda n: count_avoiders_by_scan(n, sigma))
 
 
+def _usable_cores() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _oracle_outcome(oracle: Callable[[int], int], n: int) -> int | ValueError:
+    try:
+        return oracle(n)
+    except ValueError as exc:
+        return exc
+
+
+def _oracle_worker(oracle: Callable[[int], int], n: int,
+                   pipe_fd: int) -> NoReturn:
+    """The body of a forked worker: write "v<count>" or "e<message of
+    the ValueError>" to the pipe, then leave at once, on every path, so
+    that none of the parent's code runs here and none of its buffered
+    output is flushed a second time."""
+    try:
+        outcome = _oracle_outcome(oracle, n)
+        kind = "e" if isinstance(outcome, ValueError) else "v"
+        with open(pipe_fd, "wb") as pipe:
+            pipe.write(f"{kind}{outcome}".encode(errors="surrogatepass"))
+    except Exception:
+        # the parent reads an empty reply and fails; leave the reason
+        sys.excepthook(*sys.exc_info())
+        sys.stderr.flush()
+    finally:
+        os._exit(0)
+
+
+def _oracle_column(oracle: Callable[[int], int],
+                   sizes: Sequence[int]) -> dict[int, int | ValueError]:
+    """oracle(n) for each size, or the ValueError it raised.
+
+    Each size runs in a forked worker process, at most one per usable
+    core, largest first: a row costs about twice the one before it, so
+    one worker takes the largest while the others work down the rest.
+    Sizes above a refused one are dropped, as their rows never print.
+    An oracle refuses the sizes above some bound, each at once, so after
+    a refusal the next worker takes the middle pending size: the refused
+    sizes cost about log2 of their number in workers, not one each.
+    Where fork is missing, or one core or one size leaves nothing to
+    overlap, the column is computed in-process."""
+    workers = min(_usable_cores(), len(sizes))
+    if workers < 2 or not hasattr(os, "fork"):
+        return {n: _oracle_outcome(oracle, n) for n in sizes}
+    # imported here, as signal is below, so that the commands that fork
+    # no worker load neither (each adds about 0.15 MB of RSS)
+    import select
+    column: dict[int, int | ValueError] = {}
+    pending = list(sizes)
+    halve = False  # the last reply was a refusal
+    running: dict[BinaryIO, tuple[int, int]] = {}  # pipe -> (pid, size)
+    try:
+        while pending or running:
+            while pending and len(running) < workers:
+                n = pending.pop(len(pending) // 2 if halve else -1)
+                read_fd, write_fd = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    _oracle_worker(oracle, n, write_fd)
+                os.close(write_fd)
+                running[open(read_fd, "rb")] = (pid, n)
+            for pipe in select.select(list(running), [], [])[0]:
+                reply = pipe.read().decode(errors="surrogatepass")
+                pid, n = running.pop(pipe)
+                pipe.close()
+                os.waitpid(pid, 0)
+                if not reply:
+                    raise RuntimeError(f"the oracle worker for n={n} failed")
+                halve = reply[0] == "e"
+                if halve:
+                    column[n] = ValueError(reply[1:])
+                    pending = [m for m in pending if m < n]
+                else:
+                    column[n] = int(reply[1:])
+    finally:
+        if running:  # a failure or an interrupt: stop the other workers
+            import signal
+            for pipe, (pid, _) in running.items():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pipe.close()
+    return column
+
+
 def cmd_count(args: argparse.Namespace) -> int:
     sizes = parse_range(args.n)
     if sizes.start < 1:
@@ -220,16 +315,38 @@ def cmd_count(args: argparse.Namespace) -> int:
     if sizes[-1] > MAX_COUNT_SIZE:
         raise ValueError(f"sizes end at {MAX_COUNT_SIZE}, got"
                          f" {shown(args.n.strip())}")
+    if args.oracle and args.cap is not None and args.cap > MAX_ORACLE_CAP:
+        raise ValueError(f"count --oracle takes --cap up to {MAX_ORACLE_CAP},"
+                         f" got {args.cap}")
     formula, oracle = _count_family(args)
+    # The formula column comes first, up to its first refusal, and the
+    # oracle runs only on the sizes before that.  The rows are then read
+    # in order, formula before oracle, so the first error raised is the
+    # one a row-by-row loop would meet.
+    formulas: list[int] = []
+    refusal = None
+    for n in sizes:
+        try:
+            formulas.append(formula(n))
+        except ValueError as exc:
+            refusal = exc
+            break
+    checked = sizes[:len(formulas)]
+    oracles = _oracle_column(oracle, checked) if args.oracle else {}
     rows = []
     mismatch = False
-    for n in sizes:
-        row: dict[str, object] = {"n": n, "formula": formula(n)}
+    for n, value in zip(checked, formulas):
+        row: dict[str, object] = {"n": n, "formula": value}
         if args.oracle:
-            row["oracle"] = oracle(n)
-            row["agree"] = row["formula"] == row["oracle"]
+            got = oracles[n]
+            if isinstance(got, ValueError):
+                raise got
+            row["oracle"] = got
+            row["agree"] = value == got
             mismatch = mismatch or not row["agree"]
         rows.append(row)
+    if refusal is not None:
+        raise refusal
 
     if args.format == "json":
         print(json.dumps(rows))
@@ -553,7 +670,8 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument("--format", choices=["csv", "json", "bfile"],
                        default="csv")
     count.add_argument("--cap", type=int, default=None,
-                       help="raise the enumeration size cap (default 25)")
+                       help="raise the enumeration size cap (default 25,"
+                            f" at most {MAX_ORACLE_CAP})")
     count.set_defaults(run=cmd_count)
 
     verify = sub.add_parser(

@@ -214,8 +214,8 @@ def format_permutation(p: Sequence[int]) -> str:
 
 
 def _read_entries(text: str, what: str) -> tuple[int, ...]:
-    """The integers of a comma-separated text, or the digits of a text
-    with no comma; what names the input in the malformed message."""
+    """The integers of a comma-separated text, or the ASCII digits of a
+    text with no comma; what names the input in the malformed message."""
     text = text.strip()
     if not text:
         raise ValueError("empty input")
@@ -224,7 +224,7 @@ def _read_entries(text: str, what: str) -> tuple[int, ...]:
             return tuple(int(part) for part in text.split(","))
         except ValueError:
             pass
-    elif text.isdigit():
+    elif text.isascii() and text.isdigit():
         return tuple(int(ch) for ch in text)
     raise ValueError(f"malformed {what} {shown(text)}")
 

@@ -306,6 +306,191 @@ def test_count_refuses_sizes_above_the_bound(capsys):
     assert out.splitlines()[1] == f"1000,{2 ** 1000 - 1000}"
 
 
+def test_count_oracle_refuses_caps_above_the_ceiling(capsys):
+    cap = str(cli.MAX_ORACLE_CAP + 1)
+    for argv in (["grassmannian", "--n", "40"], ["odd", "--n", "3"],
+                 ["descent-at", "--k", "1", "--n", "2..3"]):
+        code, out, err = run(capsys, "count", *argv, "--oracle", "--cap", cap)
+        assert (code, out) == (2, ""), argv
+        assert err == (f"error: count --oracle takes --cap up to"
+                       f" {cli.MAX_ORACLE_CAP}, got {cap}\n")
+    code, out, _ = run(capsys, "count", "grassmannian", "--n", "3",
+                       "--oracle", "--cap", "26")
+    assert (code, out) == (0, "n,formula,oracle,agree\n3,5,5,true\n")
+    # without --oracle the cap is unused; enum streams, so keeps no ceiling
+    code, _, _ = run(capsys, "count", "grassmannian", "--n", "3", "--cap", cap)
+    assert code == 0
+    code, _, err = run(capsys, "enum", "grassmannian", "--n", "3",
+                       "--cap", "40")
+    assert (code, err) == (0, "count: 5\n")
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    """The forked oracle column with two workers, also on one core."""
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+
+
+FORKED_COUNTS = [
+    *([family, "--n", "1..9"] for family in cli.MEMBER_COUNTS),
+    ["descent-at", "--k", "2", "--n", "3..10"],
+    ["finite-class", "--k", "4", "--n", "1..9"],
+    ["avoiders", "--pattern", "2413", "--n", "1..9"],  # one descent
+    ["avoiders", "--pattern", "4231", "--n", "1..9"],  # two descents
+]
+
+
+@pytest.mark.parametrize("argv", FORKED_COUNTS, ids=" ".join)
+def test_forked_oracle_column_matches_in_process(capsys, monkeypatch, argv):
+    for fmt in ("csv", "json", "bfile"):
+        outputs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(cli, "_usable_cores", lambda: workers)
+            outputs.append(run(capsys, "count", *argv, "--oracle",
+                               "--format", fmt))
+        assert outputs[0] == outputs[1], fmt
+        assert outputs[0][0] == 0 and outputs[0][1], fmt
+
+
+def test_patched_oracles_fail_in_forked_workers(capsys, monkeypatch,
+                                                two_workers):
+    # a worker is forked from the patched process, so a wrong oracle
+    # must show as it does in-process
+    monkeypatch.setitem(cli.MEMBER_COUNTS, "odd",
+                        (odd_count, lambda p: 1 - inversion_count(p) % 2))
+    code, out, _ = run(capsys, "count", "odd", "--n", "3..6", "--oracle")
+    assert code == 1
+    assert out.splitlines()[1].endswith(",false")
+
+    def repeating(n, cap=None):
+        members = enumerate_grassmannian(n, cap=cap)
+        first = next(members)
+        yield first
+        yield first
+        yield from members
+    monkeypatch.setattr(cli, "enumerate_grassmannian", repeating)
+    code, out, _ = run(capsys, "count", "union-inverse", "--n", "2..6",
+                       "--oracle")
+    assert code == 1
+    assert all(line.endswith(",false") for line in out.splitlines()[1:])
+
+    monkeypatch.setattr(kernels, "count_grassmannian_avoiding_increasing",
+                        lambda m, k: -1)
+    finite_class_count.cache_clear()
+    try:
+        code, out, _ = run(capsys, "count", "finite-class", "--k", "4",
+                           "--n", "1..8", "--oracle")
+    finally:
+        finite_class_count.cache_clear()
+    assert code == 1
+    assert all(line.endswith(",-1,false") for line in out.splitlines()[1:])
+
+
+def test_forked_column_raises_the_first_error_in_row_order(
+        capsys, monkeypatch, two_workers):
+    # the formula refuses every size: no oracle row is computed
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", "descent-at", "--k", "5",
+                         "--n", "1..21", "--oracle")
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", "error: descent position 5 outside"
+                                       " 1..0\n")
+    # the oracle refuses sizes 6, 7 and 8; the smallest is reported
+    code, out, err = run(capsys, "count", "grassmannian", "--n", "3..8",
+                         "--oracle", "--cap", "5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: size 6 exceeds the enumeration cap 5;")
+
+    def formula(n):
+        if n >= refused:
+            raise ValueError(f"formula refuses {n}")
+        return 2 ** n - n
+
+    monkeypatch.setitem(cli.MEMBER_COUNTS, "grassmannian", (formula, bool))
+    for refused, message in ((5, "formula refuses 5"),
+                             (6, "size 5 exceeds the enumeration cap 4;")):
+        code, out, err = run(capsys, "count", "grassmannian", "--n", "1..8",
+                             "--oracle", "--cap", "4")
+        assert (code, out) == (2, ""), refused
+        assert err.startswith(f"error: {message}"), refused
+
+
+def test_forked_column_drops_sizes_above_a_refusal(capsys, monkeypatch,
+                                                   two_workers):
+    # after a refusal the middle size goes next, so the refused sizes
+    # are found in log-many workers, not one each
+    forks = 0
+    fork = os.fork
+
+    def counted():
+        nonlocal forks
+        forks += 1
+        return fork()
+    monkeypatch.setattr(os, "fork", counted)
+    code, out, err = run(capsys, "count", "grassmannian", "--n", "26..1000",
+                         "--oracle")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: size 26 exceeds the enumeration cap 25;")
+    assert 2 <= forks < 50
+    forks = 0
+    code, out, err = run(capsys, "count", "finite-class", "--k", "4",
+                         "--n", "1..1000", "--oracle")
+    assert (code, out) == (2, "")
+    assert err == (f"error: scan size {kernels.MAX_SCAN_SIZE + 1} outside"
+                   f" 1..{kernels.MAX_SCAN_SIZE}\n")
+    assert kernels.MAX_SCAN_SIZE <= forks < kernels.MAX_SCAN_SIZE + 50
+
+
+def test_failed_worker_stops_the_column(capsys, monkeypatch, two_workers):
+    # the size-16 worker fails at its first member while the size-15
+    # one is stuck; it must be killed, not waited for
+    def broken(p):
+        if len(p) == 16:
+            raise TypeError("not a weight")
+        if p == tuple(range(1, 16)):
+            time.sleep(20)
+        return inversion_count(p) % 2
+    monkeypatch.setitem(cli.MEMBER_COUNTS, "odd", (odd_count, broken))
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="oracle worker for n=16 failed"):
+        cli.main(["count", "odd", "--n", "1..16", "--oracle"])
+    assert time.perf_counter() - start < 10
+    assert capsys.readouterr().out == ""
+    # every worker was reaped, the one still running included
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    # as a command: exit 1, a traceback, and nothing on stdout
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from grassperm import cli\n"
+         "cli._usable_cores = lambda: 2\n"
+         "cli.MEMBER_COUNTS['odd'] = (cli.odd_count, lambda p: p + 1)\n"
+         "sys.exit(cli.main(['count', 'odd', '--n', '1..8', '--oracle']))"],
+        capture_output=True, text=True, timeout=60, env=module_env())
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "TypeError" in proc.stderr and "RuntimeError" in proc.stderr
+
+
+def test_oracle_column_in_process_without_workers(capsys, monkeypatch):
+    assert cli._usable_cores() >= 1
+
+    def refuse():
+        raise AssertionError("forked a worker")
+    header = "n,formula,oracle,agree\n"
+    rows = "".join(f"{n},{2 ** n - n},{2 ** n - n},true\n"
+                   for n in range(1, 7))
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
+    assert run(capsys, "count", "grassmannian", "--n", "1..6",
+               "--oracle")[:2] == (0, header + rows)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    assert run(capsys, "count", "grassmannian", "--n", "6",
+               "--oracle")[:2] == (0, header + "6,58,58,true\n")
+    monkeypatch.delattr(os, "fork")
+    assert run(capsys, "count", "grassmannian", "--n", "1..6",
+               "--oracle")[:2] == (0, header + rows)
+
+
 VERIFY_SMALL = [
     ("weiner", ["--kmax", "6"]),
     ("theorem34", ["--max-n", "6", "--max-size", "4"]),
@@ -483,6 +668,18 @@ def test_map_invalid_inputs(capsys):
         assert err.startswith("error:")
 
 
+def test_superscript_digits_are_malformed(capsys):
+    # str.isdigit() accepts them, int() does not
+    for argv, message in (
+        (["map", "lehmer-encode", "²"], "malformed permutation '²'"),
+        (["map", "alpha-inverse", "²"], "malformed Lehmer code '²'"),
+        (["count", "avoiders", "--pattern", "²³", "--n", "3"],
+         "malformed permutation '²³'"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+
+
 def test_map_refuses_long_paths_before_expanding(capsys):
     for value in ("U2000000D2000000", "U100001D100001",
                   "U" + "9" * 5000 + "D"):
@@ -557,6 +754,17 @@ def test_cli_does_not_import_dataclasses():
         capture_output=True, text=True, timeout=60, env=module_env())
     assert proc.returncode == 0
     assert proc.stdout.strip() == "False"
+    # the forked oracle column needs no process pool either
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from grassperm import cli\n"
+         "cli._usable_cores = lambda: 2\n"
+         "cli.main(['count', 'grassmannian', '--n', '1..6', '--oracle'])\n"
+         "print([m for m in ('multiprocessing', 'concurrent.futures')"
+         " if m in sys.modules])"],
+        capture_output=True, text=True, timeout=60, env=module_env())
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-2:] == ["6,58,58,true", "[]"]
 
 
 def test_closed_pipe_exits_without_traceback():
