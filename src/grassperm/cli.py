@@ -15,12 +15,14 @@ Data goes to stdout; counts and progress notes go to stderr.
 from __future__ import annotations
 
 import argparse
-import json
+import marshal
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from functools import partial
 from itertools import islice
-from typing import BinaryIO, NoReturn
+from time import perf_counter
+from typing import NoReturn
 
 from grassperm import kernels
 from grassperm.dyck import (
@@ -111,6 +113,9 @@ def _write_stream(items: Iterable[str], as_json: bool) -> int:
     count = 0
     sep = ""
     if as_json:
+        # imported here and in cmd_count, so that the commands that
+        # print no JSON skip its 2 ms import
+        import json
         write("[")
     while chunk := list(islice(items, ENUM_CHUNK_LINES)):
         count += len(chunk)
@@ -216,7 +221,7 @@ def _count_family(args: argparse.Namespace) -> tuple[
         raise ValueError("count avoiders needs --pattern")
     sigma = parse_permutation(args.pattern)
     return (lambda n: count_avoiders_closed_form(n, sigma),
-            lambda n: count_avoiders_by_scan(n, sigma))
+            lambda n: count_avoiders_by_scan(n, sigma, cap=args.cap))
 
 
 def _usable_cores() -> int:
@@ -226,86 +231,175 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _oracle_outcome(oracle: Callable[[int], int], n: int) -> int | ValueError:
-    try:
-        return oracle(n)
-    except ValueError as exc:
-        return exc
+# a pool task: a zero-argument callable whose items the pool yields
+Task = Callable[[], Iterable[object]]
 
 
-def _oracle_worker(oracle: Callable[[int], int], n: int,
-                   pipe_fd: int) -> NoReturn:
-    """The body of a forked worker: write "v<count>" or "e<message of
-    the ValueError>" to the pipe, then leave at once, on every path, so
-    that none of the parent's code runs here and none of its buffered
-    output is flushed a second time."""
+def _pool_worker(tasks: Sequence[Task], requests: int, replies: int,
+                 inherited: Iterable[int]) -> NoReturn:
+    """The body of a forked pool worker.  For each task index read from
+    the requests pipe, write the task's items, and the text of a
+    ValueError it raised part-way (else None), as one length-prefixed
+    marshal frame to the replies pipe.  Leave at the end of the
+    requests, and on every path with os._exit, so that none of the
+    parent's code runs here and none of its buffered output is flushed
+    a second time."""
     try:
-        outcome = _oracle_outcome(oracle, n)
-        kind = "e" if isinstance(outcome, ValueError) else "v"
-        with open(pipe_fd, "wb") as pipe:
-            pipe.write(f"{kind}{outcome}".encode(errors="surrogatepass"))
+        import signal
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        for fd in inherited:  # the other workers' pipe ends
+            os.close(fd)
+        out = open(replies, "wb")
+        while request := os.read(requests, 4):
+            items: list[object] = []
+            error = None
+            try:
+                for item in tasks[int.from_bytes(request, "little")]():
+                    items.append(item)
+            except ValueError as exc:
+                error = str(exc)
+            reply = marshal.dumps((items, error))
+            out.write(len(reply).to_bytes(8, "little") + reply)
+            out.flush()
+    except BrokenPipeError:
+        pass  # the parent has gone
     except Exception:
-        # the parent reads an empty reply and fails; leave the reason
+        # the parent reads a short reply and fails; leave the reason
         sys.excepthook(*sys.exc_info())
         sys.stderr.flush()
     finally:
         os._exit(0)
 
 
-def _oracle_column(oracle: Callable[[int], int],
-                   sizes: Sequence[int]) -> dict[int, int | ValueError]:
-    """oracle(n) for each size, or the ValueError it raised.
+# The pool forks its workers only once the tasks run in-process have
+# taken this long.  Forking them costs about as much, 10 to 20 ms a
+# command on a 2-vCPU virtual machine (the forks, the exits, and a slow
+# start on the vCPU that was idle), so a command whose whole work is
+# smaller never pays it, and a larger one waits at most this long.
+POOL_AFTER_S = 0.01
 
-    Each size runs in a forked worker process, at most one per usable
-    core, largest first: a row costs about twice the one before it, so
-    one worker takes the largest while the others work down the rest.
-    Sizes above a refused one are dropped, as their rows never print.
-    An oracle refuses the sizes above some bound, each at once, so after
-    a refusal the next worker takes the middle pending size: the refused
-    sizes cost about log2 of their number in workers, not one each.
-    Where fork is missing, or one core or one size leaves nothing to
-    overlap, the column is computed in-process."""
-    workers = min(_usable_cores(), len(sizes))
-    if workers < 2 or not hasattr(os, "fork"):
-        return {n: _oracle_outcome(oracle, n) for n in sizes}
-    # imported here, as signal is below, so that the commands that fork
-    # no worker load neither (each adds about 0.15 MB of RSS)
+
+def _pooled(tasks: Sequence[Task],
+            name: Callable[[int], str]) -> Iterator[object]:
+    """The items of every task, in task order, then the ValueError of
+    the first task that raised one, as a serial loop meets them.
+
+    The tasks run in-process, in order, as their items are consumed,
+    until POOL_AFTER_S has passed; the rest then run on worker
+    processes forked once, at most one per usable core (see _forked).
+    Where fork is missing, or one core or one task leaves nothing to
+    overlap, every task runs in-process."""
+    cores = _usable_cores() if hasattr(os, "fork") else 1
+    start = perf_counter()
+    for head, task in enumerate(tasks):
+        if min(cores, len(tasks) - head) > 1 and \
+                perf_counter() - start >= POOL_AFTER_S:
+            yield from _forked(tasks, range(head, len(tasks)), cores, name)
+            return
+        yield from task()
+
+
+def _forked(tasks: Sequence[Task], indices: range, cores: int,
+            name: Callable[[int], str]) -> Iterator[object]:
+    """The items of the tasks at these indices, in order, computed by
+    min(cores, len(indices)) forked workers, then the ValueError of the
+    first task that raised one.
+
+    Each worker takes one task at a time, the last pending one first:
+    callers order their tasks by growing cost, so one worker takes the
+    largest while the others work down the rest.  A task's items come
+    back as one marshal frame, so they must be plain values.  Tasks
+    above one that raised are not started, as their items are never
+    reached.  A worker that dies or raises anything else stops the
+    others and raises RuntimeError, naming the task by name(index).
+    While the workers run, SIGTERM stops them before it ends this
+    process."""
+    # imported here, so that the commands that fork no worker load
+    # neither (each adds about 0.15 MB of RSS)
     import select
-    column: dict[int, int | ValueError] = {}
-    pending = list(sizes)
-    halve = False  # the last reply was a refusal
-    running: dict[BinaryIO, tuple[int, int]] = {}  # pipe -> (pid, size)
-    try:
-        while pending or running:
-            while pending and len(running) < workers:
-                n = pending.pop(len(pending) // 2 if halve else -1)
-                read_fd, write_fd = os.pipe()
-                pid = os.fork()
-                if pid == 0:
-                    _oracle_worker(oracle, n, write_fd)
-                os.close(write_fd)
-                running[open(read_fd, "rb")] = (pid, n)
-            for pipe in select.select(list(running), [], [])[0]:
-                reply = pipe.read().decode(errors="surrogatepass")
-                pid, n = running.pop(pipe)
-                pipe.close()
-                os.waitpid(pid, 0)
-                if not reply:
-                    raise RuntimeError(f"the oracle worker for n={n} failed")
-                halve = reply[0] == "e"
-                if halve:
-                    column[n] = ValueError(reply[1:])
-                    pending = [m for m in pending if m < n]
-                else:
-                    column[n] = int(reply[1:])
-    finally:
-        if running:  # a failure or an interrupt: stop the other workers
-            import signal
-            for pipe, (pid, _) in running.items():
+    import signal
+    pids: dict[int, int] = {}      # reply pipe -> worker pid
+    requests: dict[int, int] = {}  # reply pipe -> task pipe
+    frames: dict[int, bytearray] = {}  # reply pipe -> reply so far
+    busy: dict[int, int] = {}      # reply pipe -> task it runs
+    pending = list(indices)  # the last goes first
+    done: dict[int, tuple[list[object], str | None]] = {}
+    parent = os.getpid()
+
+    def on_term(signum: int, frame: object) -> None:
+        if os.getpid() == parent:
+            for pid in pids.values():
                 os.kill(pid, signal.SIGKILL)
+            for pid in pids.values():
                 os.waitpid(pid, 0)
-                pipe.close()
-    return column
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGTERM)
+
+    previous = None
+    if signal.getsignal(signal.SIGTERM) == signal.SIG_DFL:
+        try:
+            previous = signal.signal(signal.SIGTERM, on_term)
+        except ValueError:  # not the main thread: SIGTERM stays as it is
+            pass
+
+    def send(reply_pipe: int) -> None:
+        index = pending.pop()
+        os.write(requests[reply_pipe], index.to_bytes(4, "little"))
+        busy[reply_pipe] = index
+
+    try:
+        for _ in range(min(cores, len(indices))):
+            task_read, task_write = os.pipe()
+            reply_read, reply_write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _pool_worker(tasks, task_read, reply_write,
+                             [task_write, reply_read, *requests.values(),
+                              *pids])
+            os.close(task_read)
+            os.close(reply_write)
+            pids[reply_read] = pid
+            requests[reply_read] = task_write
+            frames[reply_read] = bytearray()
+            send(reply_read)
+        ready = indices.start  # the next task whose items are due
+        while ready < indices.stop:
+            if ready in done:
+                items, error = done.pop(ready)
+                yield from items
+                if error is not None:
+                    raise ValueError(error)
+                ready += 1
+                continue
+            for pipe in select.select(list(busy), [], [])[0]:
+                chunk = os.read(pipe, 1 << 16)
+                if not chunk:
+                    raise RuntimeError(f"the {name(busy[pipe])} failed")
+                frame = frames[pipe]
+                frame += chunk
+                if len(frame) < 8 + int.from_bytes(frame[:8], "little"):
+                    continue  # a header or a reply still in part
+                index = busy.pop(pipe)
+                done[index] = items, error = marshal.loads(frame[8:])
+                frame.clear()
+                if error is not None:
+                    pending = [i for i in pending if i < index]
+                if pending:
+                    send(pipe)
+                else:  # nothing left for this worker: let it leave now
+                    os.close(requests.pop(pipe))
+    finally:
+        # a busy worker is stopped; an idle one leaves at end of file
+        for pipe, pid in pids.items():
+            if pipe in busy:
+                os.kill(pid, signal.SIGKILL)
+            if pipe in requests:
+                os.close(requests[pipe])
+            os.close(pipe)
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
+        for pid in pids.values():
+            os.waitpid(pid, 0)
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -320,9 +414,9 @@ def cmd_count(args: argparse.Namespace) -> int:
                          f" got {args.cap}")
     formula, oracle = _count_family(args)
     # The formula column comes first, up to its first refusal, and the
-    # oracle runs only on the sizes before that.  The rows are then read
-    # in order, formula before oracle, so the first error raised is the
-    # one a row-by-row loop would meet.
+    # oracle runs only on the sizes before that.  Each of those rows has
+    # its formula, so the first error a row-by-row loop would meet is
+    # the oracle's first refusal in row order, which the pool raises.
     formulas: list[int] = []
     refusal = None
     for n in sizes:
@@ -332,23 +426,20 @@ def cmd_count(args: argparse.Namespace) -> int:
             refusal = exc
             break
     checked = sizes[:len(formulas)]
-    oracles = _oracle_column(oracle, checked) if args.oracle else {}
-    rows = []
-    mismatch = False
-    for n, value in zip(checked, formulas):
-        row: dict[str, object] = {"n": n, "formula": value}
-        if args.oracle:
-            got = oracles[n]
-            if isinstance(got, ValueError):
-                raise got
+    rows: list[dict[str, object]] = [
+        {"n": n, "formula": value} for n, value in zip(checked, formulas)]
+    if args.oracle:
+        column = list(_pooled([lambda n=n: [oracle(n)] for n in checked],
+                              lambda i: f"oracle worker for n={checked[i]}"))
+        for row, got in zip(rows, column):
             row["oracle"] = got
-            row["agree"] = value == got
-            mismatch = mismatch or not row["agree"]
-        rows.append(row)
+            row["agree"] = row["formula"] == got
     if refusal is not None:
         raise refusal
+    mismatch = any(row.get("agree") is False for row in rows)
 
     if args.format == "json":
+        import json
         print(json.dumps(rows))
     elif args.format == "bfile":
         for row in rows:
@@ -387,105 +478,116 @@ class Sweep:
         return 1 if self.failures else 0
 
 
-# a verify target yields (label, expected, got) rows; cmd_verify checks
-# them one by one in a single Sweep
+# A verify target returns one block per value of its outer loop, built
+# before any worker is forked; a block yields that value's (label,
+# expected, got) rows.  cmd_verify runs the blocks on the pool and
+# checks the rows one by one, in order, in a single Sweep.
 Row = tuple[str, object, object]
+Block = Callable[[], Iterator[Row]]
 
 
-def verify_weiner(args: argparse.Namespace) -> Iterator[Row]:
-    for k in range(2, args.kmax + 1):
+def verify_weiner(args: argparse.Namespace) -> list[Block]:
+    def rows(k: int) -> Iterator[Row]:
         for m in range(k, 2 * k - 1):
             yield (f"rising k={k} m={m}", weiner_formula(m, k),
                    finite_class_count(m, k))
+    return [partial(rows, k) for k in range(2, args.kmax + 1)]
 
 
-def verify_theorem34(args: argparse.Namespace) -> Iterator[Row]:
-    for size in range(3, args.max_size + 1):
-        for sigma in one_descent_patterns(size):
-            name = format_permutation(sigma)
-            for n in range(1, args.max_n + 1):
-                yield (f"sigma={name} n={n}",
-                       count_avoiders_closed_form(n, sigma),
-                       count_avoiders_by_scan(n, sigma))
+def verify_theorem34(args: argparse.Namespace) -> list[Block]:
+    def rows(sigma: Perm) -> Iterator[Row]:
+        name = format_permutation(sigma)
+        for n in range(1, args.max_n + 1):
+            yield (f"sigma={name} n={n}",
+                   count_avoiders_closed_form(n, sigma),
+                   count_avoiders_by_scan(n, sigma))
+    return [partial(rows, sigma) for size in range(3, args.max_size + 1)
+            for sigma in one_descent_patterns(size)]
 
 
-def verify_prop21(args: argparse.Namespace) -> Iterator[Row]:
-    for n in range(1, args.max_n + 1):
+def verify_prop21(args: argparse.Namespace) -> list[Block]:
+    def rows(n: int) -> Iterator[Row]:
         yield (f"count n={n}", count_bigrassmannian(n),
                brute_count("bigrassmannian", n))
         same_class = all(
             is_bigrassmannian(p) == (not contains_pattern(p, (2, 4, 1, 3)))
             for p in enumerate_grassmannian(n))
         yield (f"2413-avoidance n={n}", True, same_class)
+    return [partial(rows, n) for n in range(1, args.max_n + 1)]
 
 
-def verify_prop22(args: argparse.Namespace) -> Iterator[Row]:
-    for n in range(1, args.max_n + 1):
+def verify_prop22(args: argparse.Namespace) -> list[Block]:
+    def rows(n: int) -> Iterator[Row]:
         if n <= kernels.MAX_FULL_SN_SIZE:
             oracle = kernels.count_sn_avoiding_321_2143(n)
         else:
             oracle = brute_count("union-inverse", n)
         yield (f"n={n}", count_union_with_inverse(n), oracle)
+    return [partial(rows, n) for n in range(1, args.max_n + 1)]
 
 
-def verify_prop23(args: argparse.Namespace) -> Iterator[Row]:
-    for n in range(1, args.max_n + 1):
+def verify_prop23(args: argparse.Namespace) -> list[Block]:
+    def rows(n: int) -> Iterator[Row]:
         listed = list(enumerate_involutions(n))
         brute = list(filter(is_involution, enumerate_grassmannian(n)))
         yield (f"members n={n}", brute, listed)
         yield (f"count n={n}", count_involutions(n), len(listed))
+    return [partial(rows, n) for n in range(1, args.max_n + 1)]
 
 
-def verify_prop31(args: argparse.Namespace) -> Iterator[Row]:
-    for k in range(2, args.kmax + 1):
+def verify_prop31(args: argparse.Namespace) -> list[Block]:
+    def rows(k: int) -> Iterator[Row]:
         yield (f"k={k} m={2 * k - 2}", catalan(k - 1),
                finite_class_count(2 * k - 2, k))
         if k >= 3:
             yield (f"k={k} m={2 * k - 3}", 2 * catalan(k - 1),
                    finite_class_count(2 * k - 3, k))
+    return [partial(rows, k) for k in range(2, args.kmax + 1)]
 
 
-def verify_prop41(args: argparse.Namespace) -> Iterator[Row]:
-    for n in range(1, args.max_n + 1):
+def verify_prop41(args: argparse.Namespace) -> list[Block]:
+    def rows(n: int) -> Iterator[Row]:
         paths = list(enumerate_grassmannian_paths(n))
         yield (f"path count n={n}", count_grassmannian(n), len(paths))
         image = sorted(path_to_permutation(p) for p in paths)
         yield (f"image n={n}", list(enumerate_grassmannian(n)), image)
+    return [partial(rows, n) for n in range(1, args.max_n + 1)]
 
 
 def _verify_path_class(args: argparse.Namespace,
                        keep: Callable[[str, int], bool],
-                       sigma_of: Callable[[int], Perm]) -> Iterator[Row]:
-    for k in (3, 4, 5):
+                       sigma_of: Callable[[int], Perm]) -> list[Block]:
+    def rows(k: int, n: int) -> Iterator[Row]:
         sigma = sigma_of(k)
         name = format_permutation(sigma)
-        for n in range(1, args.max_n + 1):
-            chosen = [p for p in enumerate_grassmannian_paths(n)
-                      if keep(p, k)]
-            image = {path_to_permutation(p) for p in chosen}
-            avoiders = set(enumerate_avoiders(n, sigma))
-            yield (f"sigma={name} n={n} count",
-                   count_avoiders_closed_form(n, sigma), len(chosen))
-            yield (f"sigma={name} n={n} image", True, image == avoiders)
+        chosen = [p for p in enumerate_grassmannian_paths(n) if keep(p, k)]
+        image = {path_to_permutation(p) for p in chosen}
+        avoiders = set(enumerate_avoiders(n, sigma))
+        yield (f"sigma={name} n={n} count",
+               count_avoiders_closed_form(n, sigma), len(chosen))
+        yield (f"sigma={name} n={n} image", True, image == avoiders)
+    return [partial(rows, k, n) for k in (3, 4, 5)
+            for n in range(1, args.max_n + 1)]
 
 
-def verify_prop42(args: argparse.Namespace) -> Iterator[Row]:
+def verify_prop42(args: argparse.Namespace) -> list[Block]:
     return _verify_path_class(
         args,
         lambda path, k: peaks_above_height_one(path) <= k - 2,
         lambda k: (k,) + tuple(range(1, k)))
 
 
-def verify_prop43(args: argparse.Namespace) -> Iterator[Row]:
+def verify_prop43(args: argparse.Namespace) -> list[Block]:
     return _verify_path_class(
         args,
         lambda path, k: max_height(path) <= k - 1,
         lambda k: tuple(range(2, k + 1)) + (1,))
 
 
-def verify_prop46(args: argparse.Namespace) -> Iterator[Row]:
+def verify_prop46(args: argparse.Namespace) -> list[Block]:
     sigma = (3, 5, 1, 2, 4)
-    for n in range(0, args.max_n + 1):
+
+    def rows(n: int) -> Iterator[Row]:
         words = list(enumerate_uudd_avoiding(n))
         round_trips = all(code_to_word(word_to_code(w)) == w for w in words)
         yield (f"round trip n={n}", True, round_trips)
@@ -494,10 +596,11 @@ def verify_prop46(args: argparse.Namespace) -> Iterator[Row]:
         yield (f"image n={n}", True, image == avoiders)
         yield (f"count n={n}",
                count_avoiders_closed_form(n + 1, sigma), len(words))
+    return [partial(rows, n) for n in range(0, args.max_n + 1)]
 
 
-def verify_thm51(args: argparse.Namespace) -> Iterator[Row]:
-    for n in range(1, args.max_n + 1):
+def verify_thm51(args: argparse.Namespace) -> list[Block]:
+    def counts(n: int) -> Iterator[Row]:
         yield (f"closed form n={n}", odd_count(n),
                kernels.count_odd_members(n))
         if n > 2:
@@ -505,7 +608,8 @@ def verify_thm51(args: argparse.Namespace) -> Iterator[Row]:
                    2 * odd_count(n - 2) + 2 ** (n - 2), odd_count(n))
         if n <= 14:
             yield (f"oracle n={n}", odd_count(n), brute_count("odd", n))
-    for m in range(1, 6):
+
+    def maps(m: int) -> Iterator[Row]:
         odd = [p for p in enumerate_grassmannian(2 * m)
                if inversion_count(p) % 2]
         images = {extend_to_odd_size(p) for p in odd}
@@ -519,20 +623,23 @@ def verify_thm51(args: argparse.Namespace) -> Iterator[Row]:
                   if inversion_count(p) % 2
                   and descent_positions(p)[0] % 2 == 0}
         yield (f"psi image m={m}", True, images == target)
+    return ([partial(counts, n) for n in range(1, args.max_n + 1)]
+            + [partial(maps, m) for m in range(1, 6)])
 
 
-def verify_prop53(args: argparse.Namespace) -> Iterator[Row]:
-    for n in range(1, args.max_n + 1):
+def verify_prop53(args: argparse.Namespace) -> list[Block]:
+    def rows(n: int) -> Iterator[Row]:
         bridged = all(
             inversion_count(path_to_permutation(path)) % 2
             == peaks_at_even_height(path) % 2
             for path in enumerate_grassmannian_paths(n))
         yield (f"n={n}", True, bridged)
+    return [partial(rows, n) for n in range(1, args.max_n + 1)]
 
 
-# target -> (rows, one-line description, defaults of unset flags)
+# target -> (blocks, one-line description, defaults of unset flags)
 VERIFY_TARGETS: dict[str, tuple[Callable[[argparse.Namespace],
-                                         Iterable[Row]], str,
+                                         list[Block]], str,
                                 dict[str, int]]] = {
     "weiner": (verify_weiner,
                "finite-class walk counts equal the alternating-sum formula",
@@ -576,13 +683,18 @@ VERIFY_TARGETS: dict[str, tuple[Callable[[argparse.Namespace],
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    rows, _, defaults = VERIFY_TARGETS[args.target]
+    blocks, _, defaults = VERIFY_TARGETS[args.target]
     for flag, value in defaults.items():
         if getattr(args, flag) is None:
             setattr(args, flag, value)
     sweep = Sweep()
-    for row in rows(args):
-        sweep.check(*row)
+    rows = _pooled(blocks(args),
+                   lambda i: f"verify {args.target} worker for block {i}")
+    try:
+        for row in rows:
+            sweep.check(*row)
+    finally:
+        rows.close()  # stdout closed early: stop the workers now
     if not sweep.rows:
         raise ValueError(f"verify {args.target} has no rows to check"
                          " in this range")

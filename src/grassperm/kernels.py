@@ -62,7 +62,8 @@ def count_grassmannian_avoiding_increasing(m: int, k: int) -> int:
     return sum(walks.values()) - (m if m < k else 0)
 
 
-def count_grassmannian_avoiders(n: int, sigma: tuple[int, ...]) -> int:
+def count_grassmannian_avoiders(n: int, sigma: tuple[int, ...],
+                                *, cap: int | None = None) -> int:
     """Count one-descent permutations of size n containing no
     occurrence of the pattern sigma.
 
@@ -71,7 +72,8 @@ def count_grassmannian_avoiders(n: int, sigma: tuple[int, ...]) -> int:
     member's word.  A k + 1 state automaton, matching the pattern's
     word greedily, counts the words that never reach state k.  Rising
     patterns go to count_grassmannian_avoiding_increasing; patterns
-    with two or more descents are counted by enumeration.
+    with two or more descents are counted by enumeration, which
+    refuses sizes above cap as enumerate_grassmannian does.
 
     >>> count_grassmannian_avoiders(6, (1, 3, 2))
     16
@@ -86,7 +88,7 @@ def count_grassmannian_avoiders(n: int, sigma: tuple[int, ...]) -> int:
     if len(descents) > 1:
         # patterns imports this module, so import its matcher late
         from grassperm.patterns import contains_pattern
-        return sum(1 for p in enumerate_grassmannian(n)
+        return sum(1 for p in enumerate_grassmannian(n, cap=cap)
                    if not contains_pattern(p, sigma))
     block = set(sigma[:descents[0]])
     word = ["A" if v in block else "B" for v in sorted(sigma)]

@@ -83,9 +83,12 @@ def enumerate_avoiders(n: int, sigma: Sequence[int],
     return (p for p in members if not contains_pattern(p, sigma))
 
 
-def count_avoiders_by_scan(n: int, sigma: Sequence[int]) -> int:
-    """Avoider count from the kernels, independent of the closed forms."""
-    return kernels.count_grassmannian_avoiders(n, tuple(sigma))
+def count_avoiders_by_scan(n: int, sigma: Sequence[int],
+                           *, cap: int | None = None) -> int:
+    """Avoider count from the kernels, independent of the closed forms;
+    cap bounds the enumeration that counts patterns with two or more
+    descents."""
+    return kernels.count_grassmannian_avoiders(n, tuple(sigma), cap=cap)
 
 
 def count_avoiders_closed_form(n: int, sigma: Sequence[int]) -> int:

@@ -4,6 +4,7 @@ import json
 import os
 import shlex
 import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -325,10 +326,32 @@ def test_count_oracle_refuses_caps_above_the_ceiling(capsys):
     assert (code, err) == (0, "count: 5\n")
 
 
+def use_workers(monkeypatch, workers):
+    """Run the pool on this many workers, forked before the first task,
+    also on a machine with fewer cores."""
+    monkeypatch.setattr(cli, "_usable_cores", lambda: workers)
+    monkeypatch.setattr(cli, "POOL_AFTER_S", 0)
+
+
 @pytest.fixture
 def two_workers(monkeypatch):
-    """The forked oracle column with two workers, also on one core."""
-    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    """The forked pool with two workers, also on one core."""
+    use_workers(monkeypatch, 2)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the workers forked during the test."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
 
 
 FORKED_COUNTS = [
@@ -345,7 +368,7 @@ def test_forked_oracle_column_matches_in_process(capsys, monkeypatch, argv):
     for fmt in ("csv", "json", "bfile"):
         outputs = []
         for workers in (1, 2):
-            monkeypatch.setattr(cli, "_usable_cores", lambda: workers)
+            use_workers(monkeypatch, workers)
             outputs.append(run(capsys, "count", *argv, "--oracle",
                                "--format", fmt))
         assert outputs[0] == outputs[1], fmt
@@ -415,30 +438,26 @@ def test_forked_column_raises_the_first_error_in_row_order(
         assert err.startswith(f"error: {message}"), refused
 
 
-def test_forked_column_drops_sizes_above_a_refusal(capsys, monkeypatch,
-                                                   two_workers):
-    # after a refusal the middle size goes next, so the refused sizes
-    # are found in log-many workers, not one each
-    forks = 0
-    fork = os.fork
-
-    def counted():
-        nonlocal forks
-        forks += 1
-        return fork()
-    monkeypatch.setattr(os, "fork", counted)
+def test_forked_column_drops_sizes_above_a_refusal(capsys, two_workers,
+                                                   forks):
+    # the workers are forked once per command, so each refused size
+    # costs one pipe round trip, not one fork
+    start = time.perf_counter()
     code, out, err = run(capsys, "count", "grassmannian", "--n", "26..1000",
                          "--oracle")
+    assert time.perf_counter() - start < 0.5
     assert (code, out) == (2, "")
     assert err.startswith("error: size 26 exceeds the enumeration cap 25;")
-    assert 2 <= forks < 50
-    forks = 0
+    assert len(forks) <= 2
+    forks.clear()
+    start = time.perf_counter()
     code, out, err = run(capsys, "count", "finite-class", "--k", "4",
                          "--n", "1..1000", "--oracle")
+    assert time.perf_counter() - start < 0.5
     assert (code, out) == (2, "")
     assert err == (f"error: scan size {kernels.MAX_SCAN_SIZE + 1} outside"
                    f" 1..{kernels.MAX_SCAN_SIZE}\n")
-    assert kernels.MAX_SCAN_SIZE <= forks < kernels.MAX_SCAN_SIZE + 50
+    assert len(forks) <= 2
 
 
 def test_failed_worker_stops_the_column(capsys, monkeypatch, two_workers):
@@ -464,6 +483,7 @@ def test_failed_worker_stops_the_column(capsys, monkeypatch, two_workers):
         [sys.executable, "-c",
          "import sys; from grassperm import cli\n"
          "cli._usable_cores = lambda: 2\n"
+         "cli.POOL_AFTER_S = 0\n"
          "cli.MEMBER_COUNTS['odd'] = (cli.odd_count, lambda p: p + 1)\n"
          "sys.exit(cli.main(['count', 'odd', '--n', '1..8', '--oracle']))"],
         capture_output=True, text=True, timeout=60, env=module_env())
@@ -480,15 +500,161 @@ def test_oracle_column_in_process_without_workers(capsys, monkeypatch):
     rows = "".join(f"{n},{2 ** n - n},{2 ** n - n},true\n"
                    for n in range(1, 7))
     monkeypatch.setattr(os, "fork", refuse)
-    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
+    use_workers(monkeypatch, 1)
     assert run(capsys, "count", "grassmannian", "--n", "1..6",
                "--oracle")[:2] == (0, header + rows)
-    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    use_workers(monkeypatch, 2)
     assert run(capsys, "count", "grassmannian", "--n", "6",
                "--oracle")[:2] == (0, header + "6,58,58,true\n")
     monkeypatch.delattr(os, "fork")
     assert run(capsys, "count", "grassmannian", "--n", "1..6",
                "--oracle")[:2] == (0, header + rows)
+
+
+def test_pool_forks_after_its_in_process_head(capsys, monkeypatch, forks):
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    # tasks that stay within POOL_AFTER_S in all fork nothing
+    monkeypatch.setattr(cli, "POOL_AFTER_S", 3600)
+    expected = run(capsys, "count", "odd", "--n", "1..6", "--oracle")
+    assert expected[0] == 0 and forks == []
+
+    # a slow first row runs in-process, and the rows after it on workers
+    def slow_at_one(p):
+        if len(p) == 1:
+            time.sleep(2 * cli.POOL_AFTER_S)
+        return inversion_count(p) % 2
+    monkeypatch.setattr(cli, "POOL_AFTER_S", 0.05)
+    monkeypatch.setitem(cli.MEMBER_COUNTS, "odd", (odd_count, slow_at_one))
+    assert run(capsys, "count", "odd", "--n", "1..6", "--oracle") == expected
+    assert len(forks) == 2
+
+
+def test_pool_forks_at_most_one_worker_per_task_and_core(
+        capsys, monkeypatch, forks):
+    use_workers(monkeypatch, 3)
+    for argv, tasks in ((["count", "grassmannian", "--n", "1..2",
+                          "--oracle"], 2),
+                        (["count", "grassmannian", "--n", "1..9",
+                          "--oracle"], 9),
+                        (["verify", "prop22", "--max-n", "2"], 2),
+                        (["verify", "prop53", "--max-n", "8"], 8)):
+        forks.clear()
+        assert run(capsys, *argv)[0] == 0, argv
+        assert len(forks) == min(3, tasks), argv
+
+
+# runs a command with the pool forced to fork; reports each worker's
+# pid on stderr as it is forked, and whether any child is left unreaped
+POOLED_COMMAND = (
+    "import os, sys, time\n"
+    "from grassperm import cli\n"
+    "workers, argv = int(sys.argv[1]), sys.argv[2:]\n"
+    "cli._usable_cores = lambda: workers\n"
+    "cli.POOL_AFTER_S = 0\n"
+    "fork = os.fork\n"
+    "def announced():\n"
+    "    pid = fork()\n"
+    "    if pid:\n"
+    "        print(f'worker {pid}', file=sys.stderr, flush=True)\n"
+    "    return pid\n"
+    "os.fork = announced\n"
+    "odd_members = cli.kernels.count_odd_members\n"
+    "def slow(n):\n"
+    "    if n == 14 and os.environ.get('SLOW_N14'):\n"
+    "        time.sleep(60)\n"
+    "    return odd_members(n)\n"
+    "cli.kernels.count_odd_members = slow\n"
+    "code = cli.main(argv)\n"
+    "try:\n"
+    "    os.waitpid(-1, os.WNOHANG)\n"
+    "except ChildProcessError:\n"
+    "    print('no child left', file=sys.stderr)\n"
+    "sys.exit(code)\n")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_forked_sweep_into_a_closed_pipe(workers):
+    # unbuffered, so the first row already meets the closed pipe while
+    # the workers still run
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-u", "-c", POOLED_COMMAND, str(workers),
+             "verify", "thm51"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            timeout=60, env=module_env())
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    forked = [line for line in lines if line.startswith("worker ")]
+    assert len(forked) == (0 if workers == 1 else 2)
+    assert lines[len(forked):] == ["no child left"]
+
+
+def test_sweep_stops_its_workers_when_stdout_fails(monkeypatch, two_workers):
+    class Closed:
+        def write(self, text):
+            raise BrokenPipeError
+
+        def flush(self):
+            pass
+    monkeypatch.setattr(sys, "stdout", Closed())
+    args = cli.build_parser().parse_args(["verify", "thm51"])
+    with pytest.raises(BrokenPipeError) as caught:
+        cli.cmd_verify(args)
+    # the traceback still holds the sweep's frame, yet no worker is left
+    assert caught.traceback
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def running(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "grassmannian", "--n", "1..22", "--oracle"],
+    ["verify", "thm51", "--max-n", "14"],
+], ids=" ".join)
+def test_sigterm_stops_the_workers(argv):
+    env = dict(module_env(), SLOW_N14="1")
+    with subprocess.Popen(
+            [sys.executable, "-c", POOLED_COMMAND, "2", *argv],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            env=env) as proc:
+        try:
+            start = time.monotonic()
+            pids = [int(proc.stderr.readline().split()[1]) for _ in range(2)]
+            time.sleep(max(0.0, 1 - (time.monotonic() - start)))
+            proc.send_signal(signal.SIGTERM)
+            proc.wait(timeout=10)
+        finally:
+            proc.kill()
+    assert proc.returncode == -signal.SIGTERM
+    deadline = time.monotonic() + 2
+    while (alive := [pid for pid in pids if running(pid)]) and \
+            time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert alive == []
+
+
+def test_count_oracle_caps_the_enumerated_avoiders(capsys):
+    # a pattern with two descents is counted by enumeration, which takes
+    # the cap the user passed
+    code, out, err = run(capsys, "count", "avoiders", "--pattern", "4231",
+                         "--n", "5", "--oracle", "--cap", "4")
+    assert (code, out) == (2, "")
+    assert err == ("error: size 5 exceeds the enumeration cap 4; pass a"
+                   " larger cap to enumerate anyway\n")
+    code, out, _ = run(capsys, "count", "avoiders", "--pattern", "4231",
+                       "--n", "5", "--oracle", "--cap", "5")
+    assert (code, out) == (0, "n,formula,oracle,agree\n5,27,27,true\n")
 
 
 VERIFY_SMALL = [
@@ -507,10 +673,24 @@ VERIFY_SMALL = [
 ]
 
 
+def in_and_out_of_process(capsys, monkeypatch, forks, *argv):
+    """The command's (exit code, stdout, stderr), the same whether its
+    blocks run in-process or on two forked workers."""
+    outputs = []
+    for workers in (1, 2):
+        use_workers(monkeypatch, workers)
+        forks.clear()
+        outputs.append(run(capsys, *argv))
+        assert len(forks) == (0 if workers == 1 else 2)
+    assert outputs[0] == outputs[1]
+    return outputs[0]
+
+
 @pytest.mark.parametrize("target,flags", VERIFY_SMALL,
                          ids=[t for t, _ in VERIFY_SMALL])
-def test_verify_targets(capsys, target, flags):
-    code, out, err = run(capsys, "verify", target, *flags)
+def test_verify_targets(capsys, monkeypatch, forks, target, flags):
+    code, out, err = in_and_out_of_process(capsys, monkeypatch, forks,
+                                           "verify", target, *flags)
     assert code == 0
     assert "FAIL" not in out
     assert "all agree" in err
@@ -556,18 +736,22 @@ def test_empty_sweep_is_refused(capsys, flags):
                    " in this range\n")
 
 
-def test_sweep_streams_rows_before_a_refusal(capsys):
+def test_sweep_streams_rows_before_a_refusal(capsys, monkeypatch, forks):
     # k = 15 needs size 28, beyond the scan; the rows up to there print
-    code, out, err = run(capsys, "verify", "weiner", "--kmax", "15")
+    code, out, err = in_and_out_of_process(capsys, monkeypatch, forks,
+                                           "verify", "weiner", "--kmax", "15")
     assert code == 2
     assert out.splitlines()[-1] == (
         f"ok   rising k=15 m=26: {weiner_formula(26, 15)}")
     assert err.startswith("error: ")
 
 
-def test_weiner_rows_check_the_cli_formula(capsys, monkeypatch):
+def test_weiner_rows_check_the_cli_formula(capsys, monkeypatch, forks):
+    # the workers are forked from the patched process, so the wrong
+    # formula shows in their rows too
     monkeypatch.setattr(cli, "weiner_formula", lambda m, k: -1)
-    code, out, err = run(capsys, "verify", "weiner", "--kmax", "4")
+    code, out, err = in_and_out_of_process(capsys, monkeypatch, forks,
+                                           "verify", "weiner", "--kmax", "4")
     assert code == 1
     assert "FAIL rising k=2 m=2: expected -1, got 1" in out
     assert err == "weiner: 6 checks, 6 mismatch(es)\n"
@@ -759,6 +943,7 @@ def test_cli_does_not_import_dataclasses():
         [sys.executable, "-c",
          "import sys; from grassperm import cli\n"
          "cli._usable_cores = lambda: 2\n"
+         "cli.POOL_AFTER_S = 0\n"
          "cli.main(['count', 'grassmannian', '--n', '1..6', '--oracle'])\n"
          "print([m for m in ('multiprocessing', 'concurrent.futures')"
          " if m in sys.modules])"],
