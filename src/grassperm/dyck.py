@@ -83,10 +83,6 @@ def parse_dyck_path(text: str) -> str:
     return validate_dyck(parse_path(text))
 
 
-def semilength(path: str) -> int:
-    return len(path) // 2
-
-
 def heights(path: str) -> tuple[int, ...]:
     """Height after each step."""
     out = []

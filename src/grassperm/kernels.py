@@ -1,5 +1,4 @@
-"""Counters for the brute-force checks: polynomial where the family
-allows it, a pruned search where it does not.
+"""Counters for the brute-force checks, each polynomial in the size.
 
 A one-descent member of size n is fixed by its first rising block S.
 Reading the values 1..n in order and writing A for a value in S and B
@@ -9,23 +8,21 @@ member of its own.  The one-descent counters walk these words letter
 by letter, and the avoider counters subtract the n surplus identity
 words at the end.  The two-pattern count over the whole symmetric
 group shares nothing with this encoding: it grows permutations one
-value at a time.
+value at a time and memoises on a signature of the prefix.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 
-from grassperm.grassmann import enumerate_grassmannian
 from grassperm.perms import check_size, descent_positions
 
-# Size guards, kept from the exhaustive scans these counters replace
-# so that callers see the same domain: 2^26 subsets, 12! permutations.
+# Size guard, kept from the exhaustive scans of 2^26 subsets that
+# these counters replace, so that callers see the same domain.
 MAX_SCAN_SIZE = 26
-MAX_FULL_SN_SIZE = 12
 
 
-def _check_scan_size(n: int) -> None:
+def check_scan_size(n: int) -> None:
     if not 1 <= n <= MAX_SCAN_SIZE:
         raise ValueError(f"scan size {n} outside 1..{MAX_SCAN_SIZE}")
 
@@ -44,7 +41,7 @@ def count_grassmannian_avoiding_increasing(m: int, k: int) -> int:
     >>> count_grassmannian_avoiding_increasing(5, 4)
     10
     """
-    _check_scan_size(m)
+    check_scan_size(m)
     if k < 1:
         raise ValueError(f"pattern length {k} must be at least 1")
     walks = {(0, 0): 1}  # (highest point, #B) -> number of words
@@ -62,8 +59,7 @@ def count_grassmannian_avoiding_increasing(m: int, k: int) -> int:
     return sum(walks.values()) - (m if m < k else 0)
 
 
-def count_grassmannian_avoiders(n: int, sigma: tuple[int, ...],
-                                *, cap: int | None = None) -> int:
+def count_grassmannian_avoiders(n: int, sigma: tuple[int, ...]) -> int:
     """Count one-descent permutations of size n containing no
     occurrence of the pattern sigma.
 
@@ -72,13 +68,12 @@ def count_grassmannian_avoiders(n: int, sigma: tuple[int, ...],
     member's word.  A k + 1 state automaton, matching the pattern's
     word greedily, counts the words that never reach state k.  Rising
     patterns go to count_grassmannian_avoiding_increasing; patterns
-    with two or more descents are counted by enumeration, which
-    refuses sizes above cap as enumerate_grassmannian does.
+    with two or more descents are refused.
 
     >>> count_grassmannian_avoiders(6, (1, 3, 2))
     16
     """
-    _check_scan_size(n)
+    check_scan_size(n)
     k = len(sigma)
     if k < 1:
         raise ValueError("pattern must be non-empty")
@@ -86,10 +81,7 @@ def count_grassmannian_avoiders(n: int, sigma: tuple[int, ...],
     if not descents:
         return count_grassmannian_avoiding_increasing(n, k)
     if len(descents) > 1:
-        # patterns imports this module, so import its matcher late
-        from grassperm.patterns import contains_pattern
-        return sum(1 for p in enumerate_grassmannian(n, cap=cap)
-                   if not contains_pattern(p, sigma))
+        raise ValueError("pattern has two or more descents")
     block = set(sigma[:descents[0]])
     word = ["A" if v in block else "B" for v in sorted(sigma)]
     matched = [1] + [0] * k  # words by automaton state
@@ -130,29 +122,48 @@ def count_sn_avoiding_321_2143(n: int) -> int:
     """Count permutations of size n, one-descent or not, avoiding both
     321 and 2143.
 
-    Permutations grow one value at a time, and a prefix is dropped as
-    soon as it contains either pattern: an occurrence in a prefix is
-    an occurrence in every completion of it.
+    Permutations grow one value at a time.  A prefix is dead as soon as
+    an unplaced value would close either pattern, since that value
+    still has to be placed.  The completions of a live prefix depend
+    only on its signature.  Let T be its top, c its cut (n + 1 if it
+    has none), R its unplaced values, and s the smallest placed value
+    above the lowest value of R below T (n + 1 if there is none).  The
+    signature is #R above T, #R below T, #R between c and T, #R below
+    min(s, c), whether s < c and whether c <= n.  Each signature is
+    expanded once, so the search takes polynomial time.
 
     >>> count_sn_avoiding_321_2143(6)
     80
+    >>> count_sn_avoiding_321_2143(20)
+    2095781
     """
-    if n < 1 or n > MAX_FULL_SN_SIZE:
-        raise ValueError(f"full scan size {n} outside 1..{MAX_FULL_SN_SIZE}")
-
+    check_scan_size(n)
     full = (2 << n) - 2  # bit v stands for the value v
+    counts: dict[tuple[int, ...], int] = {}  # completions by signature
 
-    def grow(length: int, used: int, blocked: int, top: int, cut: int) -> int:
+    def grow(used: int, blocked: int, top: int, cut: int) -> int:
         # blocked: values that would close a 321 or 2143 if placed now,
         # plus those already used; top: largest value placed; cut:
         # smallest upper end of a falling pair placed so far
-        if length == n:
+        rest = full & ~used
+        if blocked & rest:
+            return 0  # dead: an unplaced value closes a pattern
+        if not rest:
             return 1
+        below = rest & ((1 << top) - 1)
+        # the bit of s: the smallest placed value above min(below)
+        over = used & -((below & -below) << 1)
+        s = over & -over or 2 << n
+        key = ((rest >> top).bit_count(), below.bit_count(),
+               (below >> (cut + 1)).bit_count(),
+               (rest & (min(s, 1 << cut) - 1)).bit_count(),
+               s < 1 << cut, cut <= n)
+        if key in counts:
+            return counts[key]
         total = 0
-        free = full & ~blocked
-        while free:
-            bit = free & -free
-            free ^= bit
+        while rest:  # place each unplaced value next
+            bit = rest & -rest
+            rest ^= bit
             v = bit.bit_length() - 1
             block = bit
             if cut < v:
@@ -166,8 +177,8 @@ def count_sn_avoiding_321_2143(n: int) -> int:
                 block |= bit - 1
                 above = used >> v
                 lowest = min(cut, v + (above & -above).bit_length() - 1)
-            total += grow(length + 1, used | bit, blocked | block,
-                          max(top, v), lowest)
+            total += grow(used | bit, blocked | block, max(top, v), lowest)
+        counts[key] = total
         return total
 
-    return grow(0, 0, 0, 0, n + 1)
+    return grow(0, 0, 0, n + 1)

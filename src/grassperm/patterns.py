@@ -85,10 +85,14 @@ def enumerate_avoiders(n: int, sigma: Sequence[int],
 
 def count_avoiders_by_scan(n: int, sigma: Sequence[int],
                            *, cap: int | None = None) -> int:
-    """Avoider count from the kernels, independent of the closed forms;
-    cap bounds the enumeration that counts patterns with two or more
-    descents."""
-    return kernels.count_grassmannian_avoiders(n, tuple(sigma), cap=cap)
+    """Avoider count independent of the closed forms: from the kernels,
+    or for patterns with two or more descents by enumeration, bounded
+    by cap and by the kernels' size guard."""
+    sigma = tuple(sigma)
+    if len(descent_positions(sigma)) < 2:
+        return kernels.count_grassmannian_avoiders(n, sigma)
+    kernels.check_scan_size(n)
+    return sum(1 for _ in enumerate_avoiders(n, sigma, cap=cap))
 
 
 def count_avoiders_closed_form(n: int, sigma: Sequence[int]) -> int:

@@ -718,6 +718,27 @@ def test_default_rows_cover_every_target():
     assert sum(DEFAULT_ROWS.values()) == 788
 
 
+def test_prop22_counts_the_sn_class_at_every_scan_size(capsys):
+    top = kernels.MAX_SCAN_SIZE
+    code, out, err = run(capsys, "verify", "prop22", "--max-n", str(top))
+    rows = out.splitlines()
+    assert (code, err) == (0, f"prop22: {top} checks, all agree\n")
+    assert len(rows) == top
+    assert all(row.startswith("ok   n=") for row in rows)
+    assert run(capsys, "verify", "prop22", "--max-n", str(top + 1)) == (
+        2, out, f"error: scan size {top + 1} outside 1..{top}\n")
+
+
+def test_prop22_oracle_is_the_sn_counter_above_12(capsys, monkeypatch):
+    right = kernels.count_sn_avoiding_321_2143
+    monkeypatch.setattr(kernels, "count_sn_avoiding_321_2143",
+                        lambda n: right(n) + (n > 12))
+    code, out, _ = run(capsys, "verify", "prop22", "--max-n", "14")
+    assert code == 1
+    assert [row.split(":")[0] for row in out.splitlines()
+            if row.startswith("FAIL")] == ["FAIL n=13", "FAIL n=14"]
+
+
 EMPTY_SWEEPS = [
     ["prop22", "--max-n", "0"],
     ["prop31", "--kmax", "1"],

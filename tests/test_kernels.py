@@ -11,6 +11,7 @@ from grassperm import kernels
 from grassperm.grassmann import count_union_with_inverse, enumerate_grassmannian
 from grassperm.patterns import (
     contains_pattern,
+    count_avoiders_by_scan,
     count_avoiders_closed_form,
     weiner_formula,
 )
@@ -18,8 +19,8 @@ from grassperm.parity import odd_count
 from grassperm.perms import inverse, inversion_count
 
 PATTERNS = [(1, 2), (1, 2, 3), (1, 3, 2), (2, 3, 1), (1, 2, 3, 4),
-            (2, 4, 1, 3), (3, 1, 2, 4), (1, 2, 3, 4, 5), (3, 5, 1, 2, 4),
-            (3, 2, 1), (2, 1, 4, 3)]
+            (2, 4, 1, 3), (3, 1, 2, 4), (1, 2, 3, 4, 5), (3, 5, 1, 2, 4)]
+TWO_DESCENT_PATTERNS = [(3, 2, 1), (2, 1, 4, 3)]
 
 
 def brute_avoiders(n, sigma):
@@ -31,6 +32,11 @@ def test_avoider_count_matches_enumeration():
     for sigma in PATTERNS:
         for n in range(1, 13):
             assert kernels.count_grassmannian_avoiders(n, sigma) == \
+                brute_avoiders(n, sigma), (sigma, n)
+    # the kernel refuses these; the scan counts them by enumeration
+    for sigma in TWO_DESCENT_PATTERNS:
+        for n in range(1, 13):
+            assert count_avoiders_by_scan(n, sigma) == \
                 brute_avoiders(n, sigma), (sigma, n)
 
 
@@ -56,6 +62,49 @@ def test_increasing_count_matches_enumeration():
                 brute, (m, k)
 
 
+def sn_completions(n, seen):
+    """The plain search the two-pattern kernel memoises: permutations
+    grow value by value, and a prefix dies once an unplaced value would
+    close a 321 or a 2143.  Each live prefix's (used, top, cut) is
+    passed to seen with its number of completions."""
+    full = (2 << n) - 2
+
+    def grow(used, blocked, top, cut):
+        rest = full & ~used
+        if blocked & rest:
+            return 0
+        total = 0 if rest else 1
+        free = rest
+        while free:
+            bit = free & -free
+            free ^= bit
+            v = bit.bit_length() - 1
+            block = bit
+            if cut < v:
+                block |= (bit - 1) & ~((2 << cut) - 1)
+            lowest = cut
+            if v < top:
+                block |= bit - 1
+                above = used >> v
+                lowest = min(cut, v + (above & -above).bit_length() - 1)
+            total += grow(used | bit, blocked | block, max(top, v), lowest)
+        seen(used, top, cut, total)
+        return total
+
+    return grow(0, 0, 0, n + 1)
+
+
+def signature(n, used, top, cut):
+    """The key the kernel memoises on, from its definition."""
+    placed = {v for v in range(1, n + 1) if used >> v & 1}
+    rest = set(range(1, n + 1)) - placed
+    below = [v for v in rest if v < top]
+    s = min(v for v in placed if v > min(below)) if below else n + 1
+    return (sum(v > top for v in rest), len(below),
+            sum(cut < v < top for v in rest),
+            sum(v < min(s, cut) for v in rest), s < cut, cut <= n)
+
+
 def test_two_pattern_count_matches_brute_force():
     for n in range(1, 10):
         brute = sum(
@@ -63,6 +112,18 @@ def test_two_pattern_count_matches_brute_force():
             if not contains_pattern(p, (3, 2, 1))
             and not contains_pattern(p, (2, 1, 4, 3)))
         assert kernels.count_sn_avoiding_321_2143(n) == brute, n
+        assert sn_completions(n, lambda *state: None) == brute, n
+
+
+def test_live_prefixes_with_one_signature_have_one_count():
+    for n in range(1, 12):
+        counts = {}
+
+        def seen(used, top, cut, total):
+            key = signature(n, used, top, cut)
+            assert counts.setdefault(key, total) == total, (n, key)
+        assert sn_completions(n, seen) == \
+            kernels.count_sn_avoiding_321_2143(n), n
 
 
 def test_two_pattern_count_matches_family_union():
@@ -73,7 +134,7 @@ def test_two_pattern_count_matches_family_union():
 
 
 def test_counters_at_guard_edge():
-    # exhaustive scans took hours here: 2^26 subsets and 12! orderings
+    # exhaustive scans took hours here: 2^26 subsets
     n = kernels.MAX_SCAN_SIZE
     for sigma in ((1, 3, 2), (2, 4, 1, 3), (3, 5, 1, 2, 4), (4, 1, 2, 3)):
         assert kernels.count_grassmannian_avoiders(n, sigma) == \
@@ -84,8 +145,12 @@ def test_counters_at_guard_edge():
     for k in (2, 13, 27, 40):
         assert kernels.count_grassmannian_avoiding_increasing(n, k) == \
             count_avoiders_closed_form(n, tuple(range(1, k + 1)))
-    n = kernels.MAX_FULL_SN_SIZE
-    assert kernels.count_sn_avoiding_321_2143(n) == count_union_with_inverse(n)
+
+
+def test_two_pattern_count_matches_closed_form():
+    for n in range(1, kernels.MAX_SCAN_SIZE + 1):
+        assert kernels.count_sn_avoiding_321_2143(n) == \
+            count_union_with_inverse(n), n
 
 
 def test_scan_guards():
@@ -102,9 +167,11 @@ def test_scan_guards():
     with pytest.raises(ValueError):
         kernels.count_grassmannian_avoiders(5, ())
     with pytest.raises(ValueError):
+        kernels.count_grassmannian_avoiders(5, (3, 2, 1))
+    with pytest.raises(ValueError):
         kernels.count_sn_avoiding_321_2143(0)
     with pytest.raises(ValueError):
-        kernels.count_sn_avoiding_321_2143(kernels.MAX_FULL_SN_SIZE + 1)
+        kernels.count_sn_avoiding_321_2143(kernels.MAX_SCAN_SIZE + 1)
 
 
 def test_odd_member_count_matches_enumeration():
@@ -126,4 +193,3 @@ def test_module_level_reexports():
     assert kernels.count_grassmannian_avoiding_increasing(5, 4) == 10
     assert kernels.count_sn_avoiding_321_2143(6) == 80
     assert kernels.MAX_SCAN_SIZE == 26
-    assert kernels.MAX_FULL_SN_SIZE == 12
