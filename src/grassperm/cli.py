@@ -9,7 +9,9 @@
 Exit codes: 0 success, 1 verification mismatch or stdout closed before
 the output was written (a broken pipe, as under "| head"), 2 invalid
 input.
-Data goes to stdout; counts and progress notes go to stderr.
+Data goes to stdout; counts and progress notes go to stderr.  Into a
+pipe, count writes each CSV or b-file row and verify each block as
+soon as it is checked, enum 4096 lines at a time, the rest at exit.
 """
 
 from __future__ import annotations
@@ -288,10 +290,16 @@ def _pooled(tasks: Sequence[Task],
     until POOL_AFTER_S has passed; the rest then run on worker
     processes forked once, at most one per usable core (see _forked).
     Where fork is missing, or one core or one task leaves nothing to
-    overlap, every task runs in-process."""
+    overlap, every task runs in-process.
+
+    Before it starts or waits for a task, the pool flushes stdout once,
+    so what the consumer wrote for the tasks before reaches a pipe then
+    and not at exit: at most one flush per task, never one per line."""
     cores = _usable_cores() if hasattr(os, "fork") else 1
     start = perf_counter()
     for head, task in enumerate(tasks):
+        if head:
+            sys.stdout.flush()
         if min(cores, len(tasks) - head) > 1 and \
                 perf_counter() - start >= POOL_AFTER_S:
             yield from _forked(tasks, range(head, len(tasks)), cores, name)
@@ -363,6 +371,7 @@ def _forked(tasks: Sequence[Task], indices: range, cores: int,
             frames[reply_read] = bytearray()
             send(reply_read)
         ready = indices.start  # the next task whose items are due
+        flushed = ready  # _pooled flushed the items before this one
         while ready < indices.stop:
             if ready in done:
                 items, error = done.pop(ready)
@@ -371,6 +380,9 @@ def _forked(tasks: Sequence[Task], indices: range, cores: int,
                     raise ValueError(error)
                 ready += 1
                 continue
+            if flushed != ready:
+                sys.stdout.flush()
+                flushed = ready
             for pipe in select.select(list(busy), [], [])[0]:
                 chunk = os.read(pipe, 1 << 16)
                 if not chunk:
@@ -414,9 +426,11 @@ def cmd_count(args: argparse.Namespace) -> int:
                          f" got {args.cap}")
     formula, oracle = _count_family(args)
     # The formula column comes first, up to its first refusal, and the
-    # oracle runs only on the sizes before that.  Each of those rows has
-    # its formula, so the first error a row-by-row loop would meet is
-    # the oracle's first refusal in row order, which the pool raises.
+    # oracle runs only on the sizes before that.  A CSV or b-file row is
+    # written as soon as its oracle value is known, so the first error a
+    # row-by-row loop would meet (the oracle's, which the pool raises in
+    # row order, else the formula's refusal) ends the table after the
+    # rows before it.  A JSON document is written whole or not at all.
     formulas: list[int] = []
     refusal = None
     for n in sizes:
@@ -426,32 +440,36 @@ def cmd_count(args: argparse.Namespace) -> int:
             refusal = exc
             break
     checked = sizes[:len(formulas)]
-    rows: list[dict[str, object]] = [
-        {"n": n, "formula": value} for n, value in zip(checked, formulas)]
+    column = None
     if args.oracle:
-        column = list(_pooled([lambda n=n: [oracle(n)] for n in checked],
-                              lambda i: f"oracle worker for n={checked[i]}"))
-        for row, got in zip(rows, column):
-            row["oracle"] = got
-            row["agree"] = row["formula"] == got
+        column = _pooled([lambda n=n: [oracle(n)] for n in checked],
+                         lambda i: f"oracle worker for n={checked[i]}")
+    header = ["n", "formula"] + (["oracle", "agree"] if args.oracle else [])
+    rows: list[dict[str, object]] = []
+    try:
+        for n, value in zip(checked, formulas):
+            row: dict[str, object] = {"n": n, "formula": value}
+            if column is not None:
+                got = next(column)
+                row.update(oracle=got, agree=value == got)
+            rows.append(row)
+            if args.format == "bfile":
+                print(f"{n} {value}")
+            elif args.format == "csv":
+                if len(rows) == 1:
+                    print(",".join(header))
+                print(",".join(str(row[key]).lower()
+                               if key == "agree" else str(row[key])
+                               for key in header))
+    finally:
+        if column is not None:
+            column.close()  # stdout closed early: stop the workers now
     if refusal is not None:
         raise refusal
-    mismatch = any(row.get("agree") is False for row in rows)
-
     if args.format == "json":
         import json
         print(json.dumps(rows))
-    elif args.format == "bfile":
-        for row in rows:
-            print(f"{row['n']} {row['formula']}")
-    else:
-        header = ["n", "formula"] + (["oracle", "agree"] if args.oracle else [])
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(row[key]).lower()
-                           if key == "agree" else str(row[key])
-                           for key in header))
-    return 1 if mismatch else 0
+    return 1 if any(row.get("agree") is False for row in rows) else 0
 
 
 # ---------------------------------------------------------------- verify

@@ -1,7 +1,9 @@
 """End-to-end tests for the grassperm command line."""
 
+import io
 import json
 import os
+import select
 import shlex
 import shutil
 import signal
@@ -418,9 +420,17 @@ def test_forked_column_raises_the_first_error_in_row_order(
     assert time.perf_counter() - start < 1
     assert (code, out, err) == (2, "", "error: descent position 5 outside"
                                        " 1..0\n")
-    # the oracle refuses sizes 6, 7 and 8; the smallest is reported
+    # the oracle refuses sizes 6, 7 and 8; the smallest is reported, and
+    # the rows before it are printed
+    header = "n,formula,oracle,agree\n"
     code, out, err = run(capsys, "count", "grassmannian", "--n", "3..8",
                          "--oracle", "--cap", "5")
+    assert (code, out) == (2, header + "3,5,5,true\n4,12,12,true\n"
+                                       "5,27,27,true\n")
+    assert err.startswith("error: size 6 exceeds the enumeration cap 5;")
+    # a JSON document is printed whole or not at all
+    code, out, err = run(capsys, "count", "grassmannian", "--n", "3..8",
+                         "--oracle", "--cap", "5", "--format", "json")
     assert (code, out) == (2, "")
     assert err.startswith("error: size 6 exceeds the enumeration cap 5;")
 
@@ -434,7 +444,9 @@ def test_forked_column_raises_the_first_error_in_row_order(
                              (6, "size 5 exceeds the enumeration cap 4;")):
         code, out, err = run(capsys, "count", "grassmannian", "--n", "1..8",
                              "--oracle", "--cap", "4")
-        assert (code, out) == (2, ""), refused
+        assert (code, out) == (2, header + "1,1,1,true\n2,2,2,true\n"
+                                           "3,5,5,true\n4,12,12,true\n"), \
+            refused
         assert err.startswith(f"error: {message}"), refused
 
 
@@ -454,7 +466,11 @@ def test_forked_column_drops_sizes_above_a_refusal(capsys, two_workers,
     code, out, err = run(capsys, "count", "finite-class", "--k", "4",
                          "--n", "1..1000", "--oracle")
     assert time.perf_counter() - start < 0.5
-    assert (code, out) == (2, "")
+    # the rows up to the largest scan size print, then the refusal
+    values = [finite_class_formula(m, 4)
+              for m in range(1, kernels.MAX_SCAN_SIZE + 1)]
+    rows = "".join(f"{m},{v},{v},true\n" for m, v in enumerate(values, 1))
+    assert (code, out) == (2, "n,formula,oracle,agree\n" + rows)
     assert err == (f"error: scan size {kernels.MAX_SCAN_SIZE + 1} outside"
                    f" 1..{kernels.MAX_SCAN_SIZE}\n")
     assert len(forks) <= 2
@@ -474,21 +490,33 @@ def test_failed_worker_stops_the_column(capsys, monkeypatch, two_workers):
     with pytest.raises(RuntimeError, match="oracle worker for n=16 failed"):
         cli.main(["count", "odd", "--n", "1..16", "--oracle"])
     assert time.perf_counter() - start < 10
+    # the two workers took sizes 16 and 15 first, so no row before the
+    # failure was computed, and none is printed
     assert capsys.readouterr().out == ""
     # every worker was reaped, the one still running included
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    # as a command: exit 1, a traceback, and nothing on stdout
+    # as a command: exit 1, a traceback, and on stdout the rows before
+    # the failed one, which the other worker computed meanwhile
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys; from grassperm import cli\n"
+         "import sys, time; from grassperm import cli\n"
          "cli._usable_cores = lambda: 2\n"
          "cli.POOL_AFTER_S = 0\n"
-         "cli.MEMBER_COUNTS['odd'] = (cli.odd_count, lambda p: p + 1)\n"
+         "def weight(p):\n"
+         "    if len(p) == 8:\n"
+         "        time.sleep(1)\n"
+         "        return p + 1\n"
+         "    return cli.inversion_count(p) % 2\n"
+         "cli.MEMBER_COUNTS['odd'] = (cli.odd_count, weight)\n"
          "sys.exit(cli.main(['count', 'odd', '--n', '1..8', '--oracle']))"],
         capture_output=True, text=True, timeout=60, env=module_env())
-    assert (proc.returncode, proc.stdout) == (1, "")
+    rows = "".join(f"{n},{odd_count(n)},{odd_count(n)},true\n"
+                   for n in range(1, 8))
+    assert (proc.returncode, proc.stdout) == (
+        1, "n,formula,oracle,agree\n" + rows)
     assert "TypeError" in proc.stderr and "RuntimeError" in proc.stderr
+    assert "oracle worker for n=8 failed" in proc.stderr
 
 
 def test_oracle_column_in_process_without_workers(capsys, monkeypatch):
@@ -544,7 +572,9 @@ def test_pool_forks_at_most_one_worker_per_task_and_core(
 
 
 # runs a command with the pool forced to fork; reports each worker's
-# pid on stderr as it is forked, and whether any child is left unreaped
+# pid on stderr as it is forked, and whether any child is left unreaped.
+# With SLOW_N14 set, the word count and the enumeration oracle sleep for
+# a minute at n = 14.
 POOLED_COMMAND = (
     "import os, sys, time\n"
     "from grassperm import cli\n"
@@ -558,12 +588,14 @@ POOLED_COMMAND = (
     "        print(f'worker {pid}', file=sys.stderr, flush=True)\n"
     "    return pid\n"
     "os.fork = announced\n"
-    "odd_members = cli.kernels.count_odd_members\n"
-    "def slow(n):\n"
-    "    if n == 14 and os.environ.get('SLOW_N14'):\n"
-    "        time.sleep(60)\n"
-    "    return odd_members(n)\n"
-    "cli.kernels.count_odd_members = slow\n"
+    "def slowed(count):\n"
+    "    def slow(*args):\n"
+    "        if 14 in args and os.environ.get('SLOW_N14'):\n"
+    "            time.sleep(60)\n"
+    "        return count(*args)\n"
+    "    return slow\n"
+    "cli.kernels.count_odd_members = slowed(cli.kernels.count_odd_members)\n"
+    "cli.brute_count = slowed(cli.brute_count)\n"
     "code = cli.main(argv)\n"
     "try:\n"
     "    os.waitpid(-1, os.WNOHANG)\n"
@@ -572,18 +604,17 @@ POOLED_COMMAND = (
     "sys.exit(code)\n")
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_forked_sweep_into_a_closed_pipe(workers):
-    # unbuffered, so the first row already meets the closed pipe while
-    # the workers still run
+def into_a_closed_pipe(options, workers, argv):
+    """Run the pooled command into a pipe whose reader has gone: it must
+    exit 1 with no traceback and leave no worker behind."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
-            [sys.executable, "-u", "-c", POOLED_COMMAND, str(workers),
-             "verify", "thm51"],
+            [sys.executable, *options, "-c", POOLED_COMMAND, str(workers),
+             *argv],
             stdout=write_end, stderr=subprocess.PIPE, text=True,
-            timeout=60, env=module_env())
+            timeout=60, env=buffered_env())
     finally:
         os.close(write_end)
     assert proc.returncode == 1
@@ -591,6 +622,80 @@ def test_forked_sweep_into_a_closed_pipe(workers):
     forked = [line for line in lines if line.startswith("worker ")]
     assert len(forked) == (0 if workers == 1 else 2)
     assert lines[len(forked):] == ["no child left"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_forked_sweep_into_a_closed_pipe(workers):
+    # unbuffered, so the first row already meets the closed pipe while
+    # the workers still run
+    into_a_closed_pipe(["-u"], workers, ["verify", "thm51"])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("argv", [
+    ["verify", "thm51"],
+    ["count", "grassmannian", "--n", "1..22", "--oracle"],
+], ids=" ".join)
+def test_buffered_output_into_a_closed_pipe(argv, workers):
+    # buffered, as a user runs it: the pool's flush meets the closed
+    # pipe, on two workers while the largest row is still computed
+    into_a_closed_pipe([], workers, argv)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("argv", [
+    ["count", "grassmannian", "--n", "1..14", "--oracle"],
+    ["verify", "prop21", "--max-n", "14"],
+], ids=" ".join)
+def test_rows_reach_a_pipe_before_the_last_one_ends(capsys, argv, workers):
+    # the last row or block, n = 14, sleeps for a minute; the first ones
+    # must reach the pipe long before, while the command still runs
+    expected = run(capsys, *argv)[1].splitlines(keepends=True)[:2]
+    env = dict(buffered_env(), SLOW_N14="1")
+    with subprocess.Popen(
+            [sys.executable, "-c", POOLED_COMMAND, str(workers), *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env) as proc:
+        try:
+            first = []
+            if select.select([proc.stdout], [], [], 20)[0]:
+                first = [proc.stdout.readline(), proc.stdout.readline()]
+            proc.send_signal(signal.SIGTERM)
+            proc.wait(timeout=10)
+        finally:
+            proc.kill()
+        pids = [int(line.split()[1]) for line in proc.stderr
+                if line.startswith("worker ")]
+    assert first == expected
+    assert proc.returncode == -signal.SIGTERM
+    assert len(pids) == (0 if workers == 1 else 2)
+    assert not any(map(running, pids))
+
+
+class CountedFlushes(io.StringIO):
+    """A stdout that counts how often it is flushed."""
+
+    flushes = 0
+
+    def flush(self):
+        self.flushes += 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_output_is_flushed_at_most_once_per_task(monkeypatch, workers):
+    # a flush per line would cost a system call per line
+    use_workers(monkeypatch, workers)
+    members = 2 ** 14 - 14
+    for argv, tasks in (
+            (["count", "odd", "--n", "1..12", "--oracle"], 12),  # rows
+            (["verify", "thm51"], 40 + 5),  # blocks: n = 1..40, m = 1..5
+            (["enum", "grassmannian", "--n", "14"],  # chunks
+             -(-members // cli.ENUM_CHUNK_LINES))):
+        out = CountedFlushes()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert cli.main(argv) == 0, argv
+        assert out.getvalue(), argv
+        assert out.flushes <= tasks + 1, argv
 
 
 def test_sweep_stops_its_workers_when_stdout_fails(monkeypatch, two_workers):
@@ -601,13 +706,16 @@ def test_sweep_stops_its_workers_when_stdout_fails(monkeypatch, two_workers):
         def flush(self):
             pass
     monkeypatch.setattr(sys, "stdout", Closed())
-    args = cli.build_parser().parse_args(["verify", "thm51"])
-    with pytest.raises(BrokenPipeError) as caught:
-        cli.cmd_verify(args)
-    # the traceback still holds the sweep's frame, yet no worker is left
-    assert caught.traceback
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    for argv in (["verify", "thm51"],
+                 ["count", "odd", "--n", "1..12", "--oracle"]):
+        args = cli.build_parser().parse_args(argv)
+        with pytest.raises(BrokenPipeError) as caught:
+            args.run(args)
+        # the traceback still holds the command's frame, yet no worker
+        # is left
+        assert caught.traceback, argv
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def running(pid):
@@ -942,6 +1050,14 @@ def module_env():
     path = os.environ.get("PYTHONPATH")
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + ([path] if path else [])))
+
+
+def buffered_env():
+    """module_env without PYTHONUNBUFFERED, so that stdout into a pipe
+    is block-buffered, as it is for a user."""
+    env = module_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 def test_python_dash_m():
