@@ -233,19 +233,14 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-# a pool task: a zero-argument callable whose items the pool yields
-Task = Callable[[], Iterable[object]]
-
-
-def _pool_worker(tasks: Sequence[Task], requests: int, replies: int,
+def _pool_worker(oracle: Callable[[int], int], requests: int, replies: int,
                  inherited: Iterable[int]) -> NoReturn:
-    """The body of a forked pool worker.  For each task index read from
-    the requests pipe, write the task's items, and the text of a
-    ValueError it raised part-way (else None), as one length-prefixed
-    marshal frame to the replies pipe.  Leave at the end of the
-    requests, and on every path with os._exit, so that none of the
-    parent's code runs here and none of its buffered output is flushed
-    a second time."""
+    """The body of a forked pool worker.  For each size n read from the
+    requests pipe, write oracle(n) and None, or None and the text of the
+    ValueError it raised, as one length-prefixed marshal frame to the
+    replies pipe.  Leave at the end of the requests, and on every path
+    with os._exit, so that none of the parent's code runs here and none
+    of its buffered output is flushed a second time."""
     try:
         import signal
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
@@ -253,14 +248,12 @@ def _pool_worker(tasks: Sequence[Task], requests: int, replies: int,
             os.close(fd)
         out = open(replies, "wb")
         while request := os.read(requests, 4):
-            items: list[object] = []
-            error = None
+            value = error = None
             try:
-                for item in tasks[int.from_bytes(request, "little")]():
-                    items.append(item)
+                value = oracle(int.from_bytes(request, "little"))
             except ValueError as exc:
                 error = str(exc)
-            reply = marshal.dumps((items, error))
+            reply = marshal.dumps((value, error))
             out.write(len(reply).to_bytes(8, "little") + reply)
             out.flush()
     except BrokenPipeError:
@@ -273,53 +266,50 @@ def _pool_worker(tasks: Sequence[Task], requests: int, replies: int,
         os._exit(0)
 
 
-# The pool forks its workers only once the tasks run in-process have
-# taken this long.  Forking them costs about as much, 10 to 20 ms a
-# command on a 2-vCPU virtual machine (the forks, the exits, and a slow
-# start on the vCPU that was idle), so a command whose whole work is
-# smaller never pays it, and a larger one waits at most this long.
+# The pool forks its workers only once the sizes computed in-process
+# have taken this long.  Forking them costs about as much, 10 to 20 ms
+# a command on a 2-vCPU virtual machine (the forks, the exits, and a
+# slow start on the vCPU that was idle), so a command whose whole work
+# is smaller never pays it, and a larger one waits at most this long.
 POOL_AFTER_S = 0.01
 
 
-def _pooled(tasks: Sequence[Task],
-            name: Callable[[int], str]) -> Iterator[object]:
-    """The items of every task, in task order, then the ValueError of
-    the first task that raised one, as a serial loop meets them.
+def _pooled(oracle: Callable[[int], int], sizes: range) -> Iterator[int]:
+    """oracle(n) for each n in sizes, in order, then the ValueError of
+    the first size that raised one, as a serial loop meets them.
 
-    The tasks run in-process, in order, as their items are consumed,
-    until POOL_AFTER_S has passed; the rest then run on worker
-    processes forked once, at most one per usable core (see _forked).
-    Where fork is missing, or one core or one task leaves nothing to
-    overlap, every task runs in-process.
+    The values are computed in-process, in order, as they are consumed,
+    until POOL_AFTER_S has passed; the rest then on worker processes
+    forked once, at most one per usable core (see _forked).  Where fork
+    is missing, or one core or one size leaves nothing to overlap,
+    every value is computed in-process.
 
-    Before it starts or waits for a task, the pool flushes stdout once,
-    so what the consumer wrote for the tasks before reaches a pipe then
-    and not at exit: at most one flush per task, never one per line."""
+    Before it computes or waits for each value after the first, the
+    pool flushes stdout once, so the rows the consumer wrote for the
+    values before reach a pipe then and not at exit: at most one flush
+    per row, never one per line."""
     cores = _usable_cores() if hasattr(os, "fork") else 1
     start = perf_counter()
-    for head, task in enumerate(tasks):
+    for head, n in enumerate(sizes):
         if head:
             sys.stdout.flush()
-        if min(cores, len(tasks) - head) > 1 and \
+        if min(cores, len(sizes) - head) > 1 and \
                 perf_counter() - start >= POOL_AFTER_S:
-            yield from _forked(tasks, range(head, len(tasks)), cores, name)
+            yield from _forked(oracle, sizes[head:], cores)
             return
-        yield from task()
+        yield oracle(n)
 
 
-def _forked(tasks: Sequence[Task], indices: range, cores: int,
-            name: Callable[[int], str]) -> Iterator[object]:
-    """The items of the tasks at these indices, in order, computed by
-    min(cores, len(indices)) forked workers, then the ValueError of the
-    first task that raised one.
+def _forked(oracle: Callable[[int], int], sizes: range,
+            cores: int) -> Iterator[int]:
+    """oracle(n) for each n in sizes, in order, computed by
+    min(cores, len(sizes)) forked workers, then the ValueError of the
+    first size that raised one.
 
-    Each worker takes one task at a time, the last pending one first:
-    callers order their tasks by growing cost, so one worker takes the
-    largest while the others work down the rest.  A task's items come
-    back as one marshal frame, so they must be plain values.  Tasks
-    above one that raised are not started, as their items are never
-    reached.  A worker that dies or raises anything else stops the
-    others and raises RuntimeError, naming the task by name(index).
+    Each worker computes one size at a time, the largest pending one
+    first: the oracle's cost grows with n, so one worker takes the
+    largest while the others work down the rest.  A worker that dies or
+    raises anything else stops the others and raises RuntimeError.
     While the workers run, SIGTERM stops them before it ends this
     process."""
     # imported here, so that the commands that fork no worker load
@@ -327,11 +317,11 @@ def _forked(tasks: Sequence[Task], indices: range, cores: int,
     import select
     import signal
     pids: dict[int, int] = {}      # reply pipe -> worker pid
-    requests: dict[int, int] = {}  # reply pipe -> task pipe
+    requests: dict[int, int] = {}  # reply pipe -> size pipe
     frames: dict[int, bytearray] = {}  # reply pipe -> reply so far
-    busy: dict[int, int] = {}      # reply pipe -> task it runs
-    pending = list(indices)  # the last goes first
-    done: dict[int, tuple[list[object], str | None]] = {}
+    busy: dict[int, int] = {}      # reply pipe -> size it computes
+    pending = list(sizes)  # the last goes first
+    done: dict[int, tuple[int | None, str | None]] = {}
     parent = os.getpid()
 
     def on_term(signum: int, frame: object) -> None:
@@ -351,55 +341,48 @@ def _forked(tasks: Sequence[Task], indices: range, cores: int,
             pass
 
     def send(reply_pipe: int) -> None:
-        index = pending.pop()
-        os.write(requests[reply_pipe], index.to_bytes(4, "little"))
-        busy[reply_pipe] = index
+        n = pending.pop()
+        os.write(requests[reply_pipe], n.to_bytes(4, "little"))
+        busy[reply_pipe] = n
 
     try:
-        for _ in range(min(cores, len(indices))):
-            task_read, task_write = os.pipe()
+        for _ in range(min(cores, len(sizes))):
+            size_read, size_write = os.pipe()
             reply_read, reply_write = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _pool_worker(tasks, task_read, reply_write,
-                             [task_write, reply_read, *requests.values(),
+                _pool_worker(oracle, size_read, reply_write,
+                             [size_write, reply_read, *requests.values(),
                               *pids])
-            os.close(task_read)
+            os.close(size_read)
             os.close(reply_write)
             pids[reply_read] = pid
-            requests[reply_read] = task_write
+            requests[reply_read] = size_write
             frames[reply_read] = bytearray()
             send(reply_read)
-        ready = indices.start  # the next task whose items are due
-        flushed = ready  # _pooled flushed the items before this one
-        while ready < indices.stop:
-            if ready in done:
-                items, error = done.pop(ready)
-                yield from items
-                if error is not None:
-                    raise ValueError(error)
-                ready += 1
-                continue
-            if flushed != ready:
+        for due, n in enumerate(sizes):
+            if due and n not in done:  # _pooled flushed before the first
                 sys.stdout.flush()
-                flushed = ready
-            for pipe in select.select(list(busy), [], [])[0]:
-                chunk = os.read(pipe, 1 << 16)
-                if not chunk:
-                    raise RuntimeError(f"the {name(busy[pipe])} failed")
-                frame = frames[pipe]
-                frame += chunk
-                if len(frame) < 8 + int.from_bytes(frame[:8], "little"):
-                    continue  # a header or a reply still in part
-                index = busy.pop(pipe)
-                done[index] = items, error = marshal.loads(frame[8:])
-                frame.clear()
-                if error is not None:
-                    pending = [i for i in pending if i < index]
-                if pending:
-                    send(pipe)
-                else:  # nothing left for this worker: let it leave now
-                    os.close(requests.pop(pipe))
+            while n not in done:
+                for pipe in select.select(list(busy), [], [])[0]:
+                    chunk = os.read(pipe, 1 << 16)
+                    if not chunk:
+                        raise RuntimeError(
+                            f"the oracle worker for n={busy[pipe]} failed")
+                    frame = frames[pipe]
+                    frame += chunk
+                    if len(frame) < 8 + int.from_bytes(frame[:8], "little"):
+                        continue  # a header or a reply still in part
+                    done[busy.pop(pipe)] = marshal.loads(frame[8:])
+                    frame.clear()
+                    if pending:
+                        send(pipe)
+                    else:  # nothing left for this worker: let it leave now
+                        os.close(requests.pop(pipe))
+            value, error = done.pop(n)
+            if error is not None:
+                raise ValueError(error)
+            yield value
     finally:
         # a busy worker is stopped; an idle one leaves at end of file
         for pipe, pid in pids.items():
@@ -442,8 +425,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     checked = sizes[:len(formulas)]
     column = None
     if args.oracle:
-        column = _pooled([lambda n=n: [oracle(n)] for n in checked],
-                         lambda i: f"oracle worker for n={checked[i]}")
+        column = _pooled(oracle, checked)
     header = ["n", "formula"] + (["oracle", "agree"] if args.oracle else [])
     rows: list[dict[str, object]] = []
     try:
@@ -496,10 +478,10 @@ class Sweep:
         return 1 if self.failures else 0
 
 
-# A verify target returns one block per value of its outer loop, built
-# before any worker is forked; a block yields that value's (label,
-# expected, got) rows.  cmd_verify runs the blocks on the pool and
-# checks the rows one by one, in order, in a single Sweep.
+# A verify target returns one block per value of its outer loop; a
+# block yields that value's (label, expected, got) rows.  cmd_verify
+# checks the rows one by one, in order, in a single Sweep, and flushes
+# stdout after each block, so that a block reaches a pipe once checked.
 Row = tuple[str, object, object]
 Block = Callable[[], Iterator[Row]]
 
@@ -660,7 +642,7 @@ VERIFY_TARGETS: dict[str, tuple[Callable[[argparse.Namespace],
                {"kmax": 10}),
     "theorem34": (verify_theorem34,
                   "one-descent pattern classes follow 1 + sum C(n,j-1)",
-                  {"max_n": 10}),
+                  {"max_n": 10, "max_size": 5}),
     "prop21": (verify_prop21,
                "doubly one-descent members are the 2413-avoiders,"
                " 1 + C(n+1,3) many",
@@ -702,13 +684,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if getattr(args, flag) is None:
             setattr(args, flag, value)
     sweep = Sweep()
-    rows = _pooled(blocks(args),
-                   lambda i: f"verify {args.target} worker for block {i}")
-    try:
-        for row in rows:
+    for block in blocks(args):
+        for row in block():
             sweep.check(*row)
-    finally:
-        rows.close()  # stdout closed early: stop the workers now
+        sys.stdout.flush()
     if not sweep.rows:
         raise ValueError(f"verify {args.target} has no rows to check"
                          " in this range")
@@ -805,13 +784,14 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("target", choices=sorted(VERIFY_TARGETS),
                         help="; ".join(f"{name}: {doc}" for name, (_, doc, _)
                                        in sorted(VERIFY_TARGETS.items())))
-    verify.add_argument("--kmax", type=int, default=None,
-                        help="largest rising-pattern size"
-                             " (weiner default 10, prop31 default 9)")
-    verify.add_argument("--max-n", type=int, default=None,
-                        help="largest size swept (defaults per target)")
-    verify.add_argument("--max-size", type=int, default=5,
-                        help="largest pattern size (theorem34, default 5)")
+    for flag, what in (("kmax", "largest rising-pattern size"),
+                       ("max_n", "largest size swept"),
+                       ("max_size", "largest pattern size")):
+        defaults = ", ".join(f"{name} default {values[flag]}"
+                             for name, (_, _, values) in VERIFY_TARGETS.items()
+                             if flag in values)
+        verify.add_argument("--" + flag.replace("_", "-"), type=int,
+                            help=f"{what} ({defaults})")
     verify.set_defaults(run=cmd_verify)
 
     table = sub.add_parser(

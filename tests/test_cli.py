@@ -560,21 +560,23 @@ def test_pool_forks_after_its_in_process_head(capsys, monkeypatch, forks):
 def test_pool_forks_at_most_one_worker_per_task_and_core(
         capsys, monkeypatch, forks):
     use_workers(monkeypatch, 3)
-    for argv, tasks in ((["count", "grassmannian", "--n", "1..2",
-                          "--oracle"], 2),
-                        (["count", "grassmannian", "--n", "1..9",
-                          "--oracle"], 9),
-                        (["verify", "prop22", "--max-n", "2"], 2),
-                        (["verify", "prop53", "--max-n", "8"], 8)):
+    # count forks one worker per oracle row and core; verify checks its
+    # blocks in-process and forks none
+    for argv, workers in ((["count", "grassmannian", "--n", "1..2",
+                            "--oracle"], 2),
+                          (["count", "grassmannian", "--n", "1..9",
+                            "--oracle"], 3),
+                          (["verify", "prop22", "--max-n", "2"], 0),
+                          (["verify", "prop53", "--max-n", "8"], 0)):
         forks.clear()
         assert run(capsys, *argv)[0] == 0, argv
-        assert len(forks) == min(3, tasks), argv
+        assert len(forks) == workers, argv
 
 
 # runs a command with the pool forced to fork; reports each worker's
 # pid on stderr as it is forked, and whether any child is left unreaped.
-# With SLOW_N14 set, the word count and the enumeration oracle sleep for
-# a minute at n = 14.
+# With SLOW_N14 set, the enumeration oracle sleeps for a minute at
+# n = 14.
 POOLED_COMMAND = (
     "import os, sys, time\n"
     "from grassperm import cli\n"
@@ -594,7 +596,6 @@ POOLED_COMMAND = (
     "            time.sleep(60)\n"
     "        return count(*args)\n"
     "    return slow\n"
-    "cli.kernels.count_odd_members = slowed(cli.kernels.count_odd_members)\n"
     "cli.brute_count = slowed(cli.brute_count)\n"
     "code = cli.main(argv)\n"
     "try:\n"
@@ -604,9 +605,21 @@ POOLED_COMMAND = (
     "sys.exit(code)\n")
 
 
+def pool_cases(count_argv, verify_argv):
+    """Cases (argv, usable cores, workers forked): the count command on
+    one and two cores, and the verify command, which forks nothing, on
+    two."""
+    return [pytest.param(argv, workers, forked,
+                         id=f"{' '.join(argv)}-{workers}")
+            for argv, workers, forked in ((count_argv, 1, 0),
+                                          (count_argv, 2, 2),
+                                          (verify_argv, 2, 0))]
+
+
 def into_a_closed_pipe(options, workers, argv):
     """Run the pooled command into a pipe whose reader has gone: it must
-    exit 1 with no traceback and leave no worker behind."""
+    exit 1 with no traceback and leave no worker behind.  Return how
+    many workers it forked."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -614,44 +627,42 @@ def into_a_closed_pipe(options, workers, argv):
             [sys.executable, *options, "-c", POOLED_COMMAND, str(workers),
              *argv],
             stdout=write_end, stderr=subprocess.PIPE, text=True,
-            timeout=60, env=buffered_env())
+            timeout=60, env=module_env())
     finally:
         os.close(write_end)
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     forked = [line for line in lines if line.startswith("worker ")]
-    assert len(forked) == (0 if workers == 1 else 2)
     assert lines[len(forked):] == ["no child left"]
+    return len(forked)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [2])
 def test_forked_sweep_into_a_closed_pipe(workers):
-    # unbuffered, so the first row already meets the closed pipe while
-    # the workers still run
-    into_a_closed_pipe(["-u"], workers, ["verify", "thm51"])
+    # unbuffered, so the first row already meets the closed pipe; verify
+    # checks its blocks in-process, so it forks nothing on two cores
+    assert into_a_closed_pipe(["-u"], workers, ["verify", "thm51"]) == 0
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("argv", [
-    ["verify", "thm51"],
+@pytest.mark.parametrize("argv,workers,forked", pool_cases(
     ["count", "grassmannian", "--n", "1..22", "--oracle"],
-], ids=" ".join)
-def test_buffered_output_into_a_closed_pipe(argv, workers):
-    # buffered, as a user runs it: the pool's flush meets the closed
-    # pipe, on two workers while the largest row is still computed
-    into_a_closed_pipe([], workers, argv)
+    ["verify", "thm51"]))
+def test_buffered_output_into_a_closed_pipe(argv, workers, forked):
+    # buffered, as a user runs it: the flush after the first row or
+    # block meets the closed pipe, on two workers while the largest row
+    # is still computed, so no summary reaches stderr
+    assert into_a_closed_pipe([], workers, argv) == forked
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("argv", [
+@pytest.mark.parametrize("argv,workers,forked", pool_cases(
     ["count", "grassmannian", "--n", "1..14", "--oracle"],
-    ["verify", "prop21", "--max-n", "14"],
-], ids=" ".join)
-def test_rows_reach_a_pipe_before_the_last_one_ends(capsys, argv, workers):
+    ["verify", "prop21", "--max-n", "14"]))
+def test_rows_reach_a_pipe_before_the_last_one_ends(capsys, argv, workers,
+                                                    forked):
     # the last row or block, n = 14, sleeps for a minute; the first ones
     # must reach the pipe long before, while the command still runs
     expected = run(capsys, *argv)[1].splitlines(keepends=True)[:2]
-    env = dict(buffered_env(), SLOW_N14="1")
+    env = dict(module_env(), SLOW_N14="1")
     with subprocess.Popen(
             [sys.executable, "-c", POOLED_COMMAND, str(workers), *argv],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
@@ -668,7 +679,7 @@ def test_rows_reach_a_pipe_before_the_last_one_ends(capsys, argv, workers):
                 if line.startswith("worker ")]
     assert first == expected
     assert proc.returncode == -signal.SIGTERM
-    assert len(pids) == (0 if workers == 1 else 2)
+    assert len(pids) == forked
     assert not any(map(running, pids))
 
 
@@ -728,7 +739,6 @@ def running(pid):
 
 @pytest.mark.parametrize("argv", [
     ["count", "grassmannian", "--n", "1..22", "--oracle"],
-    ["verify", "thm51", "--max-n", "14"],
 ], ids=" ".join)
 def test_sigterm_stops_the_workers(argv):
     env = dict(module_env(), SLOW_N14="1")
@@ -781,24 +791,14 @@ VERIFY_SMALL = [
 ]
 
 
-def in_and_out_of_process(capsys, monkeypatch, forks, *argv):
-    """The command's (exit code, stdout, stderr), the same whether its
-    blocks run in-process or on two forked workers."""
-    outputs = []
-    for workers in (1, 2):
-        use_workers(monkeypatch, workers)
-        forks.clear()
-        outputs.append(run(capsys, *argv))
-        assert len(forks) == (0 if workers == 1 else 2)
-    assert outputs[0] == outputs[1]
-    return outputs[0]
-
-
 @pytest.mark.parametrize("target,flags", VERIFY_SMALL,
                          ids=[t for t, _ in VERIFY_SMALL])
 def test_verify_targets(capsys, monkeypatch, forks, target, flags):
-    code, out, err = in_and_out_of_process(capsys, monkeypatch, forks,
-                                           "verify", target, *flags)
+    # the blocks are checked in-process, however many cores the pool
+    # could use
+    use_workers(monkeypatch, 3)
+    code, out, err = run(capsys, "verify", target, *flags)
+    assert forks == []
     assert code == 0
     assert "FAIL" not in out
     assert "all agree" in err
@@ -865,22 +865,18 @@ def test_empty_sweep_is_refused(capsys, flags):
                    " in this range\n")
 
 
-def test_sweep_streams_rows_before_a_refusal(capsys, monkeypatch, forks):
+def test_sweep_streams_rows_before_a_refusal(capsys):
     # k = 15 needs size 28, beyond the scan; the rows up to there print
-    code, out, err = in_and_out_of_process(capsys, monkeypatch, forks,
-                                           "verify", "weiner", "--kmax", "15")
+    code, out, err = run(capsys, "verify", "weiner", "--kmax", "15")
     assert code == 2
     assert out.splitlines()[-1] == (
         f"ok   rising k=15 m=26: {weiner_formula(26, 15)}")
     assert err.startswith("error: ")
 
 
-def test_weiner_rows_check_the_cli_formula(capsys, monkeypatch, forks):
-    # the workers are forked from the patched process, so the wrong
-    # formula shows in their rows too
+def test_weiner_rows_check_the_cli_formula(capsys, monkeypatch):
     monkeypatch.setattr(cli, "weiner_formula", lambda m, k: -1)
-    code, out, err = in_and_out_of_process(capsys, monkeypatch, forks,
-                                           "verify", "weiner", "--kmax", "4")
+    code, out, err = run(capsys, "verify", "weiner", "--kmax", "4")
     assert code == 1
     assert "FAIL rising k=2 m=2: expected -1, got 1" in out
     assert err == "weiner: 6 checks, 6 mismatch(es)\n"
@@ -898,8 +894,11 @@ def test_verify_help_describes_every_target(capsys):
     assert exc.value.code == 0
     # argparse wraps lines, also after hyphens, so compare without spaces
     text = "".join(capsys.readouterr().out.split())
-    for name, (_, doc, _) in cli.VERIFY_TARGETS.items():
+    for name, (_, doc, defaults) in cli.VERIFY_TARGETS.items():
         assert "".join(f"{name}: {doc}".split()) in text
+        # the help names every default that cmd_verify fills in
+        for value in defaults.values():
+            assert f"{name}default{value}" in text, name
     assert "<function" not in text
 
 
@@ -1047,15 +1046,12 @@ def test_console_script_installed(capsys):
 
 
 def module_env():
+    """The caller's environment with src on PYTHONPATH and without
+    PYTHONUNBUFFERED, so that stdout into a pipe is block-buffered, as
+    it is for a user."""
     path = os.environ.get("PYTHONPATH")
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + ([path] if path else [])))
-
-
-def buffered_env():
-    """module_env without PYTHONUNBUFFERED, so that stdout into a pipe
-    is block-buffered, as it is for a user."""
-    env = module_env()
     env.pop("PYTHONUNBUFFERED", None)
     return env
 
