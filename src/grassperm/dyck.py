@@ -144,19 +144,73 @@ def is_grassmannian_path(path: str) -> bool:
     return long_ascent_count(path) <= 1
 
 
+# once this many steps or fewer remain, the rest of the walk is read
+# from a table of suffixes no longer than this, so a fixed size; longer
+# suffixes saved little more time and cost memory
+TAIL_STEPS = 12
+
+
 def _dyck_walk(n: int, most: int) -> Iterator[str]:
     """Dyck paths of semilength n with at most `most` long ascents,
-    lexicographic (D before U)."""
-    # once all n up-steps are placed the rest of the path is forced
-    downs = ["D" * h for h in range(n + 1)]
-    # prefix, height, up-steps so far, the current U-run (0 after a D,
-    # 1 after its first U, 2 beyond) and the long ascents so far
+    lexicographic (D before U): the walk is a preorder in which a
+    node's D branch comes before its U branch.
+
+    A node is a prefix with its height h, the up-steps r still to
+    place, its current U-run (0 after a D, 1 after its first U, 2
+    beyond) and the long ascents it may still start.  Once at most
+    TAIL_STEPS steps remain (2r + h of them) the node's whole subtree
+    is the prefix plus each entry, in order, of
+
+        completions(h, 0, run, left) = [D^h]
+        completions(h, r, run, left) = D + completions(h - 1, r, 0, left)
+                                           if h > 0
+                                     + U + completions(h + 1, r - 1,
+                                                       run', left')
+                                           unless run = 1 and left = 0
+
+    where run' is 1 after a D and 2 otherwise, and the U that makes a
+    run long spends one of left.  left is capped at r, which is all a
+    suffix with r up-steps can use, so suffixes that differ only in an
+    unusable allowance share one entry.  The table is filled as keys
+    are met, once per call; it holds suffixes of at most TAIL_STEPS
+    steps, a fixed size whatever n is.  Each subtree is emitted by
+    map, one concatenation in C per path; only the nodes above the
+    tails are visited one at a time.
+    """
+    table: dict[tuple[int, int, int, int], list[str]] = {}
+
+    def completions(h: int, r: int, run: int, left: int) -> list[str]:
+        key = (h, r, run, left)
+        if key in table:
+            return table[key]
+        if r == 0:
+            out = ["D" * h]
+        else:
+            out = []
+            if h > 0:
+                out += ["D" + s for s in completions(h - 1, r, 0, left)]
+            if run != 1:
+                out += ["U" + s for s in completions(
+                    h + 1, r - 1, 1 if run == 0 else 2, min(left, r - 1))]
+            elif left:
+                out += ["U" + s for s in completions(
+                    h + 1, r - 1, 2, min(left - 1, r - 1))]
+        table[key] = out
+        return out
+
+    # prefix, height, up-steps so far, the current U-run and the long
+    # ascents so far
     stack = [("", 0, 0, 0, 0)]
     pop, push = stack.pop, stack.append
     while stack:
         prefix, h, ups, run, longs = pop()
-        if ups == n:
-            yield prefix + downs[h]
+        r = n - ups
+        if 2 * r + h <= TAIL_STEPS:
+            yield from map(prefix.__add__,
+                           completions(h, r, run, min(most - longs, r)))
+            continue
+        if r == 0:  # all n up-steps placed: the rest is forced
+            yield prefix + "D" * h
             continue
         # pushed U first so that the D branch comes out first; a run's
         # second U makes it long, and is refused once `most` are spent

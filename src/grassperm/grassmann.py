@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from itertools import islice
 from math import comb
-from operator import gt, itemgetter
+from operator import add, gt
 
 from grassperm.perms import (
     Perm,
@@ -50,8 +50,18 @@ def sole_descent(p: Sequence[int]) -> int | None:
     return ds[0] if ds else None
 
 
-def _rising_prefix_walk(n: int, atoms: Sequence) -> Iterator:
-    """Every member of the size-n family, built from atoms[1..n].
+# a node with this many values or fewer above its last one, and the
+# descent spent, is emitted from tables of at most 2^TAIL_VALUES
+# entries; larger tables saved little more time and cost memory
+TAIL_VALUES = 8
+
+
+def _rising_prefix_walk(n: int, atoms: Sequence,
+                        firsts: Sequence | None = None) -> Iterator:
+    """Every member of the size-n family, built from atoms[1..n], in
+    lexicographic order; a member's first value v is firsts[v]
+    (atoms[v] by default), so that atoms may carry a separator before
+    their value.
 
     Each node of the walk is a rising prefix S, with last = max S: the
     member whose first rising block is S is the prefix, then low (the
@@ -60,8 +70,22 @@ def _rising_prefix_walk(n: int, atoms: Sequence) -> Iterator:
     which spends the descent, or when last = n, which gives the
     identity; the prefixes 1..j with j < n would repeat the identity.
     Children, one per value above last, come in increasing order after
-    their parent, so the members come in lexicographic order; every
-    member costs a few concatenations of atoms.
+    their parent: the members come in preorder, which is lexicographic.
+
+    Below a node (P, L, last) with L non-empty every node is emitted,
+    and its subtree is P + Q + L + C for every Q within (last, n] in
+    preorder, C being the rest of (last, n] in increasing order.  With
+    empty = atoms[0], two tables list those Q and C in step,
+
+        heads[last] = [empty] + [atoms[v] + q   for v > last, q in heads[v]]
+        rests[last] = [tails[last]]
+                      + [gaps[last][v] + c  for v > last, c in rests[v]]
+
+    built once per call for last >= n - TAIL_VALUES only, so each has
+    at most 2^TAIL_VALUES entries whatever n is.  Such a subtree is
+    emitted by map, three concatenations in C per member; only the
+    nodes above those tails are visited one at a time, and the walk
+    streams in memory bounded by the tables and its stack.
     """
     empty = atoms[0]
     tails = [empty] * (n + 1)        # tails[v]: the values above v
@@ -72,10 +96,25 @@ def _rising_prefix_walk(n: int, atoms: Sequence) -> Iterator:
     for a in range(n + 1):
         for v in range(a + 2, n + 1):
             gaps[a][v] = gaps[a][v - 1] + atoms[v - 1]
-    stack = [(empty, empty, 0)]
+    base = max(n - TAIL_VALUES, 0)
+    heads: list[list] = [[]] * (n + 1)
+    rests: list[list] = [[]] * (n + 1)
+    for last in range(n, base - 1, -1):
+        heads[last] = [empty] + [atoms[v] + q for v in range(last + 1, n + 1)
+                                 for q in heads[v]]
+        rests[last] = [tails[last]] + [gaps[last][v] + c
+                                       for v in range(last + 1, n + 1)
+                                       for c in rests[v]]
+    # the root, the empty prefix, has only its children to give
+    firsts = atoms if firsts is None else firsts
+    stack = [(firsts[v], gaps[0][v], v) for v in range(n, 0, -1)]
     pop, push = stack.pop, stack.append
     while stack:
         prefix, low, last = pop()
+        if low and last >= base:
+            yield from map(add, map(prefix.__add__, heads[last]),
+                           map(low.__add__, rests[last]))
+            continue
         if low or last == n:
             yield prefix + low + tails[last]
         below = gaps[last]
@@ -85,12 +124,15 @@ def _rising_prefix_walk(n: int, atoms: Sequence) -> Iterator:
 
 def enumerate_grassmannian(n: int, *, cap: int | None = None) -> Iterator[Perm]:
     """All permutations of size n with at most one descent, in
-    lexicographic order.
+    lexicographic order, streamed.
 
     Values are placed left to right while the prefix rises; dropping to
     the smallest unplaced value spends the one allowed descent and
     forces the rest, so every member appears exactly once and no
-    filtering or deduplication is involved.
+    filtering or deduplication is involved.  The walk visits the rising
+    prefixes in preorder and emits each subtree within the last
+    TAIL_VALUES values from two fixed-size completion tables; see
+    _rising_prefix_walk.
 
     >>> [p for p in enumerate_grassmannian(3)]
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2)]
@@ -111,11 +153,12 @@ def grassmannian_lines(n: int, *, cap: int | None = None) -> Iterator[str]:
     """
     check_size(n)
     check_cap(n, cap)
+    digits = [""] + [str(v) for v in range(1, n + 1)]
     if n <= 9:
-        return _rising_prefix_walk(n, [""] + [str(v) for v in range(1, n + 1)])
-    # every member ends in "v,"; drop the final comma
-    return map(itemgetter(slice(None, -1)), _rising_prefix_walk(
-        n, [""] + [f"{v}," for v in range(1, n + 1)]))
+        return _rising_prefix_walk(n, digits)
+    # a comma goes before every value but the first
+    return _rising_prefix_walk(n, [""] + [f",{v}" for v in range(1, n + 1)],
+                               digits)
 
 
 def count_grassmannian(n: int) -> int:

@@ -1,5 +1,6 @@
 """End-to-end tests for the grassperm command line."""
 
+import hashlib
 import io
 import json
 import os
@@ -136,6 +137,26 @@ def test_enum_dyck(capsys):
                        "--grassmannian-only")
     assert code == 0
     assert len(out.split()) == 2 ** 4 - 4
+
+
+@pytest.mark.parametrize("argv, count, digest", [
+    (("grassmannian", "--n", "16"), 65520,
+     "c165db6646320e63a155c7a4232d3f13ef62b32dfed81ff44a8d7a253a718c1e"),
+    (("grassmannian", "--n", "16", "--format", "json"), 65520,
+     "08acce7764db360fe7ccc01e26d96f02cd276bfada568a5676983d9a78668ff2"),
+    (("dyck", "--n", "11"), 58786,
+     "dd184d0f20870e3bd424d73defd589d1a95b167102fbc85d2a893ffded6fe31b"),
+    (("dyck", "--n", "11", "--grassmannian-only"), 2037,
+     "e7a5cc0e81714597be2ffd72cd10b636b11adeb29f42bc39e6de023dabca8f34"),
+])
+def test_enum_output_is_pinned(capsys, argv, count, digest):
+    # digests of what the plain walks, one node at a time, printed: the
+    # bytes and order of whole outputs, JSON included, at a size the
+    # per-walk reference tests do not reach for the family
+    code, out, err = run(capsys, "enum", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert err == f"count: {count}\n"
 
 
 def test_enum_schroder(capsys):

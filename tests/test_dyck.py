@@ -1,11 +1,14 @@
 """Dyck paths and the peak-labeling bijection."""
 
 import itertools
+import tracemalloc
 
 import pytest
 
 from grassperm.dyck import (
     MAX_PATH_STEPS,
+    TAIL_STEPS,
+    _dyck_walk,
     enumerate_dyck_paths,
     enumerate_grassmannian_paths,
     heights,
@@ -113,6 +116,50 @@ def test_enumerate_dyck_paths_matches_brute_force():
     for n in range(0, 9):
         words = ("".join(w) for w in itertools.product("DU", repeat=2 * n))
         assert list(enumerate_dyck_paths(n)) == list(filter(_is_dyck, words))
+
+
+def dyck_walk(n, most):
+    """The plain walk the completion table shortcuts: one node (prefix,
+    height, up-steps, U-run, long ascents) at a time, the U child
+    pushed before the D child so that D comes out first."""
+    stack = [("", 0, 0, 0, 0)]
+    while stack:
+        prefix, h, ups, run, longs = stack.pop()
+        if ups == n:
+            yield prefix + "D" * h
+            continue
+        if run != 1:
+            stack.append((prefix + "U", h + 1, ups + 1,
+                          1 if run == 0 else 2, longs))
+        elif longs != most:
+            stack.append((prefix + "U", h + 1, ups + 1, 2, longs + 1))
+        if h > 0:
+            stack.append((prefix + "D", h - 1, ups, 0, longs))
+
+
+def test_walk_matches_the_per_node_reference():
+    # paths shorter and longer than TAIL_STEPS, so with and without
+    # per-node levels
+    assert TAIL_STEPS < 2 * 12
+    for n in range(0, 13):
+        for most in (1, n):
+            assert list(_dyck_walk(n, most)) == list(dyck_walk(n, most)), \
+                (n, most)
+
+
+def test_walk_memory_is_bounded_at_every_size():
+    # the table holds suffixes of at most TAIL_STEPS steps whatever n
+    # is; one keyed on the up-steps left grows with the height instead
+    for n in (12, 25):
+        for walk in (enumerate_dyck_paths, enumerate_grassmannian_paths):
+            tracemalloc.start()
+            try:
+                for _ in itertools.islice(walk(n), 50_000):
+                    pass
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 768 * 1024, (walk.__name__, n, peak)
 
 
 def test_image_characterizations():

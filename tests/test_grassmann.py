@@ -1,11 +1,13 @@
 """The one-descent family: enumeration, counting, substructures."""
 
 import itertools
+import tracemalloc
 from math import comb
 
 import pytest
 
 from grassperm.grassmann import (
+    TAIL_VALUES,
     count_bigrassmannian,
     count_descent_at,
     count_grassmannian,
@@ -63,6 +65,57 @@ def test_lines_match_formatted_members():
     with pytest.raises(ValueError):
         grassmannian_lines(26)
     grassmannian_lines(30, cap=31)
+
+
+def rising_prefix_walk(n, atoms):
+    """The plain walk the completion tables shortcut: every rising
+    prefix S is a node (prefix, low, last = max S), visited one at a
+    time, its children pushed in decreasing order so that they come
+    out in preorder; a node is emitted once low is non-empty, and the
+    prefix 1..n as the identity."""
+    empty = atoms[0]
+    tails = [empty] * (n + 1)
+    for v in range(n - 1, -1, -1):
+        tails[v] = atoms[v + 1] + tails[v + 1]
+    gaps = [[empty] * (n + 1) for _ in range(n + 1)]
+    for a in range(n + 1):
+        for v in range(a + 2, n + 1):
+            gaps[a][v] = gaps[a][v - 1] + atoms[v - 1]
+    stack = [(empty, empty, 0)]
+    while stack:
+        prefix, low, last = stack.pop()
+        if low or last == n:
+            yield prefix + low + tails[last]
+        for v in range(n, last, -1):
+            stack.append((prefix + atoms[v], low + gaps[last][v], v))
+
+
+def test_walk_matches_the_per_node_reference():
+    # below and above TAIL_VALUES, so with and without per-node levels
+    assert TAIL_VALUES < 14
+    for n in range(1, 15):
+        assert list(enumerate_grassmannian(n)) == list(rising_prefix_walk(
+            n, [()] + [(v,) for v in range(1, n + 1)])), n
+        if n <= 9:
+            reference = rising_prefix_walk(
+                n, [""] + [str(v) for v in range(1, n + 1)])
+        else:
+            reference = (line[:-1] for line in rising_prefix_walk(
+                n, [""] + [f"{v}," for v in range(1, n + 1)]))
+        assert list(grassmannian_lines(n)) == list(reference), n
+
+
+def test_walk_memory_is_bounded_at_every_size():
+    # the tables have at most 2^TAIL_VALUES entries whatever n is
+    for n in (12, 25):
+        tracemalloc.start()
+        try:
+            for _ in itertools.islice(grassmannian_lines(n), 50_000):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 768 * 1024, (n, peak)
 
 
 def test_enumeration_small_goldens():
