@@ -12,6 +12,8 @@ input.
 Data goes to stdout; counts and progress notes go to stderr.  Into a
 pipe, count writes each CSV or b-file row and verify each block as
 soon as it is checked, enum 4096 lines at a time, the rest at exit.
+count --oracle computes its last row, about half its work, in one
+forked child process while it computes the other rows in-process.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import partial
 from itertools import islice
-from time import perf_counter
 from typing import NoReturn
 
 from grassperm import kernels
@@ -64,7 +65,6 @@ from grassperm.patterns import (
     enumerate_avoiders,
     finite_class_count,
     finite_class_formula,
-    one_descent_patterns,
     weiner_formula,
 )
 from grassperm.perms import (
@@ -233,103 +233,68 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _pool_worker(oracle: Callable[[int], int], requests: int, replies: int,
-                 inherited: Iterable[int]) -> NoReturn:
-    """The body of a forked pool worker.  For each size n read from the
-    requests pipe, write oracle(n) and None, or None and the text of the
-    ValueError it raised, as one length-prefixed marshal frame to the
-    replies pipe.  Leave at the end of the requests, and on every path
-    with os._exit, so that none of the parent's code runs here and none
-    of its buffered output is flushed a second time."""
+def _oracle_child(oracle: Callable[[int], int], n: int, replies: int,
+                  out: int) -> NoReturn:
+    """The body of the forked child: write oracle(n) and None, or None
+    and the text of the ValueError it raised, as one marshal reply to
+    the pipe out.  Leave on every path with os._exit, so that none of
+    the parent's code runs here and none of its buffered output is
+    flushed a second time."""
     try:
         import signal
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        for fd in inherited:  # the other workers' pipe ends
-            os.close(fd)
-        out = open(replies, "wb")
-        while request := os.read(requests, 4):
-            value = error = None
-            try:
-                value = oracle(int.from_bytes(request, "little"))
-            except ValueError as exc:
-                error = str(exc)
-            reply = marshal.dumps((value, error))
-            out.write(len(reply).to_bytes(8, "little") + reply)
-            out.flush()
+        os.close(replies)  # so that a reply to a parent gone fails
+        value = error = None
+        try:
+            value = oracle(n)
+        except ValueError as exc:
+            error = str(exc)
+        with open(out, "wb") as pipe:
+            pipe.write(marshal.dumps((value, error)))
     except BrokenPipeError:
         pass  # the parent has gone
     except Exception:
-        # the parent reads a short reply and fails; leave the reason
+        # the parent reads no reply and fails; leave the reason
         sys.excepthook(*sys.exc_info())
         sys.stderr.flush()
     finally:
         os._exit(0)
 
 
-# The pool forks its workers only once the sizes computed in-process
-# have taken this long.  Forking them costs about as much, 10 to 20 ms
-# a command on a 2-vCPU virtual machine (the forks, the exits, and a
-# slow start on the vCPU that was idle), so a command whose whole work
-# is smaller never pays it, and a larger one waits at most this long.
-POOL_AFTER_S = 0.01
-
-
-def _pooled(oracle: Callable[[int], int], sizes: range) -> Iterator[int]:
+def _oracle_column(oracle: Callable[[int], int],
+                   sizes: range) -> Iterator[int]:
     """oracle(n) for each n in sizes, in order, then the ValueError of
     the first size that raised one, as a serial loop meets them.
 
-    The values are computed in-process, in order, as they are consumed,
-    until POOL_AFTER_S has passed; the rest then on worker processes
-    forked once, at most one per usable core (see _forked).  Where fork
-    is missing, or one core or one size leaves nothing to overlap,
-    every value is computed in-process.
+    The oracle's cost about doubles with n, so the last size is about
+    half the work.  Where fork exists, two or more cores are usable and
+    two or more sizes are asked for, one child process is forked at
+    once for the last size while this process computes the others in
+    order; a child that leaves no reply raises RuntimeError when its
+    row is due.  Otherwise every value is computed in-process.  The
+    child is killed and reaped when the column closes or raises, and
+    while it runs, SIGTERM stops it before it ends this process.
 
     Before it computes or waits for each value after the first, the
-    pool flushes stdout once, so the rows the consumer wrote for the
-    values before reach a pipe then and not at exit: at most one flush
-    per row, never one per line."""
-    cores = _usable_cores() if hasattr(os, "fork") else 1
-    start = perf_counter()
-    for head, n in enumerate(sizes):
-        if head:
-            sys.stdout.flush()
-        if min(cores, len(sizes) - head) > 1 and \
-                perf_counter() - start >= POOL_AFTER_S:
-            yield from _forked(oracle, sizes[head:], cores)
-            return
-        yield oracle(n)
-
-
-def _forked(oracle: Callable[[int], int], sizes: range,
-            cores: int) -> Iterator[int]:
-    """oracle(n) for each n in sizes, in order, computed by
-    min(cores, len(sizes)) forked workers, then the ValueError of the
-    first size that raised one.
-
-    Each worker computes one size at a time, the largest pending one
-    first: the oracle's cost grows with n, so one worker takes the
-    largest while the others work down the rest.  A worker that dies or
-    raises anything else stops the others and raises RuntimeError.
-    While the workers run, SIGTERM stops them before it ends this
-    process."""
-    # imported here, so that the commands that fork no worker load
-    # neither (each adds about 0.15 MB of RSS)
-    import select
+    column flushes stdout once, so that the rows written for the values
+    before reach a pipe then and not at exit."""
+    if not hasattr(os, "fork") or len(sizes) < 2 or _usable_cores() < 2:
+        for head, n in enumerate(sizes):
+            if head:
+                sys.stdout.flush()
+            yield oracle(n)
+        return
+    # imported here, so that the commands that fork nothing skip it
     import signal
-    pids: dict[int, int] = {}      # reply pipe -> worker pid
-    requests: dict[int, int] = {}  # reply pipe -> size pipe
-    frames: dict[int, bytearray] = {}  # reply pipe -> reply so far
-    busy: dict[int, int] = {}      # reply pipe -> size it computes
-    pending = list(sizes)  # the last goes first
-    done: dict[int, tuple[int | None, str | None]] = {}
-    parent = os.getpid()
+    replies, out = os.pipe()
+    child = os.fork()
+    if child == 0:
+        _oracle_child(oracle, sizes[-1], replies, out)
+    os.close(out)
 
     def on_term(signum: int, frame: object) -> None:
-        if os.getpid() == parent:
-            for pid in pids.values():
-                os.kill(pid, signal.SIGKILL)
-            for pid in pids.values():
-                os.waitpid(pid, 0)
+        os.kill(child, signal.SIGKILL)
+        os.waitpid(child, 0)
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         os.kill(os.getpid(), signal.SIGTERM)
 
@@ -339,62 +304,26 @@ def _forked(oracle: Callable[[int], int], sizes: range,
             previous = signal.signal(signal.SIGTERM, on_term)
         except ValueError:  # not the main thread: SIGTERM stays as it is
             pass
-
-    def send(reply_pipe: int) -> None:
-        n = pending.pop()
-        os.write(requests[reply_pipe], n.to_bytes(4, "little"))
-        busy[reply_pipe] = n
-
     try:
-        for _ in range(min(cores, len(sizes))):
-            size_read, size_write = os.pipe()
-            reply_read, reply_write = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _pool_worker(oracle, size_read, reply_write,
-                             [size_write, reply_read, *requests.values(),
-                              *pids])
-            os.close(size_read)
-            os.close(reply_write)
-            pids[reply_read] = pid
-            requests[reply_read] = size_write
-            frames[reply_read] = bytearray()
-            send(reply_read)
-        for due, n in enumerate(sizes):
-            if due and n not in done:  # _pooled flushed before the first
-                sys.stdout.flush()
-            while n not in done:
-                for pipe in select.select(list(busy), [], [])[0]:
-                    chunk = os.read(pipe, 1 << 16)
-                    if not chunk:
-                        raise RuntimeError(
-                            f"the oracle worker for n={busy[pipe]} failed")
-                    frame = frames[pipe]
-                    frame += chunk
-                    if len(frame) < 8 + int.from_bytes(frame[:8], "little"):
-                        continue  # a header or a reply still in part
-                    done[busy.pop(pipe)] = marshal.loads(frame[8:])
-                    frame.clear()
-                    if pending:
-                        send(pipe)
-                    else:  # nothing left for this worker: let it leave now
-                        os.close(requests.pop(pipe))
-            value, error = done.pop(n)
-            if error is not None:
-                raise ValueError(error)
-            yield value
+        for n in sizes[:-1]:
+            yield oracle(n)
+            sys.stdout.flush()
+        with open(replies, "rb", closefd=False) as pipe:
+            reply = pipe.read()
+        if not reply:
+            raise RuntimeError(f"the oracle worker for n={sizes[-1]} failed")
+        value, error = marshal.loads(reply)
+        if error is not None:
+            raise ValueError(error)
+        yield value
     finally:
-        # a busy worker is stopped; an idle one leaves at end of file
-        for pipe, pid in pids.items():
-            if pipe in busy:
-                os.kill(pid, signal.SIGKILL)
-            if pipe in requests:
-                os.close(requests[pipe])
-            os.close(pipe)
+        # a child that has left stays unreaped, its pid not reused, until
+        # the wait below, so the kill stops it only if it still runs
+        os.kill(child, signal.SIGKILL)
+        os.close(replies)
         if previous is not None:
             signal.signal(signal.SIGTERM, previous)
-        for pid in pids.values():
-            os.waitpid(pid, 0)
+        os.waitpid(child, 0)
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -411,8 +340,8 @@ def cmd_count(args: argparse.Namespace) -> int:
     # The formula column comes first, up to its first refusal, and the
     # oracle runs only on the sizes before that.  A CSV or b-file row is
     # written as soon as its oracle value is known, so the first error a
-    # row-by-row loop would meet (the oracle's, which the pool raises in
-    # row order, else the formula's refusal) ends the table after the
+    # row-by-row loop would meet (the oracle's, which the column raises
+    # in row order, else the formula's refusal) ends the table after the
     # rows before it.  A JSON document is written whole or not at all.
     formulas: list[int] = []
     refusal = None
@@ -425,7 +354,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     checked = sizes[:len(formulas)]
     column = None
     if args.oracle:
-        column = _pooled(oracle, checked)
+        column = _oracle_column(oracle, checked)
     header = ["n", "formula"] + (["oracle", "agree"] if args.oracle else [])
     rows: list[dict[str, object]] = []
     try:
@@ -445,7 +374,7 @@ def cmd_count(args: argparse.Namespace) -> int:
                                for key in header))
     finally:
         if column is not None:
-            column.close()  # stdout closed early: stop the workers now
+            column.close()  # stdout closed early: stop the child now
     if refusal is not None:
         raise refusal
     if args.format == "json":
@@ -478,8 +407,8 @@ class Sweep:
         return 1 if self.failures else 0
 
 
-# A verify target returns one block per value of its outer loop; a
-# block yields that value's (label, expected, got) rows.  cmd_verify
+# A verify target returns one block per value of its outer loop, in a
+# list or, where the values are many, an iterator; a block yields that value's (label, expected, got) rows.  cmd_verify
 # checks the rows one by one, in order, in a single Sweep, and flushes
 # stdout after each block, so that a block reaches a pipe once checked.
 Row = tuple[str, object, object]
@@ -494,15 +423,20 @@ def verify_weiner(args: argparse.Namespace) -> list[Block]:
     return [partial(rows, k) for k in range(2, args.kmax + 1)]
 
 
-def verify_theorem34(args: argparse.Namespace) -> list[Block]:
+def verify_theorem34(args: argparse.Namespace) -> Iterator[Block]:
     def rows(sigma: Perm) -> Iterator[Row]:
         name = format_permutation(sigma)
         for n in range(1, args.max_n + 1):
             yield (f"sigma={name} n={n}",
                    count_avoiders_closed_form(n, sigma),
                    count_avoiders_by_scan(n, sigma))
-    return [partial(rows, sigma) for size in range(3, args.max_size + 1)
-            for sigma in one_descent_patterns(size)]
+    # one_descent_patterns(size), one pattern at a time: each walk skips
+    # its first member, the identity, and all are made here, so that a
+    # size above the cap is refused before any row
+    walks = [enumerate_grassmannian(size)
+             for size in range(3, args.max_size + 1)]
+    return (partial(rows, sigma) for walk in walks
+            for sigma in islice(walk, 1, None))
 
 
 def verify_prop21(args: argparse.Namespace) -> list[Block]:
@@ -544,9 +478,14 @@ def verify_prop31(args: argparse.Namespace) -> list[Block]:
 
 def verify_prop41(args: argparse.Namespace) -> list[Block]:
     def rows(n: int) -> Iterator[Row]:
-        paths = list(enumerate_grassmannian_paths(n))
-        yield (f"path count n={n}", count_grassmannian(n), len(paths))
-        image = sorted(path_to_permutation(p) for p in paths)
+        # the image row holds the size-n family twice and prints it: a
+        # peak RSS of 172 MB at n = 18, which doubles with each size
+        if n > 18:
+            raise ValueError("verify prop41 holds each size's family in"
+                             f" memory, so its sizes end at 18, got {n}")
+        image = sorted(map(path_to_permutation,
+                           enumerate_grassmannian_paths(n)))
+        yield (f"path count n={n}", count_grassmannian(n), len(image))
         yield (f"image n={n}", list(enumerate_grassmannian(n)), image)
     return [partial(rows, n) for n in range(1, args.max_n + 1)]
 
@@ -635,7 +574,7 @@ def verify_prop53(args: argparse.Namespace) -> list[Block]:
 
 # target -> (blocks, one-line description, defaults of unset flags)
 VERIFY_TARGETS: dict[str, tuple[Callable[[argparse.Namespace],
-                                         list[Block]], str,
+                                         Iterable[Block]], str,
                                 dict[str, int]]] = {
     "weiner": (verify_weiner,
                "finite-class walk counts equal the alternating-sum formula",

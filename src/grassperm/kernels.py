@@ -17,8 +17,9 @@ from collections import defaultdict
 
 from grassperm.perms import check_size, descent_positions
 
-# Size guard, kept from the exhaustive scans of 2^26 subsets that
-# these counters replace, so that callers see the same domain.
+# Size guard of every counter here.  The counters are polynomial, so it
+# bounds the cost of the sizes a user can type: count rows, verify
+# weiner and prop31 --kmax, verify prop22 and theorem34 --max-n.
 MAX_SCAN_SIZE = 26
 
 

@@ -123,9 +123,10 @@ def count_avoiders_closed_form(n: int, sigma: Sequence[int]) -> int:
 @lru_cache(maxsize=None)
 def finite_class_count(m: int, k: int) -> int:
     """Members of the size-m family with no rising subsequence of
-    length k, counted by the kernels' lattice-walk DP at every size up
-    to kernels.MAX_SCAN_SIZE; finite_class_formula is the closed form
-    it checks.
+    length k, counted by the kernels' lattice-walk DP in time
+    polynomial in m; kernels.MAX_SCAN_SIZE bounds m, and so the cost
+    of the count rows and verify --kmax sweeps that call it.
+    finite_class_formula is the closed form it checks.
 
     >>> [finite_class_count(m, 4) for m in range(1, 8)]
     [1, 2, 5, 11, 10, 5, 0]

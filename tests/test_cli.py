@@ -1,5 +1,6 @@
 """End-to-end tests for the grassperm command line."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -11,6 +12,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,7 @@ from grassperm.parity import odd_count
 from grassperm.patterns import (
     finite_class_count,
     finite_class_formula,
+    one_descent_patterns,
     weiner_formula,
 )
 from grassperm.perms import format_permutation, inverse, inversion_count
@@ -350,21 +353,21 @@ def test_count_oracle_refuses_caps_above_the_ceiling(capsys):
 
 
 def use_workers(monkeypatch, workers):
-    """Run the pool on this many workers, forked before the first task,
-    also on a machine with fewer cores."""
+    """Let the oracle column see this many usable cores, also on a
+    machine with fewer: on two or more it forks a child for its last
+    row."""
     monkeypatch.setattr(cli, "_usable_cores", lambda: workers)
-    monkeypatch.setattr(cli, "POOL_AFTER_S", 0)
 
 
 @pytest.fixture
 def two_workers(monkeypatch):
-    """The forked pool with two workers, also on one core."""
+    """The oracle column with its forked child, also on one core."""
     use_workers(monkeypatch, 2)
 
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The pids of the workers forked during the test."""
+    """The pids of the children forked during the test."""
     pids = []
     fork = os.fork
 
@@ -400,7 +403,7 @@ def test_forked_oracle_column_matches_in_process(capsys, monkeypatch, argv):
 
 def test_patched_oracles_fail_in_forked_workers(capsys, monkeypatch,
                                                 two_workers):
-    # a worker is forked from the patched process, so a wrong oracle
+    # the child is forked from the patched process, so a wrong oracle
     # must show as it does in-process
     monkeypatch.setitem(cli.MEMBER_COUNTS, "odd",
                         (odd_count, lambda p: 1 - inversion_count(p) % 2))
@@ -473,15 +476,15 @@ def test_forked_column_raises_the_first_error_in_row_order(
 
 def test_forked_column_drops_sizes_above_a_refusal(capsys, two_workers,
                                                    forks):
-    # the workers are forked once per command, so each refused size
-    # costs one pipe round trip, not one fork
+    # the child is forked once per command, for the last size, so the
+    # sizes above a refusal cost no fork and no wait
     start = time.perf_counter()
     code, out, err = run(capsys, "count", "grassmannian", "--n", "26..1000",
                          "--oracle")
     assert time.perf_counter() - start < 0.5
     assert (code, out) == (2, "")
     assert err.startswith("error: size 26 exceeds the enumeration cap 25;")
-    assert len(forks) <= 2
+    assert len(forks) == 1
     forks.clear()
     start = time.perf_counter()
     code, out, err = run(capsys, "count", "finite-class", "--k", "4",
@@ -494,36 +497,47 @@ def test_forked_column_drops_sizes_above_a_refusal(capsys, two_workers,
     assert (code, out) == (2, "n,formula,oracle,agree\n" + rows)
     assert err == (f"error: scan size {kernels.MAX_SCAN_SIZE + 1} outside"
                    f" 1..{kernels.MAX_SCAN_SIZE}\n")
-    assert len(forks) <= 2
+    assert len(forks) == 1
 
 
 def test_failed_worker_stops_the_column(capsys, monkeypatch, two_workers):
-    # the size-16 worker fails at its first member while the size-15
-    # one is stuck; it must be killed, not waited for
+    # the child computes size 8 and dies at its first member without a
+    # reply: the rows before it print, then the column fails
     def broken(p):
-        if len(p) == 16:
+        if len(p) == 8:
             raise TypeError("not a weight")
-        if p == tuple(range(1, 16)):
-            time.sleep(20)
         return inversion_count(p) % 2
     monkeypatch.setitem(cli.MEMBER_COUNTS, "odd", (odd_count, broken))
-    start = time.perf_counter()
-    with pytest.raises(RuntimeError, match="oracle worker for n=16 failed"):
-        cli.main(["count", "odd", "--n", "1..16", "--oracle"])
-    assert time.perf_counter() - start < 10
-    # the two workers took sizes 16 and 15 first, so no row before the
-    # failure was computed, and none is printed
-    assert capsys.readouterr().out == ""
-    # every worker was reaped, the one still running included
+    with pytest.raises(RuntimeError, match="oracle worker for n=8 failed"):
+        cli.main(["count", "odd", "--n", "1..8", "--oracle"])
+    rows = "".join(f"{n},{odd_count(n)},{odd_count(n)},true\n"
+                   for n in range(1, 8))
+    assert capsys.readouterr().out == "n,formula,oracle,agree\n" + rows
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+    # a row that fails in-process stops the child, which is killed, not
+    # waited for
+    def stuck(p):
+        if p == tuple(range(1, 17)):
+            time.sleep(20)
+        if len(p) == 3:
+            raise TypeError("not a weight")
+        return inversion_count(p) % 2
+    monkeypatch.setitem(cli.MEMBER_COUNTS, "odd", (odd_count, stuck))
+    start = time.perf_counter()
+    with pytest.raises(TypeError, match="not a weight"):
+        cli.main(["count", "odd", "--n", "1..16", "--oracle"])
+    assert time.perf_counter() - start < 10
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
     # as a command: exit 1, a traceback, and on stdout the rows before
-    # the failed one, which the other worker computed meanwhile
+    # the failed one
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, time; from grassperm import cli\n"
          "cli._usable_cores = lambda: 2\n"
-         "cli.POOL_AFTER_S = 0\n"
          "def weight(p):\n"
          "    if len(p) == 8:\n"
          "        time.sleep(1)\n"
@@ -532,8 +546,6 @@ def test_failed_worker_stops_the_column(capsys, monkeypatch, two_workers):
          "cli.MEMBER_COUNTS['odd'] = (cli.odd_count, weight)\n"
          "sys.exit(cli.main(['count', 'odd', '--n', '1..8', '--oracle']))"],
         capture_output=True, text=True, timeout=60, env=module_env())
-    rows = "".join(f"{n},{odd_count(n)},{odd_count(n)},true\n"
-                   for n in range(1, 8))
     assert (proc.returncode, proc.stdout) == (
         1, "n,formula,oracle,agree\n" + rows)
     assert "TypeError" in proc.stderr and "RuntimeError" in proc.stderr
@@ -544,7 +556,7 @@ def test_oracle_column_in_process_without_workers(capsys, monkeypatch):
     assert cli._usable_cores() >= 1
 
     def refuse():
-        raise AssertionError("forked a worker")
+        raise AssertionError("forked a child")
     header = "n,formula,oracle,agree\n"
     rows = "".join(f"{n},{2 ** n - n},{2 ** n - n},true\n"
                    for n in range(1, 7))
@@ -560,42 +572,43 @@ def test_oracle_column_in_process_without_workers(capsys, monkeypatch):
                "--oracle")[:2] == (0, header + rows)
 
 
-def test_pool_forks_after_its_in_process_head(capsys, monkeypatch, forks):
-    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
-    # tasks that stay within POOL_AFTER_S in all fork nothing
-    monkeypatch.setattr(cli, "POOL_AFTER_S", 3600)
-    expected = run(capsys, "count", "odd", "--n", "1..6", "--oracle")
-    assert expected[0] == 0 and forks == []
+def test_only_the_last_row_is_computed_in_the_child(capsys, monkeypatch,
+                                                   two_workers):
+    # a weight that reads -1 outside this process marks the rows the
+    # child computed: the last one, and for its own size
+    parent = os.getpid()
 
-    # a slow first row runs in-process, and the rows after it on workers
-    def slow_at_one(p):
-        if len(p) == 1:
-            time.sleep(2 * cli.POOL_AFTER_S)
-        return inversion_count(p) % 2
-    monkeypatch.setattr(cli, "POOL_AFTER_S", 0.05)
-    monkeypatch.setitem(cli.MEMBER_COUNTS, "odd", (odd_count, slow_at_one))
-    assert run(capsys, "count", "odd", "--n", "1..6", "--oracle") == expected
-    assert len(forks) == 2
+    def here(p):
+        return inversion_count(p) % 2 if os.getpid() == parent else -1
+    monkeypatch.setitem(cli.MEMBER_COUNTS, "odd", (odd_count, here))
+    code, out, _ = run(capsys, "count", "odd", "--n", "2..9", "--oracle")
+    assert code == 1
+    assert out.splitlines()[1:] == [
+        f"{n},{odd_count(n)},{odd_count(n)},true" for n in range(2, 9)] + [
+        f"9,{odd_count(9)},{9 - 2 ** 9},false"]
 
 
-def test_pool_forks_at_most_one_worker_per_task_and_core(
-        capsys, monkeypatch, forks):
-    use_workers(monkeypatch, 3)
-    # count forks one worker per oracle row and core; verify checks its
-    # blocks in-process and forks none
-    for argv, workers in ((["count", "grassmannian", "--n", "1..2",
-                            "--oracle"], 2),
-                          (["count", "grassmannian", "--n", "1..9",
-                            "--oracle"], 3),
-                          (["verify", "prop22", "--max-n", "2"], 0),
-                          (["verify", "prop53", "--max-n", "8"], 0)):
+def test_count_forks_at_most_once_and_verify_never(capsys, monkeypatch,
+                                                   forks):
+    # count forks one child when it has two or more oracle rows and two
+    # or more cores; verify checks its blocks in-process
+    for cores, argv, forked in (
+            (3, ["count", "grassmannian", "--n", "1..2", "--oracle"], 1),
+            (3, ["count", "grassmannian", "--n", "1..12", "--oracle"], 1),
+            (3, ["count", "grassmannian", "--n", "9", "--oracle"], 0),
+            (1, ["count", "grassmannian", "--n", "1..12", "--oracle"], 0),
+            (3, ["count", "grassmannian", "--n", "1..12"], 0),
+            (3, ["verify", "prop22", "--max-n", "2"], 0),
+            (3, ["verify", "prop53", "--max-n", "8"], 0)):
+        use_workers(monkeypatch, cores)
         forks.clear()
         assert run(capsys, *argv)[0] == 0, argv
-        assert len(forks) == workers, argv
+        assert len(forks) == forked, argv
 
 
-# runs a command with the pool forced to fork; reports each worker's
-# pid on stderr as it is forked, and whether any child is left unreaped.
+# runs a command on the given number of usable cores; reports the pid
+# of each child on stderr as it is forked, and whether any child is left
+# unreaped.
 # With SLOW_N14 set, the enumeration oracle sleeps for a minute at
 # n = 14.
 POOLED_COMMAND = (
@@ -603,7 +616,6 @@ POOLED_COMMAND = (
     "from grassperm import cli\n"
     "workers, argv = int(sys.argv[1]), sys.argv[2:]\n"
     "cli._usable_cores = lambda: workers\n"
-    "cli.POOL_AFTER_S = 0\n"
     "fork = os.fork\n"
     "def announced():\n"
     "    pid = fork()\n"
@@ -627,20 +639,20 @@ POOLED_COMMAND = (
 
 
 def pool_cases(count_argv, verify_argv):
-    """Cases (argv, usable cores, workers forked): the count command on
-    one and two cores, and the verify command, which forks nothing, on
-    two."""
+    """Cases (argv, usable cores, children forked): the count command on
+    one core, which forks nothing, and on two, which forks one child for
+    its last row, and the verify command, which forks nothing, on two."""
     return [pytest.param(argv, workers, forked,
                          id=f"{' '.join(argv)}-{workers}")
             for argv, workers, forked in ((count_argv, 1, 0),
-                                          (count_argv, 2, 2),
+                                          (count_argv, 2, 1),
                                           (verify_argv, 2, 0))]
 
 
 def into_a_closed_pipe(options, workers, argv):
-    """Run the pooled command into a pipe whose reader has gone: it must
-    exit 1 with no traceback and leave no worker behind.  Return how
-    many workers it forked."""
+    """Run the command into a pipe whose reader has gone: it must exit 1
+    with no traceback and leave no child behind.  Return how many
+    children it forked."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -670,8 +682,8 @@ def test_forked_sweep_into_a_closed_pipe(workers):
     ["verify", "thm51"]))
 def test_buffered_output_into_a_closed_pipe(argv, workers, forked):
     # buffered, as a user runs it: the flush after the first row or
-    # block meets the closed pipe, on two workers while the largest row
-    # is still computed, so no summary reaches stderr
+    # block meets the closed pipe, on two cores while the child still
+    # computes the last row, so no summary reaches stderr
     assert into_a_closed_pipe([], workers, argv) == forked
 
 
@@ -743,7 +755,7 @@ def test_sweep_stops_its_workers_when_stdout_fails(monkeypatch, two_workers):
         args = cli.build_parser().parse_args(argv)
         with pytest.raises(BrokenPipeError) as caught:
             args.run(args)
-        # the traceback still holds the command's frame, yet no worker
+        # the traceback still holds the command's frame, yet no child
         # is left
         assert caught.traceback, argv
         with pytest.raises(ChildProcessError):
@@ -762,6 +774,7 @@ def running(pid):
     ["count", "grassmannian", "--n", "1..22", "--oracle"],
 ], ids=" ".join)
 def test_sigterm_stops_the_workers(argv):
+    # the command stops at n = 14 while its child computes n = 22
     env = dict(module_env(), SLOW_N14="1")
     with subprocess.Popen(
             [sys.executable, "-c", POOLED_COMMAND, "2", *argv],
@@ -769,7 +782,7 @@ def test_sigterm_stops_the_workers(argv):
             env=env) as proc:
         try:
             start = time.monotonic()
-            pids = [int(proc.stderr.readline().split()[1]) for _ in range(2)]
+            pids = [int(proc.stderr.readline().split()[1])]
             time.sleep(max(0.0, 1 - (time.monotonic() - start)))
             proc.send_signal(signal.SIGTERM)
             proc.wait(timeout=10)
@@ -815,8 +828,7 @@ VERIFY_SMALL = [
 @pytest.mark.parametrize("target,flags", VERIFY_SMALL,
                          ids=[t for t, _ in VERIFY_SMALL])
 def test_verify_targets(capsys, monkeypatch, forks, target, flags):
-    # the blocks are checked in-process, however many cores the pool
-    # could use
+    # the blocks are checked in-process, however many cores there are
     use_workers(monkeypatch, 3)
     code, out, err = run(capsys, "verify", target, *flags)
     assert forks == []
@@ -893,6 +905,58 @@ def test_sweep_streams_rows_before_a_refusal(capsys):
     assert out.splitlines()[-1] == (
         f"ok   rising k=15 m=26: {weiner_formula(26, 15)}")
     assert err.startswith("error: ")
+
+
+def test_theorem34_makes_its_blocks_one_pattern_at_a_time(capsys):
+    # in the order of one_descent_patterns, without listing them first,
+    # so that memory stays flat however large --max-size is
+    args = argparse.Namespace(max_size=6, max_n=2)
+    assert [block.args[0] for block in cli.verify_theorem34(args)] == [
+        sigma for size in range(3, 7) for sigma in one_descent_patterns(size)]
+    args.max_size = 16
+    tracemalloc.start()
+    try:
+        first = list(next(iter(cli.verify_theorem34(args)))())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == [("sigma=132 n=1", 1, 1), ("sigma=132 n=2", 2, 2)]
+    assert peak < 256 * 1024
+    # a size above the enumeration cap is refused before any row
+    code, out, err = run(capsys, "verify", "theorem34", "--max-size", "26",
+                         "--max-n", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: size 26 exceeds the enumeration cap 25;")
+
+
+def test_prop41_refuses_sizes_above_18(capsys, monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(n):
+        raise Reached
+    # n = 18 is checked; n = 19 is refused before any work
+    blocks = cli.verify_prop41(argparse.Namespace(max_n=19))
+    monkeypatch.setattr(cli, "enumerate_grassmannian_paths", reached)
+    with pytest.raises(Reached):
+        next(blocks[17]())
+    with pytest.raises(ValueError, match="sizes end at 18, got 19"):
+        next(blocks[18]())
+    # as a command, with a one-member family at each size so that the
+    # rows are cheap: the rows up to 18 print, then the refusal
+    monkeypatch.setattr(cli, "enumerate_grassmannian_paths",
+                        lambda n: iter([(n,)]))
+    monkeypatch.setattr(cli, "enumerate_grassmannian",
+                        lambda n: iter([(n,)]))
+    monkeypatch.setattr(cli, "path_to_permutation", lambda path: path)
+    monkeypatch.setattr(cli, "count_grassmannian", lambda n: 1)
+    code, out, err = run(capsys, "verify", "prop41", "--max-n", "30")
+    assert code == 2
+    assert out.splitlines()[-2:] == ["ok   path count n=18: 1",
+                                     "ok   image n=18: [(18,)]"]
+    assert len(out.splitlines()) == 36
+    assert err == ("error: verify prop41 holds each size's family in"
+                   " memory, so its sizes end at 18, got 19\n")
 
 
 def test_weiner_rows_check_the_cli_formula(capsys, monkeypatch):
@@ -1097,7 +1161,6 @@ def test_cli_does_not_import_dataclasses():
         [sys.executable, "-c",
          "import sys; from grassperm import cli\n"
          "cli._usable_cores = lambda: 2\n"
-         "cli.POOL_AFTER_S = 0\n"
          "cli.main(['count', 'grassmannian', '--n', '1..6', '--oracle'])\n"
          "print([m for m in ('multiprocessing', 'concurrent.futures')"
          " if m in sys.modules])"],
