@@ -35,6 +35,7 @@ from grassperm.grassmann import (
     enumerate_grassmannian,
     enumerate_involutions,
     grassmannian_lines,
+    inverse_is_grassmannian,
     is_bigrassmannian,
     is_grassmannian,
     sole_descent,

@@ -129,7 +129,8 @@ def dip_pairs(p: Sequence[int]) -> tuple[tuple[int, int], ...]:
     """Pairs of positions (i, j) with i < j and p(i) = p(j) + 1.
 
     Dips play the role of descents under inversion: p has as many dips
-    as inverse(p) has descents.
+    as inverse(p) has descents.  grassmann.inverse_is_grassmannian
+    tests for at most one dip without listing them.
 
     >>> dip_pairs((2, 4, 1, 3))
     ((1, 3), (2, 4))

@@ -16,6 +16,7 @@ from grassperm.grassmann import (
     enumerate_grassmannian,
     enumerate_involutions,
     grassmannian_lines,
+    inverse_is_grassmannian,
     is_bigrassmannian,
     is_grassmannian,
     sole_descent,
@@ -27,6 +28,7 @@ from grassperm.perms import (
     identity,
     inverse,
     is_involution,
+    is_permutation,
 )
 
 
@@ -36,6 +38,48 @@ def test_is_grassmannian():
     assert is_grassmannian(identity(7))
     assert not is_grassmannian((3, 1, 4, 2))
     assert not is_grassmannian((3, 2, 1))
+
+
+def test_inverse_test_matches_the_inverse_on_all_small_permutations():
+    for n in range(9):
+        for p in itertools.permutations(range(1, n + 1)):
+            assert inverse_is_grassmannian(p) == is_grassmannian(inverse(p))
+
+
+def test_inverse_test_matches_the_inverse_on_the_family():
+    # every member the count --oracle weights see, up to size 14
+    for n in range(1, 15):
+        passed = 0
+        for p in enumerate_grassmannian(n):
+            expected = is_grassmannian(inverse(p))
+            assert inverse_is_grassmannian(p) == expected
+            passed += expected
+        assert passed == count_bigrassmannian(n)
+
+
+def test_inverse_test_falls_back_above_size_255():
+    n = 300
+    shuffle = tuple(range(2, n + 1, 2)) + tuple(range(1, n + 1, 2))
+    assert not is_grassmannian(inverse(shuffle))
+    assert not inverse_is_grassmannian(shuffle)
+    # the inverse of a family member is a shuffle of two runs
+    member = inverse(tuple(range(151, n + 1)) + tuple(range(1, 151)))
+    assert is_grassmannian(inverse(member))
+    assert inverse_is_grassmannian(member)
+    assert inverse_is_grassmannian(identity(n))
+    assert not inverse_is_grassmannian((1,) * n)
+
+
+def test_inverse_test_refuses_non_permutations():
+    for values in [(1, 1), (0, 1), (2, 3), (1, 2, 2), (0,), (2, 1, 1),
+                   (1, 200), (1, 256), (-1, 2), (1.0, 2)]:
+        assert not inverse_is_grassmannian(values)
+        assert not is_bigrassmannian(values)
+    # every sequence of small values, out-of-range ones included
+    for n in range(5):
+        for values in itertools.product(range(n + 3), repeat=n):
+            assert inverse_is_grassmannian(values) == (
+                is_permutation(values) and is_grassmannian(inverse(values)))
 
 
 def test_sole_descent():

@@ -9,7 +9,11 @@ from grassperm.dyck import (
     path_to_permutation,
     permutation_to_path,
 )
-from grassperm.grassmann import is_grassmannian, sole_descent
+from grassperm.grassmann import (
+    inverse_is_grassmannian,
+    is_grassmannian,
+    sole_descent,
+)
 from grassperm.parity import extend_to_even_size, extend_to_odd_size
 from grassperm.patterns import contains_pattern
 from grassperm.perms import (
@@ -72,6 +76,15 @@ def test_inverse_invariants(p):
     q = inverse(p)
     assert inverse(q) == p
     assert inversion_count(q) == inversion_count(p)
+
+
+@given(st.one_of(
+    st.integers(0, 40).flatmap(
+        lambda n: st.permutations(range(1, n + 1))).map(tuple),
+    # inverses of members, where the test is true
+    grassmannian_members(max_size=40).map(inverse)))
+def test_inverse_test_matches_the_inverse(p):
+    assert inverse_is_grassmannian(p) == is_grassmannian(inverse(p))
 
 
 @given(grassmannian_members())
