@@ -34,6 +34,7 @@ from grassperm.grassmann import (
     count_union_with_inverse,
     enumerate_grassmannian,
     enumerate_involutions,
+    grassmannian_blocks,
     grassmannian_lines,
     inverse_is_grassmannian,
     is_bigrassmannian,
@@ -52,6 +53,7 @@ from grassperm.patterns import (
     weiner_formula,
 )
 from grassperm.dyck import (
+    dyck_path_blocks,
     enumerate_dyck_paths,
     enumerate_grassmannian_paths,
     is_grassmannian_path,

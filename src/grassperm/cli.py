@@ -11,7 +11,9 @@ the output was written (a broken pipe, as under "| head"), 2 invalid
 input.
 Data goes to stdout; counts and progress notes go to stderr.  Into a
 pipe, count writes each CSV or b-file row and verify each block as
-soon as it is checked, enum 4096 lines at a time, the rest at exit.
+soon as it is checked, enum grassmannian and enum dyck a subtree of
+their walk per write (at most a few hundred lines), its other
+families and its JSON 4096 lines at a time, the rest at exit.
 count --oracle computes its last row, about half its work, in one
 forked child process while it computes the other rows in-process.
 """
@@ -29,6 +31,7 @@ from typing import NoReturn
 
 from grassperm import kernels
 from grassperm.dyck import (
+    dyck_path_blocks,
     enumerate_dyck_paths,
     enumerate_grassmannian_paths,
     max_height,
@@ -46,6 +49,7 @@ from grassperm.grassmann import (
     count_union_with_inverse,
     enumerate_grassmannian,
     enumerate_involutions,
+    grassmannian_blocks,
     grassmannian_lines,
     inverse_is_grassmannian,
     is_bigrassmannian,
@@ -101,9 +105,20 @@ def parse_range(text: str) -> range:
 
 # ---------------------------------------------------------------- enum
 
-# enum writes its output this many lines at a time, so that its memory
-# stays bounded however large the family is
+# enum writes the families that come as items this many lines at a time,
+# so that its memory stays bounded however large the family is
 ENUM_CHUNK_LINES = 4096
+
+
+def _write_blocks(blocks: Iterable[str]) -> int:
+    """Write text made of whole lines to stdout a block at a time;
+    return how many lines."""
+    write = sys.stdout.write
+    count = 0
+    for block in blocks:
+        write(block)
+        count += block.count("\n")
+    return count
 
 
 def _write_stream(items: Iterable[str], as_json: bool) -> int:
@@ -133,31 +148,43 @@ def _write_stream(items: Iterable[str], as_json: bool) -> int:
 def cmd_enum(args: argparse.Namespace) -> int:
     n = args.n
     cap = args.cap
+    as_json = args.format == "json"
+    # the two walks write their lines as text, a subtree per block
+    if args.family == "grassmannian" and not as_json:
+        count = _write_blocks(grassmannian_blocks(n, cap=cap))
+    elif args.family == "dyck" and not as_json:
+        count = _write_blocks(dyck_path_blocks(
+            n, grassmannian_only=args.grassmannian_only, cap=cap))
+    else:
+        count = _write_stream(_enum_items(args), as_json)
+    print(f"count: {count}", file=sys.stderr)
+    return 0
+
+
+def _enum_items(args: argparse.Namespace) -> Iterable[str]:
+    """The lines of cmd_enum's output, one string per member."""
+    n = args.n
+    cap = args.cap
     if args.family == "avoiders":
         if args.pattern is None:
             raise ValueError("enum avoiders needs --pattern")
         sigma = parse_permutation(args.pattern)
-        items: Iterable[str] = (
-            format_permutation(p) for p in enumerate_avoiders(n, sigma, cap=cap))
-    elif args.family == "grassmannian":
-        items = grassmannian_lines(n, cap=cap)
-    elif args.family == "bigrassmannian":
-        items = (format_permutation(p)
-                 for p in enumerate_grassmannian(n, cap=cap)
-                 if is_bigrassmannian(p))
-    elif args.family == "involutions":
-        items = (format_permutation(p)
-                 for p in enumerate_involutions(n, cap=cap))
-    elif args.family == "dyck":
+        return (format_permutation(p)
+                for p in enumerate_avoiders(n, sigma, cap=cap))
+    if args.family == "grassmannian":
+        return grassmannian_lines(n, cap=cap)
+    if args.family == "bigrassmannian":
+        return (format_permutation(p)
+                for p in enumerate_grassmannian(n, cap=cap)
+                if is_bigrassmannian(p))
+    if args.family == "involutions":
+        return (format_permutation(p)
+                for p in enumerate_involutions(n, cap=cap))
+    if args.family == "dyck":
         walk = (enumerate_grassmannian_paths if args.grassmannian_only
                 else enumerate_dyck_paths)
-        items = walk(n, cap=cap)
-    else:  # schroder
-        items = enumerate_uudd_avoiding(n, cap=cap)
-
-    count = _write_stream(items, args.format == "json")
-    print(f"count: {count}", file=sys.stderr)
-    return 0
+        return walk(n, cap=cap)
+    return enumerate_uudd_avoiding(n, cap=cap)  # schroder
 
 
 # ---------------------------------------------------------------- count

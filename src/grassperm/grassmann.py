@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from functools import cache
-from itertools import islice
+from itertools import chain, islice
 from math import comb
 from operator import add, gt
 
@@ -21,11 +21,9 @@ from grassperm.perms import (
     check_cap,
     check_size,
     descent_positions,
-    direct_sum,
     identity,
     inverse,
     shown,
-    skew_sum,
 )
 
 
@@ -112,11 +110,14 @@ TAIL_VALUES = 8
 
 
 def _rising_prefix_walk(n: int, atoms: Sequence,
-                        firsts: Sequence | None = None) -> Iterator:
+                        firsts: Sequence | None = None, *,
+                        blocks: bool = False) -> Iterator:
     """Every member of the size-n family, built from atoms[1..n], in
     lexicographic order; a member's first value v is firsts[v]
     (atoms[v] by default), so that atoms may carry a separator before
-    their value.
+    their value.  With blocks, the atoms are strings and the walk
+    yields text instead: the members, each followed by a newline, in
+    one string per subtree below.
 
     Each node of the walk is a rising prefix S, with last = max S: the
     member whose first rising block is S is the prefix, then low (the
@@ -137,10 +138,13 @@ def _rising_prefix_walk(n: int, atoms: Sequence,
                       + [gaps[last][v] + c  for v > last, c in rests[v]]
 
     built once per call for last >= n - TAIL_VALUES only, so each has
-    at most 2^TAIL_VALUES entries whatever n is.  Such a subtree is
-    emitted by map, three concatenations in C per member; only the
-    nodes above those tails are visited one at a time, and the walk
-    streams in memory bounded by the tables and its stack.
+    at most 2^TAIL_VALUES entries whatever n is.  Member by member,
+    such a subtree is emitted by map, three concatenations in C per
+    member.  As a block it is P, then the pairs (Q, C), each joined by
+    L, joined in turn by a newline and P, then a newline: one join in
+    C and no string per member.  Only the nodes above those tails are
+    visited one at a time, and the walk streams in memory bounded by
+    the tables and its stack.
     """
     empty = atoms[0]
     tails = [empty] * (n + 1)        # tails[v]: the values above v
@@ -160,6 +164,10 @@ def _rising_prefix_walk(n: int, atoms: Sequence,
         rests[last] = [tails[last]] + [gaps[last][v] + c
                                        for v in range(last + 1, n + 1)
                                        for c in rests[v]]
+    # ends[v]: the rest of a member whose prefix ends at v, newline
+    # included when the walk writes text
+    ends = [tail + "\n" for tail in tails] if blocks else tails
+    pairs = [list(zip(h, r)) for h, r in zip(heads, rests)] if blocks else []
     # the root, the empty prefix, has only its children to give
     firsts = atoms if firsts is None else firsts
     stack = [(firsts[v], gaps[0][v], v) for v in range(n, 0, -1)]
@@ -167,11 +175,16 @@ def _rising_prefix_walk(n: int, atoms: Sequence,
     while stack:
         prefix, low, last = pop()
         if low and last >= base:
-            yield from map(add, map(prefix.__add__, heads[last]),
-                           map(low.__add__, rests[last]))
+            if blocks:
+                # low.join((q, c)) is q + low + c
+                members = map(low.join, pairs[last])
+                yield prefix + ("\n" + prefix).join(members) + "\n"
+            else:
+                yield from map(add, map(prefix.__add__, heads[last]),
+                               map(low.__add__, rests[last]))
             continue
         if low or last == n:
-            yield prefix + low + tails[last]
+            yield prefix + low + ends[last]
         below = gaps[last]
         for v in range(n, last, -1):
             push((prefix + atoms[v], low + below[v], v))
@@ -206,14 +219,31 @@ def grassmannian_lines(n: int, *, cap: int | None = None) -> Iterator[str]:
     >>> next(grassmannian_lines(10))
     '1,2,3,4,5,6,7,8,9,10'
     """
+    return _line_walk(n, cap, blocks=False)
+
+
+def grassmannian_blocks(n: int, *, cap: int | None = None) -> Iterator[str]:
+    """The lines of grassmannian_lines(n), each followed by a newline,
+    as text: one string per completion-table subtree, of at most
+    2^TAIL_VALUES lines, and one per node above the tables.
+
+    >>> list(grassmannian_blocks(3))
+    ['123\\n', '132\\n', '213\\n231\\n', '312\\n']
+    """
+    return _line_walk(n, cap, blocks=True)
+
+
+def _line_walk(n: int, cap: int | None, blocks: bool) -> Iterator[str]:
+    """The walk over format_permutation's strings, after refusing an n
+    or cap that enumerate_grassmannian refuses."""
     check_size(n)
     check_cap(n, cap)
     digits = [""] + [str(v) for v in range(1, n + 1)]
     if n <= 9:
-        return _rising_prefix_walk(n, digits)
+        return _rising_prefix_walk(n, digits, blocks=blocks)
     # a comma goes before every value but the first
     return _rising_prefix_walk(n, [""] + [f",{v}" for v in range(1, n + 1)],
-                               digits)
+                               digits, blocks=blocks)
 
 
 def count_grassmannian(n: int) -> int:
@@ -277,21 +307,26 @@ def count_union_with_inverse(n: int) -> int:
 
 def enumerate_involutions(n: int, *, cap: int | None = None) -> Iterator[Perm]:
     """Self-inverse members of the size-n family, in lexicographic
-    order.
+    order, streamed.
 
     Each one is id_a + (id_b above id_b) + id_c with a + 2b + c = n:
     a flat start, a block of b values swapped with the following b, and
-    a flat finish.  All choices with b = 0 collapse to the identity.
+    a flat finish.  All choices with b = 0 collapse to the identity,
+    which comes first.  The others put a + b + 1 after a fixed points,
+    so a longer flat start comes earlier and, after the same start, a
+    narrower block.
+
+    >>> list(enumerate_involutions(3))
+    [(1, 2, 3), (1, 3, 2), (2, 1, 3)]
     """
     check_size(n)
     check_cap(n, cap)
-    out = {identity(n)}
-    for b in range(1, n // 2 + 1):
-        middle = skew_sum(identity(b), identity(b))
-        for a in range(n - 2 * b + 1):
-            out.add(direct_sum(direct_sum(identity(a), middle),
-                               identity(n - 2 * b - a)))
-    return iter(sorted(out))
+    ident = identity(n)
+    swapped = (ident[:a] + ident[a + b:a + 2 * b] + ident[a:a + b]
+               + ident[a + 2 * b:]
+               for a in range(n - 2, -1, -1)
+               for b in range(1, (n - a) // 2 + 1))
+    return chain((ident,), swapped)
 
 
 def count_involutions(n: int) -> int:

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import os
 import select
 import shlex
@@ -18,7 +19,13 @@ from pathlib import Path
 import pytest
 
 from grassperm import cli, kernels
-from grassperm.grassmann import count_involutions, enumerate_grassmannian
+from grassperm.dyck import dyck_path_blocks
+from grassperm.grassmann import (
+    TAIL_VALUES,
+    count_involutions,
+    enumerate_grassmannian,
+    grassmannian_blocks,
+)
 from grassperm.parity import odd_count
 from grassperm.patterns import (
     finite_class_count,
@@ -114,21 +121,21 @@ class ClosedPipe:
 
 def test_enum_streams_into_a_closed_pipe(monkeypatch):
     pulled = 0
-    lines = cli.grassmannian_lines
+    blocks = cli.grassmannian_blocks
 
     def counted(n, *, cap=None):
         nonlocal pulled
-        for line in lines(n, cap=cap):
-            pulled += 1
-            yield line
+        for block in blocks(n, cap=cap):
+            pulled += block.count("\n")
+            yield block
 
-    monkeypatch.setattr(cli, "grassmannian_lines", counted)
+    monkeypatch.setattr(cli, "grassmannian_blocks", counted)
     with open(os.devnull, "w") as sink:
         monkeypatch.setattr(sys, "stdout", ClosedPipe(sink))
         code = cli.main(["enum", "grassmannian", "--n", "20"])
     assert code == 1
-    # the first chunk fails to write; the walk is not run to its end
-    assert 0 < pulled <= cli.ENUM_CHUNK_LINES < 2 ** 20 - 20
+    # the first block fails to write; the walk is not run to its end
+    assert 0 < pulled <= 2 ** TAIL_VALUES < 2 ** 20 - 20
 
 
 def test_enum_dyck(capsys):
@@ -151,6 +158,15 @@ def test_enum_dyck(capsys):
      "dd184d0f20870e3bd424d73defd589d1a95b167102fbc85d2a893ffded6fe31b"),
     (("dyck", "--n", "11", "--grassmannian-only"), 2037,
      "e7a5cc0e81714597be2ffd72cd10b636b11adeb29f42bc39e6de023dabca8f34"),
+    # the benchmark's commands, and the smallest sizes of each walk
+    (("grassmannian", "--n", "19"), 524269,
+     "d09f20b3885ea53614161d8b4bbad14b1409217671ef4fde996df6ff29ee166e"),
+    (("grassmannian", "--n", "9"), 503,
+     "59916e4020ee39c394286b7791225a89b05e0ec0c53603a237343ee71c70348e"),
+    (("dyck", "--n", "12"), 208012,
+     "d774f72ac6c08023568714e657a511a2da0ab679862e062e5eea722e4e637e70"),
+    (("dyck", "--n", "0"), 1,
+     "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b"),
 ])
 def test_enum_output_is_pinned(capsys, argv, count, digest):
     # digests of what the plain walks, one node at a time, printed: the
@@ -160,6 +176,18 @@ def test_enum_output_is_pinned(capsys, argv, count, digest):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert err == f"count: {count}\n"
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 10, 13])
+def test_enum_counts_the_lines_of_its_blocks(capsys, n):
+    catalan = math.comb(2 * n, n) // (n + 1)
+    for argv, count in ((["grassmannian"], 2 ** n - n),
+                        (["dyck"], catalan),
+                        (["dyck", "--grassmannian-only"], 2 ** n - n)):
+        code, out, err = run(capsys, "enum", *argv, "--n", str(n))
+        assert code == 0
+        assert out.count("\n") == count, argv
+        assert err == f"count: {count}\n", argv
 
 
 def test_enum_schroder(capsys):
@@ -755,12 +783,14 @@ class CountedFlushes(io.StringIO):
 def test_output_is_flushed_at_most_once_per_task(monkeypatch, workers):
     # a flush per line would cost a system call per line
     use_workers(monkeypatch, workers)
-    members = 2 ** 14 - 14
     for argv, tasks in (
             (["count", "odd", "--n", "1..12", "--oracle"], 12),  # rows
             (["verify", "thm51"], 40 + 5),  # blocks: n = 1..40, m = 1..5
-            (["enum", "grassmannian", "--n", "14"],  # chunks
-             -(-members // cli.ENUM_CHUNK_LINES))):
+            # the walks' blocks, one per subtree
+            (["enum", "grassmannian", "--n", "14"],
+             sum(1 for _ in grassmannian_blocks(14))),
+            (["enum", "dyck", "--n", "10"],
+             sum(1 for _ in dyck_path_blocks(10)))):
         out = CountedFlushes()
         monkeypatch.setattr(sys, "stdout", out)
         assert cli.main(argv) == 0, argv

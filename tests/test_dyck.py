@@ -9,6 +9,7 @@ from grassperm.dyck import (
     MAX_PATH_STEPS,
     TAIL_STEPS,
     _dyck_walk,
+    dyck_path_blocks,
     enumerate_dyck_paths,
     enumerate_grassmannian_paths,
     heights,
@@ -145,6 +146,46 @@ def test_walk_matches_the_per_node_reference():
         for most in (1, n):
             assert list(_dyck_walk(n, most)) == list(dyck_walk(n, most)), \
                 (n, most)
+
+
+def test_blocks_are_the_paths_joined():
+    # paths shorter and longer than TAIL_STEPS, so with and without
+    # per-node levels
+    for n in range(0, 14):
+        for most in (1, n):
+            blocks = list(_dyck_walk(n, most, blocks=True))
+            assert "".join(blocks) == "".join(
+                path + "\n" for path in _dyck_walk(n, most)), (n, most)
+            assert all(block.endswith("\n") for block in blocks), (n, most)
+    for n in range(1, 8):
+        assert list(dyck_path_blocks(n, grassmannian_only=True)) == list(
+            _dyck_walk(n, 1, blocks=True))
+        assert list(dyck_path_blocks(n)) == list(_dyck_walk(n, n, blocks=True))
+    assert list(dyck_path_blocks(0)) == ["\n"]
+    with pytest.raises(ValueError):
+        dyck_path_blocks(-1)
+    with pytest.raises(ValueError):
+        dyck_path_blocks(0, grassmannian_only=True)
+    with pytest.raises(ValueError):
+        dyck_path_blocks(26)
+    dyck_path_blocks(30, cap=31)
+
+
+def test_block_walk_memory_is_bounded():
+    # a block is one subtree of at most TAIL_STEPS steps whatever n is
+    for grassmannian_only in (False, True):
+        tracemalloc.start()
+        try:
+            lines = 0
+            for block in dyck_path_blocks(
+                    25, grassmannian_only=grassmannian_only):
+                lines += block.count("\n")
+                if lines >= 50_000:
+                    break
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 768 * 1024, (grassmannian_only, peak)
 
 
 def test_walk_memory_is_bounded_at_every_size():

@@ -15,6 +15,7 @@ from grassperm.grassmann import (
     count_union_with_inverse,
     enumerate_grassmannian,
     enumerate_involutions,
+    grassmannian_blocks,
     grassmannian_lines,
     inverse_is_grassmannian,
     is_bigrassmannian,
@@ -162,6 +163,38 @@ def test_walk_memory_is_bounded_at_every_size():
         assert peak < 768 * 1024, (n, peak)
 
 
+def test_blocks_are_the_lines_joined():
+    # digit strings up to n = 9, commas from n = 10, and sizes below
+    # and above TAIL_VALUES, so with and without per-node levels
+    assert TAIL_VALUES < 14
+    for n in range(1, 15):
+        blocks = list(grassmannian_blocks(n))
+        assert "".join(blocks) == "".join(
+            line + "\n" for line in grassmannian_lines(n)), n
+        assert all(block.endswith("\n") for block in blocks), n
+        assert max(block.count("\n") for block in blocks) <= 2 ** TAIL_VALUES
+    with pytest.raises(ValueError):
+        grassmannian_blocks(0)
+    with pytest.raises(ValueError):
+        grassmannian_blocks(26)
+    grassmannian_blocks(30, cap=31)
+
+
+def test_block_walk_memory_is_bounded():
+    # one block holds at most 2^TAIL_VALUES lines whatever n is
+    tracemalloc.start()
+    try:
+        lines = 0
+        for block in grassmannian_blocks(25):
+            lines += block.count("\n")
+            if lines >= 50_000:
+                break
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 768 * 1024, peak
+
+
 def test_enumeration_small_goldens():
     assert list(enumerate_grassmannian(1)) == [(1,)]
     assert list(enumerate_grassmannian(2)) == [(1, 2), (2, 1)]
@@ -280,12 +313,45 @@ def test_involutions_golden_n6():
         (4, 5, 6, 1, 2, 3)]
 
 
+def sorted_involutions(n):
+    """The members as a set of every choice of (a, b), sorted."""
+    out = {identity(n)}
+    for b in range(1, n // 2 + 1):
+        for a in range(n - 2 * b + 1):
+            out.add(identity(a) + tuple(range(a + b + 1, a + 2 * b + 1))
+                    + tuple(range(a + 1, a + b + 1))
+                    + tuple(range(a + 2 * b + 1, n + 1)))
+    return sorted(out)
+
+
 def test_involutions_match_brute_force():
-    for n in range(1, 11):
+    for n in range(1, 13):
         listed = list(enumerate_involutions(n))
         brute = [p for p in enumerate_grassmannian(n) if is_involution(p)]
-        assert listed == brute
+        assert listed == brute == sorted_involutions(n), n
         assert len(listed) == count_involutions(n)
+    for n in range(13, 26):
+        assert list(enumerate_involutions(n)) == sorted_involutions(n), n
+    with pytest.raises(ValueError):
+        enumerate_involutions(0)
+    with pytest.raises(ValueError):
+        enumerate_involutions(26)
+
+
+def test_involutions_stream():
+    # a set of every member held about 90 MB at this size before the
+    # first one came out; the walk holds one member at a time
+    tracemalloc.start()
+    try:
+        first = list(itertools.islice(enumerate_involutions(300, cap=300),
+                                      10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first[:3] == [identity(300), identity(298) + (300, 299),
+                         identity(297) + (299, 298, 300)]
+    assert len(first) == 10
+    assert peak < 256 * 1024, peak
 
 
 def test_involution_count_closed_forms():
