@@ -35,7 +35,6 @@ from grassperm.grassmann import (
     enumerate_grassmannian,
     enumerate_involutions,
     grassmannian_blocks,
-    grassmannian_lines,
     inverse_is_grassmannian,
     is_bigrassmannian,
     is_grassmannian,

@@ -11,9 +11,10 @@ the output was written (a broken pipe, as under "| head"), 2 invalid
 input.
 Data goes to stdout; counts and progress notes go to stderr.  Into a
 pipe, count writes each CSV or b-file row and verify each block as
-soon as it is checked, enum grassmannian and enum dyck a subtree of
-their walk per write (at most a few hundred lines), its other
-families and its JSON 4096 lines at a time, the rest at exit.
+soon as it is checked, and enum a block of lines per write, in either
+format: a subtree of the walk (at most a few hundred lines) for
+grassmannian and dyck, 4096 lines for its other families.  The rest
+write at exit.
 count --oracle computes its last row, about half its work, in one
 forked child process while it computes the other rows in-process.
 """
@@ -26,13 +27,12 @@ import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 from typing import NoReturn
 
 from grassperm import kernels
 from grassperm.dyck import (
     dyck_path_blocks,
-    enumerate_dyck_paths,
     enumerate_grassmannian_paths,
     max_height,
     parse_dyck_path,
@@ -50,7 +50,6 @@ from grassperm.grassmann import (
     enumerate_grassmannian,
     enumerate_involutions,
     grassmannian_blocks,
-    grassmannian_lines,
     inverse_is_grassmannian,
     is_bigrassmannian,
     sole_descent,
@@ -105,86 +104,67 @@ def parse_range(text: str) -> range:
 
 # ---------------------------------------------------------------- enum
 
-# enum writes the families that come as items this many lines at a time,
-# so that its memory stays bounded however large the family is
+# enum writes the families that come as items this many lines a block,
+# so that its memory does not grow with the number of members
 ENUM_CHUNK_LINES = 4096
 
 
-def _write_blocks(blocks: Iterable[str]) -> int:
-    """Write text made of whole lines to stdout a block at a time;
-    return how many lines."""
+def _write_blocks(blocks: Iterable[str], as_json: bool) -> int:
+    """Write text made of whole lines to stdout a block at a time, as
+    it is or as a JSON list of its lines equal to json.dumps of the
+    whole list; return how many lines."""
     write = sys.stdout.write
     count = 0
-    for block in blocks:
-        write(block)
-        count += block.count("\n")
-    return count
-
-
-def _write_stream(items: Iterable[str], as_json: bool) -> int:
-    """Write the items to stdout, one per line or as a JSON list equal
-    to json.dumps(list(items)), a chunk at a time; return how many."""
-    write = sys.stdout.write
-    items = iter(items)
-    count = 0
+    if not as_json:
+        for block in blocks:
+            write(block)
+            count += block.count("\n")
+        return count
+    # imported here and in cmd_count, so that the commands that print
+    # no JSON skip its 2 ms import
+    import json
+    write("[")
     sep = ""
-    if as_json:
-        # imported here and in cmd_count, so that the commands that
-        # print no JSON skip its 2 ms import
-        import json
-        write("[")
-    while chunk := list(islice(items, ENUM_CHUNK_LINES)):
-        count += len(chunk)
-        if as_json:
-            write(sep + json.dumps(chunk)[1:-1])
-            sep = ", "
-        else:
-            write("\n".join(chunk) + "\n")
-    if as_json:
-        write("]\n")
+    for block in blocks:
+        lines = block.splitlines()
+        write(sep + json.dumps(lines)[1:-1])
+        sep = ", "
+        count += len(lines)
+    write("]\n")
     return count
 
 
 def cmd_enum(args: argparse.Namespace) -> int:
-    n = args.n
-    cap = args.cap
-    as_json = args.format == "json"
-    # the two walks write their lines as text, a subtree per block
-    if args.family == "grassmannian" and not as_json:
-        count = _write_blocks(grassmannian_blocks(n, cap=cap))
-    elif args.family == "dyck" and not as_json:
-        count = _write_blocks(dyck_path_blocks(
-            n, grassmannian_only=args.grassmannian_only, cap=cap))
-    else:
-        count = _write_stream(_enum_items(args), as_json)
+    count = _write_blocks(_enum_blocks(args), args.format == "json")
     print(f"count: {count}", file=sys.stderr)
     return 0
 
 
-def _enum_items(args: argparse.Namespace) -> Iterable[str]:
-    """The lines of cmd_enum's output, one string per member."""
+def _enum_blocks(args: argparse.Namespace) -> Iterator[str]:
+    """cmd_enum's output as text: the two walks' own blocks, one per
+    subtree, and ENUM_CHUNK_LINES members a block for the others."""
     n = args.n
     cap = args.cap
+    if args.family == "grassmannian":
+        return grassmannian_blocks(n, cap=cap)
+    if args.family == "dyck":
+        return dyck_path_blocks(n, grassmannian_only=args.grassmannian_only,
+                                cap=cap)
     if args.family == "avoiders":
         if args.pattern is None:
             raise ValueError("enum avoiders needs --pattern")
         sigma = parse_permutation(args.pattern)
-        return (format_permutation(p)
-                for p in enumerate_avoiders(n, sigma, cap=cap))
-    if args.family == "grassmannian":
-        return grassmannian_lines(n, cap=cap)
-    if args.family == "bigrassmannian":
-        return (format_permutation(p)
-                for p in enumerate_grassmannian(n, cap=cap)
-                if is_bigrassmannian(p))
-    if args.family == "involutions":
-        return (format_permutation(p)
-                for p in enumerate_involutions(n, cap=cap))
-    if args.family == "dyck":
-        walk = (enumerate_grassmannian_paths if args.grassmannian_only
-                else enumerate_dyck_paths)
-        return walk(n, cap=cap)
-    return enumerate_uudd_avoiding(n, cap=cap)  # schroder
+        lines: Iterator[str] = map(format_permutation,
+                                   enumerate_avoiders(n, sigma, cap=cap))
+    elif args.family == "bigrassmannian":
+        members = enumerate_grassmannian(n, cap=cap)
+        lines = map(format_permutation, filter(is_bigrassmannian, members))
+    elif args.family == "involutions":
+        lines = map(format_permutation, enumerate_involutions(n, cap=cap))
+    else:  # schroder
+        lines = enumerate_uudd_avoiding(n, cap=cap)
+    chunks = iter(lambda: list(islice(lines, ENUM_CHUNK_LINES)), [])
+    return ("\n".join(chunk) + "\n" for chunk in chunks)
 
 
 # ---------------------------------------------------------------- count
@@ -434,20 +414,22 @@ class Sweep:
         return 1 if self.failures else 0
 
 
-# A verify target returns one block per value of its outer loop, in a
-# list or, where the values are many, an iterator; a block yields that value's (label, expected, got) rows.  cmd_verify
-# checks the rows one by one, in order, in a single Sweep, and flushes
-# stdout after each block, so that a block reaches a pipe once checked.
+# A verify target returns an iterator of blocks, one per value of its
+# outer loop, made as the sweep reaches them, so that a large bound costs
+# nothing before its first row; a block yields that value's (label,
+# expected, got) rows.  cmd_verify checks the rows one by one, in order,
+# in a single Sweep, and flushes stdout after each block, so that a
+# block reaches a pipe once checked.
 Row = tuple[str, object, object]
 Block = Callable[[], Iterator[Row]]
 
 
-def verify_weiner(args: argparse.Namespace) -> list[Block]:
+def verify_weiner(args: argparse.Namespace) -> Iterator[Block]:
     def rows(k: int) -> Iterator[Row]:
         for m in range(k, 2 * k - 1):
             yield (f"rising k={k} m={m}", weiner_formula(m, k),
                    finite_class_count(m, k))
-    return [partial(rows, k) for k in range(2, args.kmax + 1)]
+    return (partial(rows, k) for k in range(2, args.kmax + 1))
 
 
 def verify_theorem34(args: argparse.Namespace) -> Iterator[Block]:
@@ -466,7 +448,7 @@ def verify_theorem34(args: argparse.Namespace) -> Iterator[Block]:
             for sigma in islice(walk, 1, None))
 
 
-def verify_prop21(args: argparse.Namespace) -> list[Block]:
+def verify_prop21(args: argparse.Namespace) -> Iterator[Block]:
     def rows(n: int) -> Iterator[Row]:
         yield (f"count n={n}", count_bigrassmannian(n),
                brute_count("bigrassmannian", n))
@@ -474,36 +456,36 @@ def verify_prop21(args: argparse.Namespace) -> list[Block]:
             is_bigrassmannian(p) == (not contains_pattern(p, (2, 4, 1, 3)))
             for p in enumerate_grassmannian(n))
         yield (f"2413-avoidance n={n}", True, same_class)
-    return [partial(rows, n) for n in range(1, args.max_n + 1)]
+    return (partial(rows, n) for n in range(1, args.max_n + 1))
 
 
-def verify_prop22(args: argparse.Namespace) -> list[Block]:
+def verify_prop22(args: argparse.Namespace) -> Iterator[Block]:
     def rows(n: int) -> Iterator[Row]:
         yield (f"n={n}", count_union_with_inverse(n),
                kernels.count_sn_avoiding_321_2143(n))
-    return [partial(rows, n) for n in range(1, args.max_n + 1)]
+    return (partial(rows, n) for n in range(1, args.max_n + 1))
 
 
-def verify_prop23(args: argparse.Namespace) -> list[Block]:
+def verify_prop23(args: argparse.Namespace) -> Iterator[Block]:
     def rows(n: int) -> Iterator[Row]:
         listed = list(enumerate_involutions(n))
         brute = list(filter(is_involution, enumerate_grassmannian(n)))
         yield (f"members n={n}", brute, listed)
         yield (f"count n={n}", count_involutions(n), len(listed))
-    return [partial(rows, n) for n in range(1, args.max_n + 1)]
+    return (partial(rows, n) for n in range(1, args.max_n + 1))
 
 
-def verify_prop31(args: argparse.Namespace) -> list[Block]:
+def verify_prop31(args: argparse.Namespace) -> Iterator[Block]:
     def rows(k: int) -> Iterator[Row]:
         yield (f"k={k} m={2 * k - 2}", catalan(k - 1),
                finite_class_count(2 * k - 2, k))
         if k >= 3:
             yield (f"k={k} m={2 * k - 3}", 2 * catalan(k - 1),
                    finite_class_count(2 * k - 3, k))
-    return [partial(rows, k) for k in range(2, args.kmax + 1)]
+    return (partial(rows, k) for k in range(2, args.kmax + 1))
 
 
-def verify_prop41(args: argparse.Namespace) -> list[Block]:
+def verify_prop41(args: argparse.Namespace) -> Iterator[Block]:
     def rows(n: int) -> Iterator[Row]:
         # the image row holds the size-n family twice and prints it: a
         # peak RSS of 172 MB at n = 18, which doubles with each size
@@ -514,12 +496,12 @@ def verify_prop41(args: argparse.Namespace) -> list[Block]:
                            enumerate_grassmannian_paths(n)))
         yield (f"path count n={n}", count_grassmannian(n), len(image))
         yield (f"image n={n}", list(enumerate_grassmannian(n)), image)
-    return [partial(rows, n) for n in range(1, args.max_n + 1)]
+    return (partial(rows, n) for n in range(1, args.max_n + 1))
 
 
 def _verify_path_class(args: argparse.Namespace,
                        keep: Callable[[str, int], bool],
-                       sigma_of: Callable[[int], Perm]) -> list[Block]:
+                       sigma_of: Callable[[int], Perm]) -> Iterator[Block]:
     def rows(k: int, n: int) -> Iterator[Row]:
         sigma = sigma_of(k)
         name = format_permutation(sigma)
@@ -529,25 +511,25 @@ def _verify_path_class(args: argparse.Namespace,
         yield (f"sigma={name} n={n} count",
                count_avoiders_closed_form(n, sigma), len(chosen))
         yield (f"sigma={name} n={n} image", True, image == avoiders)
-    return [partial(rows, k, n) for k in (3, 4, 5)
-            for n in range(1, args.max_n + 1)]
+    return (partial(rows, k, n) for k in (3, 4, 5)
+            for n in range(1, args.max_n + 1))
 
 
-def verify_prop42(args: argparse.Namespace) -> list[Block]:
+def verify_prop42(args: argparse.Namespace) -> Iterator[Block]:
     return _verify_path_class(
         args,
         lambda path, k: peaks_above_height_one(path) <= k - 2,
         lambda k: (k,) + tuple(range(1, k)))
 
 
-def verify_prop43(args: argparse.Namespace) -> list[Block]:
+def verify_prop43(args: argparse.Namespace) -> Iterator[Block]:
     return _verify_path_class(
         args,
         lambda path, k: max_height(path) <= k - 1,
         lambda k: tuple(range(2, k + 1)) + (1,))
 
 
-def verify_prop46(args: argparse.Namespace) -> list[Block]:
+def verify_prop46(args: argparse.Namespace) -> Iterator[Block]:
     sigma = (3, 5, 1, 2, 4)
 
     def rows(n: int) -> Iterator[Row]:
@@ -559,11 +541,16 @@ def verify_prop46(args: argparse.Namespace) -> list[Block]:
         yield (f"image n={n}", True, image == avoiders)
         yield (f"count n={n}",
                count_avoiders_closed_form(n + 1, sigma), len(words))
-    return [partial(rows, n) for n in range(0, args.max_n + 1)]
+    return (partial(rows, n) for n in range(0, args.max_n + 1))
 
 
-def verify_thm51(args: argparse.Namespace) -> list[Block]:
+def verify_thm51(args: argparse.Namespace) -> Iterator[Block]:
     def counts(n: int) -> Iterator[Row]:
+        # as in count: every row within seconds, every number far below
+        # int()'s 4300-digit printing limit
+        if n > MAX_COUNT_SIZE:
+            raise ValueError(f"verify thm51 sizes end at {MAX_COUNT_SIZE},"
+                             f" got {n}")
         yield (f"closed form n={n}", odd_count(n),
                kernels.count_odd_members(n))
         if n > 2:
@@ -585,18 +572,18 @@ def verify_thm51(args: argparse.Namespace) -> list[Block]:
                   if inversion_count(p) % 2
                   and descent_positions(p)[0] % 2 == 0}
         yield (f"psi image m={m}", True, images == target)
-    return ([partial(counts, n) for n in range(1, args.max_n + 1)]
-            + [partial(maps, m) for m in range(1, 6)])
+    return chain((partial(counts, n) for n in range(1, args.max_n + 1)),
+                 (partial(maps, m) for m in range(1, 6)))
 
 
-def verify_prop53(args: argparse.Namespace) -> list[Block]:
+def verify_prop53(args: argparse.Namespace) -> Iterator[Block]:
     def rows(n: int) -> Iterator[Row]:
         bridged = all(
             inversion_count(path_to_permutation(path)) % 2
             == peaks_at_even_height(path) % 2
             for path in enumerate_grassmannian_paths(n))
         yield (f"n={n}", True, bridged)
-    return [partial(rows, n) for n in range(1, args.max_n + 1)]
+    return (partial(rows, n) for n in range(1, args.max_n + 1))
 
 
 # target -> (blocks, one-line description, defaults of unset flags)

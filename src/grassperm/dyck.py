@@ -15,6 +15,7 @@ exactly to the paths with at most one long ascent (two or more U's).
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from itertools import chain
 
 from grassperm.perms import Perm, check_cap, shown
 
@@ -150,12 +151,12 @@ def is_grassmannian_path(path: str) -> bool:
 TAIL_STEPS = 12
 
 
-def _dyck_walk(n: int, most: int, blocks: bool = False) -> Iterator[str]:
+def _dyck_walk(n: int, most: int) -> Iterator[str]:
     """Dyck paths of semilength n with at most `most` long ascents,
-    lexicographic (D before U): the walk is a preorder in which a
-    node's D branch comes before its U branch.  With blocks it yields
-    text instead: the paths, each followed by a newline, in one string
-    per subtree below.
+    lexicographic (D before U), each followed by a newline, as text:
+    one string per subtree below and one per path completed above it.
+    The walk is a preorder in which a node's D branch comes before its
+    U branch.
 
     A node is a prefix with its height h, the up-steps r still to
     place, its current U-run (0 after a D, 1 after its first U, 2
@@ -175,11 +176,12 @@ def _dyck_walk(n: int, most: int, blocks: bool = False) -> Iterator[str]:
     suffix with r up-steps can use, so suffixes that differ only in an
     unusable allowance share one entry.  The table is filled as keys
     are met, once per call; it holds suffixes of at most TAIL_STEPS
-    steps, a fixed size whatever n is.  Path by path, each subtree is
-    emitted by map, one concatenation in C per path; as a block it is
-    the prefix, then the entries joined by a newline and the prefix,
-    then a newline: one join in C and no string per path.  Only the
-    nodes above the tails are visited one at a time.
+    steps, a fixed size whatever n is.  A subtree is the prefix, then
+    the entries joined by a newline and the prefix, then a newline:
+    one join in C and no string per path.  Only the nodes above the
+    tails are visited one at a time.  The stack holds at most one
+    waiting branch per step of the current prefix, each with a prefix
+    of at most 2n steps, so memory grows with n^2.
     """
     table: dict[tuple[int, int, int, int], list[str]] = {}
 
@@ -203,9 +205,8 @@ def _dyck_walk(n: int, most: int, blocks: bool = False) -> Iterator[str]:
         return out
 
     # downs[h]: the forced rest of a path at height h with every
-    # up-step placed, newline included when the walk writes text
-    end = "\n" if blocks else ""
-    downs = ["D" * h + end for h in range(n + 1)]
+    # up-step placed, and its newline
+    downs = ["D" * h + "\n" for h in range(n + 1)]
     # prefix, height, up-steps so far, the current U-run and the long
     # ascents so far
     stack = [("", 0, 0, 0, 0)]
@@ -215,10 +216,7 @@ def _dyck_walk(n: int, most: int, blocks: bool = False) -> Iterator[str]:
         r = n - ups
         if 2 * r + h <= TAIL_STEPS:
             tails = completions(h, r, run, min(most - longs, r))
-            if blocks:
-                yield prefix + ("\n" + prefix).join(tails) + "\n"
-            else:
-                yield from map(prefix.__add__, tails)
+            yield prefix + ("\n" + prefix).join(tails) + "\n"
             continue
         if r == 0:  # all n up-steps placed: the rest is forced
             yield prefix + downs[h]
@@ -234,40 +232,44 @@ def _dyck_walk(n: int, most: int, blocks: bool = False) -> Iterator[str]:
 
 
 def enumerate_dyck_paths(n: int, *, cap: int | None = None) -> Iterator[str]:
-    """All Dyck paths of semilength n, lexicographic (D before U)."""
-    return _dyck_walk(n, _most_long_ascents(n, cap, False))
+    """All Dyck paths of semilength n, lexicographic (D before U): the
+    lines of dyck_path_blocks(n), one path at a time.
+
+    >>> list(enumerate_dyck_paths(2))
+    ['UDUD', 'UUDD']
+    >>> list(enumerate_dyck_paths(0))
+    ['']
+    """
+    return chain.from_iterable(map(str.splitlines, dyck_path_blocks(
+        n, cap=cap)))
 
 
 def enumerate_grassmannian_paths(n: int, *, cap: int | None = None) -> Iterator[str]:
     """Dyck paths of semilength n with at most one long ascent,
-    lexicographic; exactly 2^n - n of them."""
-    return _dyck_walk(n, _most_long_ascents(n, cap, True))
+    lexicographic, exactly 2^n - n of them: the lines of
+    dyck_path_blocks(n, grassmannian_only=True), one path at a time."""
+    return chain.from_iterable(map(str.splitlines, dyck_path_blocks(
+        n, grassmannian_only=True, cap=cap)))
 
 
 def dyck_path_blocks(n: int, *, grassmannian_only: bool = False,
                      cap: int | None = None) -> Iterator[str]:
-    """The paths of enumerate_grassmannian_paths(n) if grassmannian_only,
-    else of enumerate_dyck_paths(n), each followed by a newline, as
-    text: one string per subtree of at most TAIL_STEPS steps, and one
-    per path completed above those.
+    """The Dyck paths of semilength n, only those with at most one long
+    ascent if grassmannian_only, lexicographic, each followed by a
+    newline, as text: one string per subtree of at most TAIL_STEPS
+    steps, and one per path completed above those.  An n or cap the
+    enumeration does not take is refused here, not on the first block.
 
     >>> list(dyck_path_blocks(2))
     ['UDUD\\nUUDD\\n']
     """
-    return _dyck_walk(n, _most_long_ascents(n, cap, grassmannian_only),
-                      blocks=True)
-
-
-def _most_long_ascents(n: int, cap: int | None, grassmannian_only: bool) -> int:
-    """The long ascents a path of semilength n may have, after refusing
-    an n or cap the enumeration does not take."""
     if grassmannian_only:
         if n < 1:
             raise ValueError(f"semilength must be at least 1, got {n}")
     elif n < 0:
         raise ValueError(f"semilength must be non-negative, got {n}")
     check_cap(n, cap)
-    return 1 if grassmannian_only else n
+    return _dyck_walk(n, 1 if grassmannian_only else n)
 
 
 def path_to_permutation(path: str) -> Perm:

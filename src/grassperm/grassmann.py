@@ -110,14 +110,13 @@ TAIL_VALUES = 8
 
 
 def _rising_prefix_walk(n: int, atoms: Sequence,
-                        firsts: Sequence | None = None, *,
-                        blocks: bool = False) -> Iterator:
+                        firsts: Sequence | None = None) -> Iterator:
     """Every member of the size-n family, built from atoms[1..n], in
     lexicographic order; a member's first value v is firsts[v]
     (atoms[v] by default), so that atoms may carry a separator before
-    their value.  With blocks, the atoms are strings and the walk
-    yields text instead: the members, each followed by a newline, in
-    one string per subtree below.
+    their value.  Tuple atoms give the members one at a time.  String
+    atoms give text: the members, each followed by a newline, in one
+    string per subtree below and one per node above it.
 
     Each node of the walk is a rising prefix S, with last = max S: the
     member whose first rising block is S is the prefix, then low (the
@@ -128,66 +127,77 @@ def _rising_prefix_walk(n: int, atoms: Sequence,
     Children, one per value above last, come in increasing order after
     their parent: the members come in preorder, which is lexicographic.
 
+    Every run of values is a slice of run = atoms[1] + ... + atoms[n]:
+    with at[v] where atoms[v] starts in it, the values above a are
+    tail(a) = run[at[a+1]:], and those strictly between a and v are
+    gap(a, v) = run[at[a+1]:at[v]].
+
     Below a node (P, L, last) with L non-empty every node is emitted,
     and its subtree is P + Q + L + C for every Q within (last, n] in
     preorder, C being the rest of (last, n] in increasing order.  With
     empty = atoms[0], two tables list those Q and C in step,
 
         heads[last] = [empty] + [atoms[v] + q   for v > last, q in heads[v]]
-        rests[last] = [tails[last]]
-                      + [gaps[last][v] + c  for v > last, c in rests[v]]
+        rests[last] = [tail(last)]
+                      + [gap(last, v) + c  for v > last, c in rests[v]]
 
     built once per call for last >= n - TAIL_VALUES only, so each has
     at most 2^TAIL_VALUES entries whatever n is.  Member by member,
     such a subtree is emitted by map, three concatenations in C per
-    member.  As a block it is P, then the pairs (Q, C), each joined by
-    L, joined in turn by a newline and P, then a newline: one join in
-    C and no string per member.  Only the nodes above those tails are
-    visited one at a time, and the walk streams in memory bounded by
-    the tables and its stack.
+    member.  As text it is P, then the pairs (Q, C), each joined by L,
+    joined in turn by a newline and P, then a newline: one join in C
+    and no string per member.
+
+    Only the nodes above those tails are visited one at a time, depth
+    first.  A stack frame is a node and the next child it has to give:
+    a pop emits the node on its first visit, then pushes the frame back
+    for the child after and that one child on top.  The stack holds at
+    most one frame per level, each with a prefix and a low of at most n
+    values, so memory grows with n^2 and not with the members.
     """
     empty = atoms[0]
-    tails = [empty] * (n + 1)        # tails[v]: the values above v
-    for v in range(n - 1, -1, -1):
-        tails[v] = atoms[v + 1] + tails[v + 1]
-    # gaps[a][v]: the values strictly between a and v, for a < v
-    gaps = [[empty] * (n + 1) for _ in range(n + 1)]
-    for a in range(n + 1):
-        for v in range(a + 2, n + 1):
-            gaps[a][v] = gaps[a][v - 1] + atoms[v - 1]
+    text = isinstance(empty, str)
+    run = empty
+    at = [0, 0]  # at[v]: where atoms[v] starts in run, for v <= n + 1
+    for atom in atoms[1:]:
+        run += atom
+        at.append(len(run))
     base = max(n - TAIL_VALUES, 0)
     heads: list[list] = [[]] * (n + 1)
     rests: list[list] = [[]] * (n + 1)
     for last in range(n, base - 1, -1):
+        start = at[last + 1]
         heads[last] = [empty] + [atoms[v] + q for v in range(last + 1, n + 1)
                                  for q in heads[v]]
-        rests[last] = [tails[last]] + [gaps[last][v] + c
+        rests[last] = [run[start:]] + [run[start:at[v]] + c
                                        for v in range(last + 1, n + 1)
                                        for c in rests[v]]
-    # ends[v]: the rest of a member whose prefix ends at v, newline
-    # included when the walk writes text
-    ends = [tail + "\n" for tail in tails] if blocks else tails
-    pairs = [list(zip(h, r)) for h, r in zip(heads, rests)] if blocks else []
-    # the root, the empty prefix, has only its children to give
+    pairs = [list(zip(h, r)) for h, r in zip(heads, rests)] if text else []
+    end = "\n" if text else empty
     firsts = atoms if firsts is None else firsts
-    stack = [(firsts[v], gaps[0][v], v) for v in range(n, 0, -1)]
+    stack: list[tuple] = []
     pop, push = stack.pop, stack.append
-    while stack:
-        prefix, low, last = pop()
-        if low and last >= base:
-            if blocks:
-                # low.join((q, c)) is q + low + c
-                members = map(low.join, pairs[last])
-                yield prefix + ("\n" + prefix).join(members) + "\n"
-            else:
-                yield from map(add, map(prefix.__add__, heads[last]),
-                               map(low.__add__, rests[last]))
-            continue
-        if low or last == n:
-            yield prefix + low + ends[last]
-        below = gaps[last]
-        for v in range(n, last, -1):
-            push((prefix + atoms[v], low + below[v], v))
+    # the root, the empty prefix, has only its children to give
+    for first in range(1, n + 1):
+        push((firsts[first], run[:at[first]], first, first + 1))
+        while stack:
+            prefix, low, last, v = pop()
+            if v == last + 1:  # the node's first visit
+                if low and last >= base:
+                    if text:
+                        # low.join((q, c)) is q + low + c
+                        members = map(low.join, pairs[last])
+                        yield prefix + ("\n" + prefix).join(members) + "\n"
+                    else:
+                        yield from map(add, map(prefix.__add__, heads[last]),
+                                       map(low.__add__, rests[last]))
+                    continue
+                if low or last == n:
+                    yield prefix + low + run[at[last + 1]:] + end
+            if v <= n:
+                push((prefix, low, last, v + 1))
+                push((prefix + atoms[v], low + run[at[last + 1]:at[v]], v,
+                      v + 1))
 
 
 def enumerate_grassmannian(n: int, *, cap: int | None = None) -> Iterator[Perm]:
@@ -210,40 +220,25 @@ def enumerate_grassmannian(n: int, *, cap: int | None = None) -> Iterator[Perm]:
     return _rising_prefix_walk(n, [()] + [(v,) for v in range(1, n + 1)])
 
 
-def grassmannian_lines(n: int, *, cap: int | None = None) -> Iterator[str]:
-    """The members of enumerate_grassmannian(n) as format_permutation
-    prints them, built as strings by the same walk.
-
-    >>> list(grassmannian_lines(3))
-    ['123', '132', '213', '231', '312']
-    >>> next(grassmannian_lines(10))
-    '1,2,3,4,5,6,7,8,9,10'
-    """
-    return _line_walk(n, cap, blocks=False)
-
-
 def grassmannian_blocks(n: int, *, cap: int | None = None) -> Iterator[str]:
-    """The lines of grassmannian_lines(n), each followed by a newline,
-    as text: one string per completion-table subtree, of at most
+    """The members of enumerate_grassmannian(n) as format_permutation
+    prints them, each followed by a newline, built as text by the same
+    walk: one string per completion-table subtree, of at most
     2^TAIL_VALUES lines, and one per node above the tables.
 
     >>> list(grassmannian_blocks(3))
     ['123\\n', '132\\n', '213\\n231\\n', '312\\n']
+    >>> next(grassmannian_blocks(10))
+    '1,2,3,4,5,6,7,8,9,10\\n'
     """
-    return _line_walk(n, cap, blocks=True)
-
-
-def _line_walk(n: int, cap: int | None, blocks: bool) -> Iterator[str]:
-    """The walk over format_permutation's strings, after refusing an n
-    or cap that enumerate_grassmannian refuses."""
     check_size(n)
     check_cap(n, cap)
     digits = [""] + [str(v) for v in range(1, n + 1)]
     if n <= 9:
-        return _rising_prefix_walk(n, digits, blocks=blocks)
+        return _rising_prefix_walk(n, digits)
     # a comma goes before every value but the first
     return _rising_prefix_walk(n, [""] + [f",{v}" for v in range(1, n + 1)],
-                               digits, blocks=blocks)
+                               digits)
 
 
 def count_grassmannian(n: int) -> int:

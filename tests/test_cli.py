@@ -167,6 +167,18 @@ def test_enum_dyck(capsys):
      "d774f72ac6c08023568714e657a511a2da0ab679862e062e5eea722e4e637e70"),
     (("dyck", "--n", "0"), 1,
      "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b"),
+    # JSON of the Dyck walk and of the families written in chunks, the
+    # last across more than one ENUM_CHUNK_LINES chunk
+    (("dyck", "--n", "11", "--format", "json"), 58786,
+     "e13f04308d0e266d1958b88571e71a0e87d31fcaaddd4a490286cfcf2c021f50"),
+    (("dyck", "--n", "11", "--grassmannian-only", "--format", "json"), 2037,
+     "74e720e41a57eeef640668dae8411826d20839b069e4d5ea9a4a34fc60cd9748"),
+    (("bigrassmannian", "--n", "14", "--format", "json"), 456,
+     "c7e0b62097d5b8bfd1550d26ee7918457f136d3d2a56c2bd57d634546d298372"),
+    (("involutions", "--n", "40", "--cap", "40", "--format", "json"), 401,
+     "f423305bae3511534c69b43ef4f5835cf87b2202924a45d97fb390f6642d4ece"),
+    (("schroder", "--n", "20", "--format", "json"), 7526,
+     "3d5fba09c2045b2961a67ba4502f8044d3d87c6964e92b9fff342794b00ccfef"),
 ])
 def test_enum_output_is_pinned(capsys, argv, count, digest):
     # digests of what the plain walks, one node at a time, printed: the
@@ -992,7 +1004,7 @@ def test_prop41_refuses_sizes_above_18(capsys, monkeypatch):
     def reached(n):
         raise Reached
     # n = 18 is checked; n = 19 is refused before any work
-    blocks = cli.verify_prop41(argparse.Namespace(max_n=19))
+    blocks = list(cli.verify_prop41(argparse.Namespace(max_n=19)))
     monkeypatch.setattr(cli, "enumerate_grassmannian_paths", reached)
     with pytest.raises(Reached):
         next(blocks[17]())
@@ -1013,6 +1025,42 @@ def test_prop41_refuses_sizes_above_18(capsys, monkeypatch):
     assert len(out.splitlines()) == 36
     assert err == ("error: verify prop41 holds each size's family in"
                    " memory, so its sizes end at 18, got 19\n")
+
+
+@pytest.mark.parametrize("target, flag, last", [
+    ("prop22", "--max-n", "ok   n=26: 134214750"),
+    ("weiner", "--kmax", f"ok   rising k=15 m=26: {weiner_formula(26, 15)}"),
+])
+def test_sweep_makes_its_blocks_as_it_reaches_them(capsys, target, flag,
+                                                   last):
+    # a list of 10^6 blocks took 222 MB before the first row, so this
+    # fails before the command below could ask for 10^8 of them
+    args = argparse.Namespace(max_n=10 ** 6, kmax=10 ** 6)
+    tracemalloc.start()
+    try:
+        blocks = cli.VERIFY_TARGETS[target][0](args)
+        first = list(next(blocks)())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first and peak < 256 * 1024, peak
+    # the rows print up to the scan's largest size, then its refusal
+    code, out, err = run(capsys, "verify", target, flag, str(10 ** 8))
+    assert code == 2
+    assert out.splitlines()[-1] == last
+    assert err == "error: scan size 27 outside 1..26\n"
+
+
+def test_thm51_refuses_sizes_above_the_count_limit(capsys):
+    # past it the odd counts near int()'s 4300-digit printing limit
+    n = cli.MAX_COUNT_SIZE
+    code, out, err = run(capsys, "verify", "thm51", "--max-n", str(n + 1))
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == n + (n - 2) + 14
+    assert lines[-2:] == [f"ok   closed form n={n}: {odd_count(n)}",
+                          f"ok   recurrence n={n}: {odd_count(n)}"]
+    assert err == f"error: verify thm51 sizes end at {n}, got {n + 1}\n"
 
 
 def test_weiner_rows_check_the_cli_formula(capsys, monkeypatch):

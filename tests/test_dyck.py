@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+from functools import partial
 
 import pytest
 
@@ -141,34 +142,37 @@ def dyck_walk(n, most):
 def test_walk_matches_the_per_node_reference():
     # paths shorter and longer than TAIL_STEPS, so with and without
     # per-node levels
-    assert TAIL_STEPS < 2 * 12
-    for n in range(0, 13):
+    assert TAIL_STEPS < 2 * 13
+    for n in range(0, 14):
         for most in (1, n):
-            assert list(_dyck_walk(n, most)) == list(dyck_walk(n, most)), \
-                (n, most)
+            blocks = list(_dyck_walk(n, most))
+            assert "".join(blocks) == "".join(
+                path + "\n" for path in dyck_walk(n, most)), (n, most)
+            assert all(block.endswith("\n") for block in blocks), (n, most)
 
 
 def test_blocks_are_the_paths_joined():
-    # paths shorter and longer than TAIL_STEPS, so with and without
-    # per-node levels
-    for n in range(0, 14):
-        for most in (1, n):
-            blocks = list(_dyck_walk(n, most, blocks=True))
-            assert "".join(blocks) == "".join(
-                path + "\n" for path in _dyck_walk(n, most)), (n, most)
-            assert all(block.endswith("\n") for block in blocks), (n, most)
+    # the entry points are the walk's blocks and their lines
     for n in range(1, 8):
         assert list(dyck_path_blocks(n, grassmannian_only=True)) == list(
-            _dyck_walk(n, 1, blocks=True))
-        assert list(dyck_path_blocks(n)) == list(_dyck_walk(n, n, blocks=True))
+            _dyck_walk(n, 1))
+        assert list(dyck_path_blocks(n)) == list(_dyck_walk(n, n))
+        assert list(enumerate_grassmannian_paths(n)) == "".join(
+            _dyck_walk(n, 1)).splitlines()
+        assert list(enumerate_dyck_paths(n)) == "".join(
+            _dyck_walk(n, n)).splitlines()
     assert list(dyck_path_blocks(0)) == ["\n"]
-    with pytest.raises(ValueError):
-        dyck_path_blocks(-1)
-    with pytest.raises(ValueError):
-        dyck_path_blocks(0, grassmannian_only=True)
-    with pytest.raises(ValueError):
-        dyck_path_blocks(26)
-    dyck_path_blocks(30, cap=31)
+    assert list(enumerate_dyck_paths(0)) == [""]
+    # every refusal comes at the call, not at the first path
+    grassmannian_blocks = partial(dyck_path_blocks, grassmannian_only=True)
+    for walk, smallest in ((dyck_path_blocks, 0), (enumerate_dyck_paths, 0),
+                           (grassmannian_blocks, 1),
+                           (enumerate_grassmannian_paths, 1)):
+        with pytest.raises(ValueError):
+            walk(smallest - 1)
+        with pytest.raises(ValueError):
+            walk(26)
+        walk(30, cap=31)
 
 
 def test_block_walk_memory_is_bounded():
@@ -186,6 +190,20 @@ def test_block_walk_memory_is_bounded():
         finally:
             tracemalloc.stop()
         assert peak < 768 * 1024, (grassmannian_only, peak)
+
+
+def test_first_block_memory_grows_with_the_square_of_n():
+    # a stack of prefixes of at most 2n steps, at most one per step
+    for grassmannian_only in (False, True):
+        tracemalloc.start()
+        try:
+            first = next(dyck_path_blocks(
+                1000, grassmannian_only=grassmannian_only, cap=1000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20, (grassmannian_only, peak)
+        assert first.startswith("UDUD")
 
 
 def test_walk_memory_is_bounded_at_every_size():

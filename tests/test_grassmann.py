@@ -16,7 +16,6 @@ from grassperm.grassmann import (
     enumerate_grassmannian,
     enumerate_involutions,
     grassmannian_blocks,
-    grassmannian_lines,
     inverse_is_grassmannian,
     is_bigrassmannian,
     is_grassmannian,
@@ -100,16 +99,17 @@ def test_enumeration_matches_definition():
         assert len(members) == count_grassmannian(n) == 2 ** n - n
 
 
+def block_lines(n):
+    """The lines of grassmannian_blocks(n), one at a time."""
+    return itertools.chain.from_iterable(
+        map(str.splitlines, grassmannian_blocks(n)))
+
+
 def test_lines_match_formatted_members():
     # n = 9 prints digit strings, n = 10 comma-separated ones
     for n in range(1, 13):
-        assert list(grassmannian_lines(n)) == [
+        assert list(block_lines(n)) == [
             format_permutation(p) for p in enumerate_grassmannian(n)]
-    with pytest.raises(ValueError):
-        grassmannian_lines(0)
-    with pytest.raises(ValueError):
-        grassmannian_lines(26)
-    grassmannian_lines(30, cap=31)
 
 
 def rising_prefix_walk(n, atoms):
@@ -147,7 +147,7 @@ def test_walk_matches_the_per_node_reference():
         else:
             reference = (line[:-1] for line in rising_prefix_walk(
                 n, [""] + [f"{v}," for v in range(1, n + 1)]))
-        assert list(grassmannian_lines(n)) == list(reference), n
+        assert list(block_lines(n)) == list(reference), n
 
 
 def test_walk_memory_is_bounded_at_every_size():
@@ -155,7 +155,7 @@ def test_walk_memory_is_bounded_at_every_size():
     for n in (12, 25):
         tracemalloc.start()
         try:
-            for _ in itertools.islice(grassmannian_lines(n), 50_000):
+            for _ in itertools.islice(block_lines(n), 50_000):
                 pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -170,7 +170,7 @@ def test_blocks_are_the_lines_joined():
     for n in range(1, 15):
         blocks = list(grassmannian_blocks(n))
         assert "".join(blocks) == "".join(
-            line + "\n" for line in grassmannian_lines(n)), n
+            format_permutation(p) + "\n" for p in enumerate_grassmannian(n)), n
         assert all(block.endswith("\n") for block in blocks), n
         assert max(block.count("\n") for block in blocks) <= 2 ** TAIL_VALUES
     with pytest.raises(ValueError):
@@ -193,6 +193,23 @@ def test_block_walk_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 768 * 1024, peak
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+def test_first_member_memory_grows_with_the_square_of_n(n):
+    # one stack frame per level and one run of the values, sliced: a
+    # walk that kept every gap between two values, or pushed every
+    # child of a node at once, held of order n^3 values before its
+    # first member, 38 MiB at n = 300
+    for walk in (grassmannian_blocks, enumerate_grassmannian):
+        tracemalloc.start()
+        try:
+            first = next(walk(n, cap=n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20, (walk.__name__, n, peak)
+        assert first[:3] in ((1, 2, 3), "1,2")
 
 
 def test_enumeration_small_goldens():
