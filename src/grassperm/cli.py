@@ -13,22 +13,23 @@ Data goes to stdout; counts and progress notes go to stderr.  Into a
 pipe, count writes each CSV or b-file row and verify each block as
 soon as it is checked, and enum a block of lines per write, in either
 format: a subtree of the walk (at most a few hundred lines) for
-grassmannian and dyck, 4096 lines for its other families.  The rest
-write at exit.
-count --oracle computes its last row, about half its work, in one
-forked child process while it computes the other rows in-process.
+grassmannian and dyck, about ENUM_CHUNK_CHARS characters for its other
+families.  The rest write at exit.
+count --oracle enumerates each size's family once, in this process:
+the size-n family is 1 + q for every q of size n - 1 (1 put in front,
+every value raised by one) and the members whose first value is at
+least 2, so each row adds the new members to the row before.
 """
 
 from __future__ import annotations
 
 import argparse
-import marshal
 import os
 import sys
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import partial
 from itertools import chain, islice
-from typing import NoReturn
 
 from grassperm import kernels
 from grassperm.dyck import (
@@ -72,6 +73,7 @@ from grassperm.patterns import (
 )
 from grassperm.perms import (
     Perm,
+    check_cap,
     descent_positions,
     format_lehmer_code,
     format_permutation,
@@ -104,9 +106,10 @@ def parse_range(text: str) -> range:
 
 # ---------------------------------------------------------------- enum
 
-# enum writes the families that come as items this many lines a block,
-# so that its memory does not grow with the number of members
-ENUM_CHUNK_LINES = 4096
+# enum writes the families that come as items in blocks of about this
+# many characters, so that its memory grows neither with the number of
+# members nor with the length of a line
+ENUM_CHUNK_CHARS = 1 << 20
 
 
 def _write_blocks(blocks: Iterable[str], as_json: bool) -> int:
@@ -142,7 +145,8 @@ def cmd_enum(args: argparse.Namespace) -> int:
 
 def _enum_blocks(args: argparse.Namespace) -> Iterator[str]:
     """cmd_enum's output as text: the two walks' own blocks, one per
-    subtree, and ENUM_CHUNK_LINES members a block for the others."""
+    subtree, and blocks of about ENUM_CHUNK_CHARS characters for the
+    others."""
     n = args.n
     cap = args.cap
     if args.family == "grassmannian":
@@ -163,8 +167,22 @@ def _enum_blocks(args: argparse.Namespace) -> Iterator[str]:
         lines = map(format_permutation, enumerate_involutions(n, cap=cap))
     else:  # schroder
         lines = enumerate_uudd_avoiding(n, cap=cap)
-    chunks = iter(lambda: list(islice(lines, ENUM_CHUNK_LINES)), [])
-    return ("\n".join(chunk) + "\n" for chunk in chunks)
+    return _chunked(lines)
+
+
+def _chunked(lines: Iterable[str]) -> Iterator[str]:
+    """The lines, each followed by a newline, joined into blocks that
+    end at the first line to reach ENUM_CHUNK_CHARS characters."""
+    chunk: list[str] = []
+    size = 0
+    for line in lines:
+        chunk.append(line)
+        size += len(line) + 1
+        if size >= ENUM_CHUNK_CHARS:
+            yield "\n".join(chunk) + "\n"
+            chunk, size = [], 0
+    if chunk:
+        yield "\n".join(chunk) + "\n"
 
 
 # ---------------------------------------------------------------- count
@@ -179,7 +197,11 @@ MAX_COUNT_SIZE = 1000
 MAX_ORACLE_CAP = 28
 
 # family -> (closed form, what one enumerated member adds to the
-# independent count); count --oracle and the verify sweeps both read it
+# independent count); count --oracle and the verify sweeps both read it.
+# Each weight must give 1 + q (q with 1 put in front and every value
+# raised by one) what it gives q, since the oracle column carries each
+# size's total over to the next: the descents and inversions of 1 + q
+# are those of q, moved one place right
 MEMBER_COUNTS: dict[str, tuple[Callable[[int], int],
                                Callable[[Perm], int]]] = {
     # every member is a non-empty tuple, so bool counts it as one
@@ -205,132 +227,71 @@ def brute_count(family: str, n: int, cap: int | None = None) -> int:
     return sum(map(weight, enumerate_grassmannian(n, cap=cap)))
 
 
+def _new_members(sizes: range,
+                 cap: int | None) -> Iterator[tuple[int, Iterator[Perm]]]:
+    """(m, the size-m members whose first value is at least 2) for m =
+    1 .. sizes[-1].  With 1 + q for every q of size m - 1, they make
+    the whole size-m family.  The first size is checked against the cap
+    before any is walked, and each one as its walk is made."""
+    check_cap(sizes[0], cap)
+    for m in range(1, sizes[-1] + 1):
+        yield m, enumerate_grassmannian(m, cap=cap, min_first=2)
+
+
+def _weight_column(weight: Callable[[Perm], int], sizes: range,
+                   cap: int | None) -> Iterator[int]:
+    """The summed weights of the size-n family for each n in sizes: the
+    sum at n - 1, which the members 1 + q carry over, plus the new
+    members' weights."""
+    # sum, not weight((1,)): bool's total stays an int
+    total = sum(map(weight, [(1,)]))
+    for m, members in _new_members(sizes, cap):
+        total += sum(map(weight, members))
+        if m in sizes:
+            yield total
+
+
+def _descent_column(k: int, sizes: range,
+                    cap: int | None) -> Iterator[int]:
+    """How many members of the size-n family descend at k, for each n
+    in sizes.  1 + q descends one place after q, so each descent is
+    kept less the size of its member, a key that 1 + q keeps."""
+    descents: Counter[int] = Counter()
+    for m, members in _new_members(sizes, cap):
+        descents.update(sole_descent(p) - m for p in members)
+        if m in sizes:
+            yield descents[k - m]
+
+
 def _count_family(args: argparse.Namespace) -> tuple[
-        Callable[[int], int], Callable[[int], int]]:
-    """Formula column and brute-force column for one family."""
+        Callable[[int], int], Callable[[range], Iterator[int]]]:
+    """Formula column and brute-force column for one family: the one
+    maps a size to its count, the other a range of sizes to their
+    counts in order."""
     family = args.family
+    cap = args.cap
     if family in MEMBER_COUNTS:
-        return (MEMBER_COUNTS[family][0],
-                lambda n: brute_count(family, n, args.cap))
+        formula, weight = MEMBER_COUNTS[family]
+        return formula, lambda sizes: _weight_column(weight, sizes, cap)
     if family == "descent-at":
         if args.k is None:
             raise ValueError("count descent-at needs --k")
         k = args.k
         return (lambda n: count_descent_at(n, k),
-                lambda n: sum(sole_descent(p) == k
-                              for p in enumerate_grassmannian(n, cap=args.cap)))
+                lambda sizes: _descent_column(k, sizes, cap))
     if family == "finite-class":
         if args.k is None:
             raise ValueError("count finite-class needs --k")
         k = args.k
         return (lambda m: finite_class_formula(m, k),
-                lambda m: finite_class_count(m, k))
+                lambda sizes: (finite_class_count(m, k) for m in sizes))
     # avoiders
     if args.pattern is None:
         raise ValueError("count avoiders needs --pattern")
     sigma = parse_permutation(args.pattern)
     return (lambda n: count_avoiders_closed_form(n, sigma),
-            lambda n: count_avoiders_by_scan(n, sigma, cap=args.cap))
-
-
-def _usable_cores() -> int:
-    """How many CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _oracle_child(oracle: Callable[[int], int], n: int, replies: int,
-                  out: int) -> NoReturn:
-    """The body of the forked child: write oracle(n) and None, or None
-    and the text of the ValueError it raised, as one marshal reply to
-    the pipe out.  Leave on every path with os._exit, so that none of
-    the parent's code runs here and none of its buffered output is
-    flushed a second time."""
-    try:
-        import signal
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        os.close(replies)  # so that a reply to a parent gone fails
-        value = error = None
-        try:
-            value = oracle(n)
-        except ValueError as exc:
-            error = str(exc)
-        with open(out, "wb") as pipe:
-            pipe.write(marshal.dumps((value, error)))
-    except BrokenPipeError:
-        pass  # the parent has gone
-    except Exception:
-        # the parent reads no reply and fails; leave the reason
-        sys.excepthook(*sys.exc_info())
-        sys.stderr.flush()
-    finally:
-        os._exit(0)
-
-
-def _oracle_column(oracle: Callable[[int], int],
-                   sizes: range) -> Iterator[int]:
-    """oracle(n) for each n in sizes, in order, then the ValueError of
-    the first size that raised one, as a serial loop meets them.
-
-    The oracle's cost about doubles with n, so the last size is about
-    half the work.  Where fork exists, two or more cores are usable and
-    two or more sizes are asked for, one child process is forked at
-    once for the last size while this process computes the others in
-    order; a child that leaves no reply raises RuntimeError when its
-    row is due.  Otherwise every value is computed in-process.  The
-    child is killed and reaped when the column closes or raises, and
-    while it runs, SIGTERM stops it before it ends this process.
-
-    Before it computes or waits for each value after the first, the
-    column flushes stdout once, so that the rows written for the values
-    before reach a pipe then and not at exit."""
-    if not hasattr(os, "fork") or len(sizes) < 2 or _usable_cores() < 2:
-        for head, n in enumerate(sizes):
-            if head:
-                sys.stdout.flush()
-            yield oracle(n)
-        return
-    # imported here, so that the commands that fork nothing skip it
-    import signal
-    replies, out = os.pipe()
-    child = os.fork()
-    if child == 0:
-        _oracle_child(oracle, sizes[-1], replies, out)
-    os.close(out)
-
-    def on_term(signum: int, frame: object) -> None:
-        os.kill(child, signal.SIGKILL)
-        os.waitpid(child, 0)
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        os.kill(os.getpid(), signal.SIGTERM)
-
-    previous = None
-    if signal.getsignal(signal.SIGTERM) == signal.SIG_DFL:
-        try:
-            previous = signal.signal(signal.SIGTERM, on_term)
-        except ValueError:  # not the main thread: SIGTERM stays as it is
-            pass
-    try:
-        for n in sizes[:-1]:
-            yield oracle(n)
-            sys.stdout.flush()
-        with open(replies, "rb", closefd=False) as pipe:
-            reply = pipe.read()
-        if not reply:
-            raise RuntimeError(f"the oracle worker for n={sizes[-1]} failed")
-        value, error = marshal.loads(reply)
-        if error is not None:
-            raise ValueError(error)
-        yield value
-    finally:
-        # a child that has left stays unreaped, its pid not reused, until
-        # the wait below, so the kill stops it only if it still runs
-        os.kill(child, signal.SIGKILL)
-        os.close(replies)
-        if previous is not None:
-            signal.signal(signal.SIGTERM, previous)
-        os.waitpid(child, 0)
+            lambda sizes: (count_avoiders_by_scan(n, sigma, cap=cap)
+                           for n in sizes))
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -349,7 +310,9 @@ def cmd_count(args: argparse.Namespace) -> int:
     # written as soon as its oracle value is known, so the first error a
     # row-by-row loop would meet (the oracle's, which the column raises
     # in row order, else the formula's refusal) ends the table after the
-    # rows before it.  A JSON document is written whole or not at all.
+    # rows before it.  Before each oracle value after the first, stdout
+    # is flushed, so that the rows before reach a pipe then and not at
+    # exit.  A JSON document is written whole or not at all.
     formulas: list[int] = []
     refusal = None
     for n in sizes:
@@ -359,29 +322,25 @@ def cmd_count(args: argparse.Namespace) -> int:
             refusal = exc
             break
     checked = sizes[:len(formulas)]
-    column = None
-    if args.oracle:
-        column = _oracle_column(oracle, checked)
+    column = oracle(checked) if args.oracle else None
     header = ["n", "formula"] + (["oracle", "agree"] if args.oracle else [])
     rows: list[dict[str, object]] = []
-    try:
-        for n, value in zip(checked, formulas):
-            row: dict[str, object] = {"n": n, "formula": value}
-            if column is not None:
-                got = next(column)
-                row.update(oracle=got, agree=value == got)
-            rows.append(row)
-            if args.format == "bfile":
-                print(f"{n} {value}")
-            elif args.format == "csv":
-                if len(rows) == 1:
-                    print(",".join(header))
-                print(",".join(str(row[key]).lower()
-                               if key == "agree" else str(row[key])
-                               for key in header))
-    finally:
+    for n, value in zip(checked, formulas):
+        row: dict[str, object] = {"n": n, "formula": value}
         if column is not None:
-            column.close()  # stdout closed early: stop the child now
+            if rows:
+                sys.stdout.flush()
+            got = next(column)
+            row.update(oracle=got, agree=value == got)
+        rows.append(row)
+        if args.format == "bfile":
+            print(f"{n} {value}")
+        elif args.format == "csv":
+            if len(rows) == 1:
+                print(",".join(header))
+            print(",".join(str(row[key]).lower()
+                           if key == "agree" else str(row[key])
+                           for key in header))
     if refusal is not None:
         raise refusal
     if args.format == "json":
@@ -551,11 +510,13 @@ def verify_thm51(args: argparse.Namespace) -> Iterator[Block]:
         if n > MAX_COUNT_SIZE:
             raise ValueError(f"verify thm51 sizes end at {MAX_COUNT_SIZE},"
                              f" got {n}")
-        yield (f"closed form n={n}", odd_count(n),
-               kernels.count_odd_members(n))
+        odd = kernels.count_odd_members(n)
+        yield (f"closed form n={n}", odd_count(n), odd)
         if n > 2:
+            # on the word count, so that the row checks an oracle and
+            # not the closed form against itself
             yield (f"recurrence n={n}",
-                   2 * odd_count(n - 2) + 2 ** (n - 2), odd_count(n))
+                   2 * kernels.count_odd_members(n - 2) + 2 ** (n - 2), odd)
         if n <= 14:
             yield (f"oracle n={n}", odd_count(n), brute_count("odd", n))
 

@@ -110,11 +110,12 @@ TAIL_VALUES = 8
 
 
 def _rising_prefix_walk(n: int, atoms: Sequence,
-                        firsts: Sequence | None = None) -> Iterator:
-    """Every member of the size-n family, built from atoms[1..n], in
-    lexicographic order; a member's first value v is firsts[v]
-    (atoms[v] by default), so that atoms may carry a separator before
-    their value.  Tuple atoms give the members one at a time.  String
+                        firsts: Sequence | None = None,
+                        min_first: int = 1) -> Iterator:
+    """Every member of the size-n family whose first value is at least
+    min_first, built from atoms[1..n], in lexicographic order; a
+    member's first value v is firsts[v] (atoms[v] by default), so that
+    atoms may carry a separator before their value.  Tuple atoms give the members one at a time.  String
     atoms give text: the members, each followed by a newline, in one
     string per subtree below and one per node above it.
 
@@ -178,7 +179,7 @@ def _rising_prefix_walk(n: int, atoms: Sequence,
     stack: list[tuple] = []
     pop, push = stack.pop, stack.append
     # the root, the empty prefix, has only its children to give
-    for first in range(1, n + 1):
+    for first in range(min_first, n + 1):
         push((firsts[first], run[:at[first]], first, first + 1))
         while stack:
             prefix, low, last, v = pop()
@@ -200,9 +201,11 @@ def _rising_prefix_walk(n: int, atoms: Sequence,
                       v + 1))
 
 
-def enumerate_grassmannian(n: int, *, cap: int | None = None) -> Iterator[Perm]:
+def enumerate_grassmannian(n: int, *, cap: int | None = None,
+                           min_first: int = 1) -> Iterator[Perm]:
     """All permutations of size n with at most one descent, in
-    lexicographic order, streamed.
+    lexicographic order, streamed; with min_first, only those whose
+    first value is at least min_first.
 
     Values are placed left to right while the prefix rises; dropping to
     the smallest unplaced value spends the one allowed descent and
@@ -214,10 +217,13 @@ def enumerate_grassmannian(n: int, *, cap: int | None = None) -> Iterator[Perm]:
 
     >>> [p for p in enumerate_grassmannian(3)]
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2)]
+    >>> [p for p in enumerate_grassmannian(3, min_first=2)]
+    [(2, 1, 3), (2, 3, 1), (3, 1, 2)]
     """
     check_size(n)
     check_cap(n, cap)
-    return _rising_prefix_walk(n, [()] + [(v,) for v in range(1, n + 1)])
+    return _rising_prefix_walk(n, [()] + [(v,) for v in range(1, n + 1)],
+                               min_first=min_first)
 
 
 def grassmannian_blocks(n: int, *, cap: int | None = None) -> Iterator[str]:

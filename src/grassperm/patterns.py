@@ -116,8 +116,15 @@ def count_avoiders_closed_form(n: int, sigma: Sequence[int]) -> int:
         return 2 ** n - n
     if des == 0:
         return finite_class_formula(n, len(sigma))
-    k = len(sigma)
-    return 1 + sum(comb(n, j - 1) for j in range(3, k + 1))
+    # 1 + the sum of C(n, i) for i = 2..k-1, each binomial stepped from
+    # the one before: C(n, i) = C(n, i-1) (n - i + 1) / i, and zero
+    # once i > n
+    total = 1
+    term = n  # C(n, 1)
+    for i in range(2, min(len(sigma) - 1, n) + 1):
+        term = term * (n - i + 1) // i
+        total += term
+    return total
 
 
 @lru_cache(maxsize=None)

@@ -25,15 +25,23 @@ from grassperm.grassmann import (
     count_involutions,
     enumerate_grassmannian,
     grassmannian_blocks,
+    sole_descent,
 )
 from grassperm.parity import odd_count
 from grassperm.patterns import (
+    contains_pattern,
     finite_class_count,
     finite_class_formula,
     one_descent_patterns,
     weiner_formula,
 )
-from grassperm.perms import format_permutation, inverse, inversion_count
+from grassperm.perms import (
+    direct_sum,
+    format_permutation,
+    inverse,
+    inversion_count,
+    parse_permutation,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -84,9 +92,9 @@ def test_enum_json_format(capsys):
 
 
 def test_enum_json_is_json_dumps_of_the_list(capsys):
-    # 16,370 members, more than one chunk of output
+    # 16,370 members, more than one block of output
     members = [format_permutation(p) for p in enumerate_grassmannian(14)]
-    assert len(members) > cli.ENUM_CHUNK_LINES
+    assert len(members) > 2 ** TAIL_VALUES
     code, out, err = run(capsys, "enum", "grassmannian", "--n", "14",
                          "--format", "json")
     assert code == 0
@@ -167,8 +175,7 @@ def test_enum_dyck(capsys):
      "d774f72ac6c08023568714e657a511a2da0ab679862e062e5eea722e4e637e70"),
     (("dyck", "--n", "0"), 1,
      "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b"),
-    # JSON of the Dyck walk and of the families written in chunks, the
-    # last across more than one ENUM_CHUNK_LINES chunk
+    # JSON of the Dyck walk and of the families written in chunks
     (("dyck", "--n", "11", "--format", "json"), 58786,
      "e13f04308d0e266d1958b88571e71a0e87d31fcaaddd4a490286cfcf2c021f50"),
     (("dyck", "--n", "11", "--grassmannian-only", "--format", "json"), 2037,
@@ -200,6 +207,42 @@ def test_enum_counts_the_lines_of_its_blocks(capsys, n):
         assert code == 0
         assert out.count("\n") == count, argv
         assert err == f"count: {count}\n", argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["involutions", "--n", "5000", "--cap", "5000"],
+    ["schroder", "--n", "20000", "--cap", "20000"],
+], ids=" ".join)
+def test_enum_blocks_are_bounded_by_characters(argv):
+    # lines of 24 and 20 to 40 kB: 4096 of them made a block of 93 MiB
+    # and a peak of 281 MiB before the first write
+    args = cli.build_parser().parse_args(["enum", *argv])
+    tracemalloc.start()
+    try:
+        block = next(cli._enum_blocks(args))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cli.ENUM_CHUNK_CHARS <= len(block) < 2 * cli.ENUM_CHUNK_CHARS
+    assert block.endswith("\n")
+    assert peak < 8 * cli.ENUM_CHUNK_CHARS, peak
+
+
+@pytest.mark.parametrize("argv", [
+    ["schroder", "--n", "7"],
+    ["involutions", "--n", "30", "--cap", "30"],
+    ["bigrassmannian", "--n", "9"],
+    ["avoiders", "--pattern", "2413", "--n", "8"],
+], ids=" ".join)
+def test_enum_output_does_not_depend_on_the_block_size(capsys, monkeypatch,
+                                                      argv):
+    for fmt in ("lines", "json"):
+        whole = run(capsys, "enum", *argv, "--format", fmt)
+        monkeypatch.setattr(cli, "ENUM_CHUNK_CHARS", 50)
+        assert len(list(cli._enum_blocks(cli.build_parser().parse_args(
+            ["enum", *argv])))) > 2
+        assert run(capsys, "enum", *argv, "--format", fmt) == whole, fmt
+        monkeypatch.undo()
 
 
 def test_enum_schroder(capsys):
@@ -316,13 +359,13 @@ def test_inverse_weight_output_is_pinned(capsys, argv, digest):
 
 
 def test_union_oracle_flags_a_repeated_member(capsys, monkeypatch):
-    # a set union would hide an enumerator that yields a member twice
-    def repeating(n, cap=None):
-        members = enumerate_grassmannian(n, cap=cap)
-        first = next(members)
-        yield first
-        yield first
-        yield from members
+    # a set union would hide an enumerator that yields a member twice;
+    # the column walks the members whose first value is at least 2
+    def repeating(n, *, cap=None, min_first=1):
+        assert min_first == 2
+        members = list(enumerate_grassmannian(n, cap=cap,
+                                              min_first=min_first))
+        return iter(members[:1] + members)
     monkeypatch.setattr(cli, "enumerate_grassmannian", repeating)
     code, out, _ = run(capsys, "count", "union-inverse", "--n", "4",
                        "--oracle")
@@ -365,6 +408,20 @@ def test_thm51_closed_form_rows_use_the_word_count(capsys, monkeypatch):
     assert code == 1
     assert "FAIL closed form n=40: expected" in out
     assert "ok   oracle n=14" in out
+
+
+def test_thm51_recurrence_rows_check_the_word_count(capsys, monkeypatch):
+    # both sides of a recurrence row come from the word DP, so a DP
+    # wrong at n = 10 fails the rows n = 10 and n = 12
+    right = kernels.count_odd_members
+    monkeypatch.setattr(kernels, "count_odd_members",
+                        lambda n: right(n) + (n == 10))
+    code, out, _ = run(capsys, "verify", "thm51", "--max-n", "14")
+    assert code == 1
+    assert [row.split(":")[0] for row in out.splitlines()
+            if row.startswith("FAIL")] == [
+        "FAIL closed form n=10", "FAIL recurrence n=10",
+        "FAIL recurrence n=12"]
 
 
 def test_count_descent_at(capsys):
@@ -418,32 +475,23 @@ def test_count_oracle_refuses_caps_above_the_ceiling(capsys):
     assert (code, err) == (0, "count: 5\n")
 
 
-def use_workers(monkeypatch, workers):
-    """Let the oracle column see this many usable cores, also on a
-    machine with fewer: on two or more it forks a child for its last
-    row."""
-    monkeypatch.setattr(cli, "_usable_cores", lambda: workers)
-
-
 @pytest.fixture
-def two_workers(monkeypatch):
-    """The oracle column with its forked child, also on one core."""
-    use_workers(monkeypatch, 2)
+def no_fork(monkeypatch):
+    """Make os.fork raise, so that a command that forks fails."""
+    def refuse():
+        raise AssertionError("forked a child")
+    monkeypatch.setattr(os, "fork", refuse)
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the children forked during the test."""
-    pids = []
-    fork = os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-    monkeypatch.setattr(os, "fork", counted)
-    return pids
+def test_member_weights_ignore_a_fixed_first_value():
+    # the oracle column counts the size-n members 1 + q with the weights
+    # of their q, so every weight must give 1 + q what it gives q
+    def invariant(weight):
+        return all(weight(direct_sum((1,), q)) == weight(q)
+                   for n in range(1, 11) for q in enumerate_grassmannian(n))
+    for family, (_, weight) in cli.MEMBER_COUNTS.items():
+        assert invariant(weight), family
+    assert not invariant(lambda p: p[0] == 1)
 
 
 FORKED_COUNTS = [
@@ -455,34 +503,62 @@ FORKED_COUNTS = [
 ]
 
 
+def per_row_oracle(args):
+    """The oracle of count args as one enumeration of the whole family
+    per row, as the column does not compute it."""
+    members = enumerate_grassmannian
+    if args.family in cli.MEMBER_COUNTS:
+        return lambda n: cli.brute_count(args.family, n)
+    if args.family == "descent-at":
+        return lambda n: sum(sole_descent(p) == args.k for p in members(n))
+    if args.family == "finite-class":
+        rising = tuple(range(1, args.k + 1))
+        return lambda n: sum(not contains_pattern(p, rising)
+                             for p in members(n))
+    sigma = parse_permutation(args.pattern)
+    return lambda n: sum(not contains_pattern(p, sigma) for p in members(n))
+
+
 @pytest.mark.parametrize("argv", FORKED_COUNTS, ids=" ".join)
-def test_forked_oracle_column_matches_in_process(capsys, monkeypatch, argv):
-    for fmt in ("csv", "json", "bfile"):
-        outputs = []
-        for workers in (1, 2):
-            use_workers(monkeypatch, workers)
-            outputs.append(run(capsys, "count", *argv, "--oracle",
-                               "--format", fmt))
-        assert outputs[0] == outputs[1], fmt
-        assert outputs[0][0] == 0 and outputs[0][1], fmt
+def test_forked_oracle_column_matches_in_process(capsys, argv):
+    # the column, each row built from the one before, prints what one
+    # enumeration per row gives, in every format: on the listed sizes
+    # and on those from the same start to 12
+    start = argv[-1].split("..")[0]
+    for sizes in (argv[-1], f"{start}..12"):
+        command = ["count", *argv[:-1], sizes, "--oracle"]
+        args = cli.build_parser().parse_args(command)
+        formula = cli._count_family(args)[0]
+        oracle = per_row_oracle(args)
+        rows = [{"n": n, "formula": formula(n), "oracle": oracle(n)}
+                for n in cli.parse_range(sizes)]
+        for row in rows:
+            row["agree"] = row["formula"] == row["oracle"]
+        expected = {
+            "csv": "n,formula,oracle,agree\n" + "".join(
+                f"{r['n']},{r['formula']},{r['oracle']},"
+                f"{str(r['agree']).lower()}\n" for r in rows),
+            "json": json.dumps(rows) + "\n",
+            "bfile": "".join(f"{r['n']} {r['formula']}\n" for r in rows),
+        }
+        for fmt, out in expected.items():
+            assert run(capsys, *command, "--format", fmt) == (0, out, ""), \
+                (sizes, fmt)
 
 
-def test_patched_oracles_fail_in_forked_workers(capsys, monkeypatch,
-                                                two_workers):
-    # the child is forked from the patched process, so a wrong oracle
-    # must show as it does in-process
+def test_patched_oracles_fail_in_the_column(capsys, monkeypatch):
+    # a wrong weight shows in the column
     monkeypatch.setitem(cli.MEMBER_COUNTS, "odd",
                         (odd_count, lambda p: 1 - inversion_count(p) % 2))
     code, out, _ = run(capsys, "count", "odd", "--n", "3..6", "--oracle")
     assert code == 1
     assert out.splitlines()[1].endswith(",false")
 
-    def repeating(n, cap=None):
-        members = enumerate_grassmannian(n, cap=cap)
-        first = next(members)
-        yield first
-        yield first
-        yield from members
+    # an enumerator that repeats a new member of each size: every row
+    # from that size on counts it twice
+    def repeating(n, **kwargs):
+        members = list(enumerate_grassmannian(n, **kwargs))
+        return iter(members[:1] + members)
     monkeypatch.setattr(cli, "enumerate_grassmannian", repeating)
     code, out, _ = run(capsys, "count", "union-inverse", "--n", "2..6",
                        "--oracle")
@@ -501,8 +577,8 @@ def test_patched_oracles_fail_in_forked_workers(capsys, monkeypatch,
     assert all(line.endswith(",-1,false") for line in out.splitlines()[1:])
 
 
-def test_forked_column_raises_the_first_error_in_row_order(
-        capsys, monkeypatch, two_workers):
+def test_forked_column_raises_the_first_error_in_row_order(capsys,
+                                                          monkeypatch):
     # the formula refuses every size: no oracle row is computed
     start = time.perf_counter()
     code, out, err = run(capsys, "count", "descent-at", "--k", "5",
@@ -523,6 +599,13 @@ def test_forked_column_raises_the_first_error_in_row_order(
                          "--oracle", "--cap", "5", "--format", "json")
     assert (code, out) == (2, "")
     assert err.startswith("error: size 6 exceeds the enumeration cap 5;")
+    # the column walks sizes below the first row, but not above the cap
+    for cap, n in (("0", "1..3"), ("1", "2..3"), ("4", "5")):
+        code, out, err = run(capsys, "count", "grassmannian", "--n", n,
+                             "--oracle", "--cap", cap)
+        assert (code, out) == (2, ""), cap
+        assert err.startswith(f"error: size {n[0]} exceeds the enumeration"
+                              f" cap {cap};"), cap
 
     def formula(n):
         if n >= refused:
@@ -540,18 +623,15 @@ def test_forked_column_raises_the_first_error_in_row_order(
         assert err.startswith(f"error: {message}"), refused
 
 
-def test_forked_column_drops_sizes_above_a_refusal(capsys, two_workers,
-                                                   forks):
-    # the child is forked once per command, for the last size, so the
-    # sizes above a refusal cost no fork and no wait
+def test_forked_column_drops_sizes_above_a_refusal(capsys, no_fork):
+    # a first size above the cap is refused before the sizes below it
+    # are walked, and the sizes above a refusal cost nothing
     start = time.perf_counter()
     code, out, err = run(capsys, "count", "grassmannian", "--n", "26..1000",
                          "--oracle")
     assert time.perf_counter() - start < 0.5
     assert (code, out) == (2, "")
     assert err.startswith("error: size 26 exceeds the enumeration cap 25;")
-    assert len(forks) == 1
-    forks.clear()
     start = time.perf_counter()
     code, out, err = run(capsys, "count", "finite-class", "--k", "4",
                          "--n", "1..1000", "--oracle")
@@ -563,207 +643,117 @@ def test_forked_column_drops_sizes_above_a_refusal(capsys, two_workers,
     assert (code, out) == (2, "n,formula,oracle,agree\n" + rows)
     assert err == (f"error: scan size {kernels.MAX_SCAN_SIZE + 1} outside"
                    f" 1..{kernels.MAX_SCAN_SIZE}\n")
-    assert len(forks) == 1
 
 
-def test_failed_worker_stops_the_column(capsys, monkeypatch, two_workers):
-    # the child computes size 8 and dies at its first member without a
-    # reply: the rows before it print, then the column fails
+def test_failing_weight_stops_the_column(capsys, monkeypatch):
+    # a weight that fails at size 8 ends the table after the rows before
+    # it, with its own exception
     def broken(p):
         if len(p) == 8:
             raise TypeError("not a weight")
         return inversion_count(p) % 2
     monkeypatch.setitem(cli.MEMBER_COUNTS, "odd", (odd_count, broken))
-    with pytest.raises(RuntimeError, match="oracle worker for n=8 failed"):
+    with pytest.raises(TypeError, match="not a weight"):
         cli.main(["count", "odd", "--n", "1..8", "--oracle"])
     rows = "".join(f"{n},{odd_count(n)},{odd_count(n)},true\n"
                    for n in range(1, 8))
     assert capsys.readouterr().out == "n,formula,oracle,agree\n" + rows
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-    # a row that fails in-process stops the child, which is killed, not
-    # waited for
-    def stuck(p):
-        if p == tuple(range(1, 17)):
-            time.sleep(20)
-        if len(p) == 3:
-            raise TypeError("not a weight")
-        return inversion_count(p) % 2
-    monkeypatch.setitem(cli.MEMBER_COUNTS, "odd", (odd_count, stuck))
-    start = time.perf_counter()
-    with pytest.raises(TypeError, match="not a weight"):
-        cli.main(["count", "odd", "--n", "1..16", "--oracle"])
-    assert time.perf_counter() - start < 10
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-    # as a command: exit 1, a traceback, and on stdout the rows before
-    # the failed one
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, time; from grassperm import cli\n"
-         "cli._usable_cores = lambda: 2\n"
-         "def weight(p):\n"
-         "    if len(p) == 8:\n"
-         "        time.sleep(1)\n"
-         "        return p + 1\n"
-         "    return cli.inversion_count(p) % 2\n"
-         "cli.MEMBER_COUNTS['odd'] = (cli.odd_count, weight)\n"
-         "sys.exit(cli.main(['count', 'odd', '--n', '1..8', '--oracle']))"],
-        capture_output=True, text=True, timeout=60, env=module_env())
-    assert (proc.returncode, proc.stdout) == (
-        1, "n,formula,oracle,agree\n" + rows)
-    assert "TypeError" in proc.stderr and "RuntimeError" in proc.stderr
-    assert "oracle worker for n=8 failed" in proc.stderr
 
 
-def test_oracle_column_in_process_without_workers(capsys, monkeypatch):
-    assert cli._usable_cores() >= 1
-
-    def refuse():
-        raise AssertionError("forked a child")
+def test_oracle_column_in_process_without_workers(capsys, no_fork,
+                                                  monkeypatch):
+    # count and verify compute every row in this process: os.fork raises
     header = "n,formula,oracle,agree\n"
     rows = "".join(f"{n},{2 ** n - n},{2 ** n - n},true\n"
                    for n in range(1, 7))
-    monkeypatch.setattr(os, "fork", refuse)
-    use_workers(monkeypatch, 1)
     assert run(capsys, "count", "grassmannian", "--n", "1..6",
                "--oracle")[:2] == (0, header + rows)
-    use_workers(monkeypatch, 2)
     assert run(capsys, "count", "grassmannian", "--n", "6",
                "--oracle")[:2] == (0, header + "6,58,58,true\n")
+    for argv in (["count", "union-inverse", "--n", "1..12", "--oracle"],
+                 ["count", "descent-at", "--k", "3", "--n", "4..12",
+                  "--oracle"],
+                 ["count", "avoiders", "--pattern", "4231", "--n", "1..9",
+                  "--oracle"],
+                 ["verify", "prop22", "--max-n", "2"],
+                 ["verify", "prop53", "--max-n", "8"]):
+        assert run(capsys, *argv)[0] == 0, argv
     monkeypatch.delattr(os, "fork")
     assert run(capsys, "count", "grassmannian", "--n", "1..6",
                "--oracle")[:2] == (0, header + rows)
 
 
-def test_only_the_last_row_is_computed_in_the_child(capsys, monkeypatch,
-                                                   two_workers):
-    # a weight that reads -1 outside this process marks the rows the
-    # child computed: the last one, and for its own size
-    parent = os.getpid()
-
-    def here(p):
-        return inversion_count(p) % 2 if os.getpid() == parent else -1
-    monkeypatch.setitem(cli.MEMBER_COUNTS, "odd", (odd_count, here))
-    code, out, _ = run(capsys, "count", "odd", "--n", "2..9", "--oracle")
-    assert code == 1
-    assert out.splitlines()[1:] == [
-        f"{n},{odd_count(n)},{odd_count(n)},true" for n in range(2, 9)] + [
-        f"9,{odd_count(9)},{9 - 2 ** 9},false"]
-
-
-def test_count_forks_at_most_once_and_verify_never(capsys, monkeypatch,
-                                                   forks):
-    # count forks one child when it has two or more oracle rows and two
-    # or more cores; verify checks its blocks in-process
-    for cores, argv, forked in (
-            (3, ["count", "grassmannian", "--n", "1..2", "--oracle"], 1),
-            (3, ["count", "grassmannian", "--n", "1..12", "--oracle"], 1),
-            (3, ["count", "grassmannian", "--n", "9", "--oracle"], 0),
-            (1, ["count", "grassmannian", "--n", "1..12", "--oracle"], 0),
-            (3, ["count", "grassmannian", "--n", "1..12"], 0),
-            (3, ["verify", "prop22", "--max-n", "2"], 0),
-            (3, ["verify", "prop53", "--max-n", "8"], 0)):
-        use_workers(monkeypatch, cores)
-        forks.clear()
-        assert run(capsys, *argv)[0] == 0, argv
-        assert len(forks) == forked, argv
-
-
-# runs a command on the given number of usable cores; reports the pid
-# of each child on stderr as it is forked, and whether any child is left
-# unreaped.
-# With SLOW_N14 set, the enumeration oracle sleeps for a minute at
-# n = 14.
-POOLED_COMMAND = (
+# runs a command on the given number of CPUs, or on all there are if
+# fewer; with SLOW_N14 set, every MEMBER_COUNTS weight sleeps for a
+# minute at size 14
+PINNED_COMMAND = (
     "import os, sys, time\n"
     "from grassperm import cli\n"
-    "workers, argv = int(sys.argv[1]), sys.argv[2:]\n"
-    "cli._usable_cores = lambda: workers\n"
-    "fork = os.fork\n"
-    "def announced():\n"
-    "    pid = fork()\n"
-    "    if pid:\n"
-    "        print(f'worker {pid}', file=sys.stderr, flush=True)\n"
-    "    return pid\n"
-    "os.fork = announced\n"
-    "def slowed(count):\n"
-    "    def slow(*args):\n"
-    "        if 14 in args and os.environ.get('SLOW_N14'):\n"
+    "cores, argv = int(sys.argv[1]), sys.argv[2:]\n"
+    "if hasattr(os, 'sched_setaffinity'):\n"
+    "    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:cores])\n"
+    "def slowed(weight):\n"
+    "    def slow(p):\n"
+    "        if len(p) == 14 and os.environ.get('SLOW_N14'):\n"
     "            time.sleep(60)\n"
-    "        return count(*args)\n"
+    "        return weight(p)\n"
     "    return slow\n"
-    "cli.brute_count = slowed(cli.brute_count)\n"
-    "code = cli.main(argv)\n"
-    "try:\n"
-    "    os.waitpid(-1, os.WNOHANG)\n"
-    "except ChildProcessError:\n"
-    "    print('no child left', file=sys.stderr)\n"
-    "sys.exit(code)\n")
+    "for family, (formula, weight) in cli.MEMBER_COUNTS.items():\n"
+    "    cli.MEMBER_COUNTS[family] = (formula, slowed(weight))\n"
+    "sys.exit(cli.main(argv))\n")
 
 
-def pool_cases(count_argv, verify_argv):
-    """Cases (argv, usable cores, children forked): the count command on
-    one core, which forks nothing, and on two, which forks one child for
-    its last row, and the verify command, which forks nothing, on two."""
-    return [pytest.param(argv, workers, forked,
-                         id=f"{' '.join(argv)}-{workers}")
-            for argv, workers, forked in ((count_argv, 1, 0),
-                                          (count_argv, 2, 1),
-                                          (verify_argv, 2, 0))]
+def pinned_cases(count_argv, verify_argv):
+    """Cases (argv, CPUs): the count command on one and on two, and
+    the verify command on two; none depends on how many there are."""
+    return [pytest.param(argv, cores, id=f"{' '.join(argv)}-{cores}")
+            for argv, cores in ((count_argv, 1), (count_argv, 2),
+                                (verify_argv, 2))]
 
 
-def into_a_closed_pipe(options, workers, argv):
+def into_a_closed_pipe(options, cores, argv):
     """Run the command into a pipe whose reader has gone: it must exit 1
-    with no traceback and leave no child behind.  Return how many
-    children it forked."""
+    with nothing on stderr, no traceback and no summary."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
-            [sys.executable, *options, "-c", POOLED_COMMAND, str(workers),
+            [sys.executable, *options, "-c", PINNED_COMMAND, str(cores),
              *argv],
             stdout=write_end, stderr=subprocess.PIPE, text=True,
             timeout=60, env=module_env())
     finally:
         os.close(write_end)
-    assert proc.returncode == 1
-    lines = proc.stderr.splitlines()
-    forked = [line for line in lines if line.startswith("worker ")]
-    assert lines[len(forked):] == ["no child left"]
-    return len(forked)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
-@pytest.mark.parametrize("workers", [2])
-def test_forked_sweep_into_a_closed_pipe(workers):
-    # unbuffered, so the first row already meets the closed pipe; verify
-    # checks its blocks in-process, so it forks nothing on two cores
-    assert into_a_closed_pipe(["-u"], workers, ["verify", "thm51"]) == 0
+@pytest.mark.parametrize("cores", [2])
+def test_forked_sweep_into_a_closed_pipe(cores):
+    # unbuffered, so the first row already meets the closed pipe
+    into_a_closed_pipe(["-u"], cores, ["verify", "thm51"])
 
 
-@pytest.mark.parametrize("argv,workers,forked", pool_cases(
+@pytest.mark.parametrize("argv,cores", pinned_cases(
     ["count", "grassmannian", "--n", "1..22", "--oracle"],
     ["verify", "thm51"]))
-def test_buffered_output_into_a_closed_pipe(argv, workers, forked):
+def test_buffered_output_into_a_closed_pipe(argv, cores):
     # buffered, as a user runs it: the flush after the first row or
-    # block meets the closed pipe, on two cores while the child still
-    # computes the last row, so no summary reaches stderr
-    assert into_a_closed_pipe([], workers, argv) == forked
+    # block meets the closed pipe, long before the last row is computed
+    start = time.perf_counter()
+    into_a_closed_pipe([], cores, argv)
+    assert time.perf_counter() - start < 20
 
 
-@pytest.mark.parametrize("argv,workers,forked", pool_cases(
+@pytest.mark.parametrize("argv,cores", pinned_cases(
     ["count", "grassmannian", "--n", "1..14", "--oracle"],
     ["verify", "prop21", "--max-n", "14"]))
-def test_rows_reach_a_pipe_before_the_last_one_ends(capsys, argv, workers,
-                                                    forked):
+def test_rows_reach_a_pipe_before_the_last_one_ends(capsys, argv, cores):
     # the last row or block, n = 14, sleeps for a minute; the first ones
     # must reach the pipe long before, while the command still runs
     expected = run(capsys, *argv)[1].splitlines(keepends=True)[:2]
     env = dict(module_env(), SLOW_N14="1")
     with subprocess.Popen(
-            [sys.executable, "-c", POOLED_COMMAND, str(workers), *argv],
+            [sys.executable, "-c", PINNED_COMMAND, str(cores), *argv],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             env=env) as proc:
         try:
@@ -774,12 +764,8 @@ def test_rows_reach_a_pipe_before_the_last_one_ends(capsys, argv, workers,
             proc.wait(timeout=10)
         finally:
             proc.kill()
-        pids = [int(line.split()[1]) for line in proc.stderr
-                if line.startswith("worker ")]
     assert first == expected
     assert proc.returncode == -signal.SIGTERM
-    assert len(pids) == forked
-    assert not any(map(running, pids))
 
 
 class CountedFlushes(io.StringIO):
@@ -791,12 +777,13 @@ class CountedFlushes(io.StringIO):
         self.flushes += 1
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_output_is_flushed_at_most_once_per_task(monkeypatch, workers):
-    # a flush per line would cost a system call per line
-    use_workers(monkeypatch, workers)
+@pytest.mark.parametrize("start", [1, 2])
+def test_output_is_flushed_at_most_once_per_task(monkeypatch, start):
+    # a flush per line would cost a system call per line; a count that
+    # starts above size 1 walks the sizes below its first row unflushed
     for argv, tasks in (
-            (["count", "odd", "--n", "1..12", "--oracle"], 12),  # rows
+            (["count", "odd", "--n", f"{start}..12", "--oracle"],
+             13 - start),  # rows
             (["verify", "thm51"], 40 + 5),  # blocks: n = 1..40, m = 1..5
             # the walks' blocks, one per subtree
             (["enum", "grassmannian", "--n", "14"],
@@ -810,58 +797,30 @@ def test_output_is_flushed_at_most_once_per_task(monkeypatch, workers):
         assert out.flushes <= tasks + 1, argv
 
 
-def test_sweep_stops_its_workers_when_stdout_fails(monkeypatch, two_workers):
+def test_sweep_stops_when_stdout_fails(monkeypatch):
     class Closed:
         def write(self, text):
             raise BrokenPipeError
 
         def flush(self):
             pass
+    # the count's first row fails to print: no size above it is weighed
+    weighed = set()
+    formula, weight = cli.MEMBER_COUNTS["odd"]
+
+    def recorded(p):
+        weighed.add(len(p))
+        return weight(p)
+    monkeypatch.setitem(cli.MEMBER_COUNTS, "odd", (formula, recorded))
     monkeypatch.setattr(sys, "stdout", Closed())
     for argv in (["verify", "thm51"],
                  ["count", "odd", "--n", "1..12", "--oracle"]):
+        weighed.clear()
         args = cli.build_parser().parse_args(argv)
         with pytest.raises(BrokenPipeError) as caught:
             args.run(args)
-        # the traceback still holds the command's frame, yet no child
-        # is left
         assert caught.traceback, argv
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-
-def running(pid):
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    return True
-
-
-@pytest.mark.parametrize("argv", [
-    ["count", "grassmannian", "--n", "1..22", "--oracle"],
-], ids=" ".join)
-def test_sigterm_stops_the_workers(argv):
-    # the command stops at n = 14 while its child computes n = 22
-    env = dict(module_env(), SLOW_N14="1")
-    with subprocess.Popen(
-            [sys.executable, "-c", POOLED_COMMAND, "2", *argv],
-            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
-            env=env) as proc:
-        try:
-            start = time.monotonic()
-            pids = [int(proc.stderr.readline().split()[1])]
-            time.sleep(max(0.0, 1 - (time.monotonic() - start)))
-            proc.send_signal(signal.SIGTERM)
-            proc.wait(timeout=10)
-        finally:
-            proc.kill()
-    assert proc.returncode == -signal.SIGTERM
-    deadline = time.monotonic() + 2
-    while (alive := [pid for pid in pids if running(pid)]) and \
-            time.monotonic() < deadline:
-        time.sleep(0.05)
-    assert alive == []
+        assert weighed <= {1}, argv
 
 
 def test_count_oracle_caps_the_enumerated_avoiders(capsys):
@@ -895,11 +854,9 @@ VERIFY_SMALL = [
 
 @pytest.mark.parametrize("target,flags", VERIFY_SMALL,
                          ids=[t for t, _ in VERIFY_SMALL])
-def test_verify_targets(capsys, monkeypatch, forks, target, flags):
-    # the blocks are checked in-process, however many cores there are
-    use_workers(monkeypatch, 3)
+def test_verify_targets(capsys, no_fork, target, flags):
+    # the blocks are checked in-process: os.fork raises
     code, out, err = run(capsys, "verify", target, *flags)
-    assert forks == []
     assert code == 0
     assert "FAIL" not in out
     assert "all agree" in err
@@ -1260,11 +1217,10 @@ def test_cli_does_not_import_dataclasses():
         capture_output=True, text=True, timeout=60, env=module_env())
     assert proc.returncode == 0
     assert proc.stdout.strip() == "False"
-    # the forked oracle column needs no process pool either
+    # the oracle column needs no process pool either
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys; from grassperm import cli\n"
-         "cli._usable_cores = lambda: 2\n"
          "cli.main(['count', 'grassmannian', '--n', '1..6', '--oracle'])\n"
          "print([m for m in ('multiprocessing', 'concurrent.futures')"
          " if m in sys.modules])"],

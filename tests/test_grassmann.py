@@ -24,6 +24,7 @@ from grassperm.grassmann import (
 from grassperm.patterns import contains_pattern
 from grassperm.perms import (
     descent_positions,
+    direct_sum,
     format_permutation,
     identity,
     inverse,
@@ -97,6 +98,21 @@ def test_enumeration_matches_definition():
                  if len(descent_positions(p)) <= 1]
         assert members == brute  # same set, same lexicographic order
         assert len(members) == count_grassmannian(n) == 2 ** n - n
+
+
+def test_enumeration_from_a_first_value():
+    # the members whose first value is at least min_first, in order; at
+    # min_first = 2 they and the members 1 + q of size n - 1 make the
+    # whole family, which the count --oracle column relies on
+    for n in range(1, 11):
+        members = list(enumerate_grassmannian(n))
+        for first in range(1, n + 2):
+            assert list(enumerate_grassmannian(n, min_first=first)) == [
+                p for p in members if p[0] >= first], (n, first)
+        grown = [direct_sum((1,), q) for q in
+                 (enumerate_grassmannian(n - 1) if n > 1 else [()])]
+        assert grown + list(enumerate_grassmannian(n, min_first=2)) \
+            == members
 
 
 def block_lines(n):

@@ -89,6 +89,16 @@ def test_avoidance_sequences_closed_form():
                 for n in range(1, 11)] == row
 
 
+def test_closed_form_steps_the_binomials():
+    # each binomial is stepped from the one before; the sum must be the
+    # one of independent binomials, also where k - 1 exceeds n
+    for n in range(1, 41):
+        for k in range(2, 46):
+            sigma = tuple(range(2, k + 1)) + (1,)
+            assert count_avoiders_closed_form(n, sigma) == 1 + sum(
+                comb(n, j - 1) for j in range(3, k + 1)), (n, k)
+
+
 def test_avoidance_sequence_is_pattern_independent():
     # every one-descent pattern of one size gives the same sequence
     for size in range(3, 6):
