@@ -15,10 +15,11 @@ soon as it is checked, and enum a block of lines per write, in either
 format: a subtree of the walk (at most a few hundred lines) for
 grassmannian and dyck, about ENUM_CHUNK_CHARS characters for its other
 families.  The rest write at exit.
-count --oracle enumerates each size's family once, in this process:
-the size-n family is 1 + q for every q of size n - 1 (1 put in front,
-every value raised by one) and the members whose first value is at
-least 2, so each row adds the new members to the row before.
+count --oracle enumerates only the cores, in this process: every member
+but the identity is a core r, with r(1) != 1 and r(m) != m, padded by
+fixed points at both ends, and each weight ignores the padding, so each
+row adds the weights of the members whose first value is at least 2,
+which the cores up to its size give, to the row before.
 """
 
 from __future__ import annotations
@@ -191,17 +192,18 @@ def _chunked(lines: Iterable[str]) -> Iterator[str]:
 # every number far below int()'s 4300-digit printing limit
 MAX_COUNT_SIZE = 1000
 
-# count --oracle refuses --cap above this: a row at the cap enumerates
-# 2^28 - 28 members, minutes of work on one core (enum, which streams in
-# bounded memory, keeps an unbounded --cap)
+# count --oracle refuses --cap above this: a column ending at the cap
+# enumerates 2^27 - 1 cores, minutes of work on one core (enum, which
+# streams in bounded memory, keeps an unbounded --cap)
 MAX_ORACLE_CAP = 28
 
 # family -> (closed form, what one enumerated member adds to the
 # independent count); count --oracle and the verify sweeps both read it.
 # Each weight must give 1 + q (q with 1 put in front and every value
-# raised by one) what it gives q, since the oracle column carries each
-# size's total over to the next: the descents and inversions of 1 + q
-# are those of q, moved one place right
+# raised by one) and q + 1 (q with its size + 1 put after it) what it
+# gives q, since the oracle column weighs only the cores and pads them
+# with fixed points: the descents and inversions of 1 + q are those of
+# q, moved one place right, and those of q + 1 are those of q
 MEMBER_COUNTS: dict[str, tuple[Callable[[int], int],
                                Callable[[Perm], int]]] = {
     # every member is a non-empty tuple, so bool counts it as one
@@ -220,33 +222,29 @@ MEMBER_COUNTS: dict[str, tuple[Callable[[int], int],
 }
 
 
-def brute_count(family: str, n: int, cap: int | None = None) -> int:
-    """The independent count of a MEMBER_COUNTS family: the weights of
-    the enumerated size-n members, summed."""
-    weight = MEMBER_COUNTS[family][1]
-    return sum(map(weight, enumerate_grassmannian(n, cap=cap)))
-
-
-def _new_members(sizes: range,
-                 cap: int | None) -> Iterator[tuple[int, Iterator[Perm]]]:
-    """(m, the size-m members whose first value is at least 2) for m =
-    1 .. sizes[-1].  With 1 + q for every q of size m - 1, they make
-    the whole size-m family.  The first size is checked against the cap
-    before any is walked, and each one as its walk is made."""
+def _cores(sizes: range,
+           cap: int | None) -> Iterator[tuple[int, Iterator[Perm]]]:
+    """(m, the size-m cores) for m = 1 .. sizes[-1].  The first size is
+    checked against the cap before any is walked, and each one as its
+    walk is made."""
     check_cap(sizes[0], cap)
     for m in range(1, sizes[-1] + 1):
-        yield m, enumerate_grassmannian(m, cap=cap, min_first=2)
+        yield m, enumerate_grassmannian(m, cap=cap, core=True)
 
 
 def _weight_column(weight: Callable[[Perm], int], sizes: range,
                    cap: int | None) -> Iterator[int]:
-    """The summed weights of the size-n family for each n in sizes: the
-    sum at n - 1, which the members 1 + q carry over, plus the new
-    members' weights."""
+    """The summed weights of the size-n family for each n in sizes.
+    The size-m members whose first value is at least 2 are the cores of
+    sizes up to m, each followed by fixed points, so their weight, new,
+    grows by the size-m cores' weights; the members 1 + q carry the
+    total at m - 1 over."""
     # sum, not weight((1,)): bool's total stays an int
     total = sum(map(weight, [(1,)]))
-    for m, members in _new_members(sizes, cap):
-        total += sum(map(weight, members))
+    new = 0
+    for m, cores in _cores(sizes, cap):
+        new += sum(map(weight, cores))
+        total += new
         if m in sizes:
             yield total
 
@@ -254,11 +252,15 @@ def _weight_column(weight: Callable[[Perm], int], sizes: range,
 def _descent_column(k: int, sizes: range,
                     cap: int | None) -> Iterator[int]:
     """How many members of the size-n family descend at k, for each n
-    in sizes.  1 + q descends one place after q, so each descent is
-    kept less the size of its member, a key that 1 + q keeps."""
+    in sizes.  new counts the descents of the cores so far, which are
+    those of the members whose first value is at least 2.  1 + q
+    descends one place after q, so each descent is kept less the size
+    of its member, a key that 1 + q keeps."""
     descents: Counter[int] = Counter()
-    for m, members in _new_members(sizes, cap):
-        descents.update(sole_descent(p) - m for p in members)
+    new: Counter[int] = Counter()
+    for m, cores in _cores(sizes, cap):
+        new.update(map(sole_descent, cores))
+        descents.update({d - m: count for d, count in new.items()})
         if m in sizes:
             yield descents[k - m]
 
@@ -408,9 +410,11 @@ def verify_theorem34(args: argparse.Namespace) -> Iterator[Block]:
 
 
 def verify_prop21(args: argparse.Namespace) -> Iterator[Block]:
+    column = _weight_column(MEMBER_COUNTS["bigrassmannian"][1],
+                            range(1, args.max_n + 1), None)
+
     def rows(n: int) -> Iterator[Row]:
-        yield (f"count n={n}", count_bigrassmannian(n),
-               brute_count("bigrassmannian", n))
+        yield (f"count n={n}", count_bigrassmannian(n), next(column))
         same_class = all(
             is_bigrassmannian(p) == (not contains_pattern(p, (2, 4, 1, 3)))
             for p in enumerate_grassmannian(n))
@@ -504,6 +508,10 @@ def verify_prop46(args: argparse.Namespace) -> Iterator[Block]:
 
 
 def verify_thm51(args: argparse.Namespace) -> Iterator[Block]:
+    # one oracle column for the sizes up to 14, a row per block
+    oracle_sizes = range(1, 15)
+    column = _weight_column(MEMBER_COUNTS["odd"][1], oracle_sizes, None)
+
     def counts(n: int) -> Iterator[Row]:
         # as in count: every row within seconds, every number far below
         # int()'s 4300-digit printing limit
@@ -517,8 +525,8 @@ def verify_thm51(args: argparse.Namespace) -> Iterator[Block]:
             # not the closed form against itself
             yield (f"recurrence n={n}",
                    2 * kernels.count_odd_members(n - 2) + 2 ** (n - 2), odd)
-        if n <= 14:
-            yield (f"oracle n={n}", odd_count(n), brute_count("odd", n))
+        if n in oracle_sizes:
+            yield (f"oracle n={n}", odd_count(n), next(column))
 
     def maps(m: int) -> Iterator[Row]:
         odd = [p for p in enumerate_grassmannian(2 * m)

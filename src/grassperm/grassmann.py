@@ -111,13 +111,15 @@ TAIL_VALUES = 8
 
 def _rising_prefix_walk(n: int, atoms: Sequence,
                         firsts: Sequence | None = None,
-                        min_first: int = 1) -> Iterator:
-    """Every member of the size-n family whose first value is at least
-    min_first, built from atoms[1..n], in lexicographic order; a
-    member's first value v is firsts[v] (atoms[v] by default), so that
-    atoms may carry a separator before their value.  Tuple atoms give the members one at a time.  String
-    atoms give text: the members, each followed by a newline, in one
-    string per subtree below and one per node above it.
+                        mark: Sequence | None = None) -> Iterator:
+    """Every member of the size-n family, built from atoms[1..n], in
+    lexicographic order; a member's first value v is firsts[v] (atoms[v]
+    by default), so that atoms may carry a separator before their
+    value.  Tuple atoms give the members one at a time.  String atoms
+    give text: the members, each followed by a newline, in one string
+    per subtree below and one per node above it.  With a mark, only the
+    members whose first value is at least 2, the mark put after their
+    first rising block, not in lexicographic order.
 
     Each node of the walk is a rising prefix S, with last = max S: the
     member whose first rising block is S is the prefix, then low (the
@@ -125,6 +127,7 @@ def _rising_prefix_walk(n: int, atoms: Sequence,
     every value above last.  A node is emitted when low is non-empty,
     which spends the descent, or when last = n, which gives the
     identity; the prefixes 1..j with j < n would repeat the identity.
+    A mark starts every low, so it stands right after the prefix.
     Children, one per value above last, come in increasing order after
     their parent: the members come in preorder, which is lexicographic.
 
@@ -176,11 +179,12 @@ def _rising_prefix_walk(n: int, atoms: Sequence,
     pairs = [list(zip(h, r)) for h, r in zip(heads, rests)] if text else []
     end = "\n" if text else empty
     firsts = atoms if firsts is None else firsts
+    mark = empty if mark is None else mark
     stack: list[tuple] = []
     pop, push = stack.pop, stack.append
     # the root, the empty prefix, has only its children to give
-    for first in range(min_first, n + 1):
-        push((firsts[first], run[:at[first]], first, first + 1))
+    for first in range(2 if mark else 1, n + 1):
+        push((firsts[first], mark + run[:at[first]], first, first + 1))
         while stack:
             prefix, low, last, v = pop()
             if v == last + 1:  # the node's first visit
@@ -202,10 +206,10 @@ def _rising_prefix_walk(n: int, atoms: Sequence,
 
 
 def enumerate_grassmannian(n: int, *, cap: int | None = None,
-                           min_first: int = 1) -> Iterator[Perm]:
+                           core: bool = False) -> Iterator[Perm]:
     """All permutations of size n with at most one descent, in
-    lexicographic order, streamed; with min_first, only those whose
-    first value is at least min_first.
+    lexicographic order, streamed; with core, only the cores, the
+    members p with p(1) != 1 and p(n) != n, not in lexicographic order.
 
     Values are placed left to right while the prefix rises; dropping to
     the smallest unplaced value spends the one allowed descent and
@@ -215,15 +219,23 @@ def enumerate_grassmannian(n: int, *, cap: int | None = None,
     TAIL_VALUES values from two fixed-size completion tables; see
     _rising_prefix_walk.
 
+    A core is T within 2..n-1, then n, then the rest increasing: one of
+    the size-(n-1) members whose first value is at least 2 with n put
+    after its first rising block, or (n, 1, ..., n-1).
+
     >>> [p for p in enumerate_grassmannian(3)]
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2)]
-    >>> [p for p in enumerate_grassmannian(3, min_first=2)]
-    [(2, 1, 3), (2, 3, 1), (3, 1, 2)]
+    >>> [p for p in enumerate_grassmannian(4, core=True)]
+    [(2, 4, 1, 3), (2, 3, 4, 1), (3, 4, 1, 2), (4, 1, 2, 3)]
     """
     check_size(n)
     check_cap(n, cap)
-    return _rising_prefix_walk(n, [()] + [(v,) for v in range(1, n + 1)],
-                               min_first=min_first)
+    atoms = [()] + [(v,) for v in range(1, n + 1)]
+    if not core:
+        return _rising_prefix_walk(n, atoms)
+    rotated = [atoms[n] + identity(n - 1)] if n > 1 else []
+    return chain(_rising_prefix_walk(n - 1, atoms[:n], mark=atoms[n]),
+                 rotated)
 
 
 def grassmannian_blocks(n: int, *, cap: int | None = None) -> Iterator[str]:
@@ -268,7 +280,8 @@ def count_descent_at(n: int, k: int) -> int:
     """
     check_size(n)
     if not 1 <= k <= n - 1:
-        raise ValueError(f"descent position {k} outside 1..{n - 1}")
+        valid = f"; use sizes from {k + 1}" if k >= 1 else ""
+        raise ValueError(f"descent position {k} outside 1..{n - 1}{valid}")
     return comb(n, k) - 1
 
 

@@ -329,7 +329,7 @@ def test_union_oracle_matches_set_union():
     for n in range(1, 12):
         family = set(enumerate_grassmannian(n))
         union = family | {inverse(p) for p in family}
-        assert cli.brute_count("union-inverse", n) == len(union)
+        assert brute_count("union-inverse", n) == len(union)
 
 
 @pytest.mark.parametrize("argv, digest", [
@@ -360,11 +360,10 @@ def test_inverse_weight_output_is_pinned(capsys, argv, digest):
 
 def test_union_oracle_flags_a_repeated_member(capsys, monkeypatch):
     # a set union would hide an enumerator that yields a member twice;
-    # the column walks the members whose first value is at least 2
-    def repeating(n, *, cap=None, min_first=1):
-        assert min_first == 2
-        members = list(enumerate_grassmannian(n, cap=cap,
-                                              min_first=min_first))
+    # the column walks the cores, and one of each size comes twice
+    def repeating(n, *, cap=None, core=False):
+        assert core
+        members = list(enumerate_grassmannian(n, cap=cap, core=core))
         return iter(members[:1] + members)
     monkeypatch.setattr(cli, "enumerate_grassmannian", repeating)
     code, out, _ = run(capsys, "count", "union-inverse", "--n", "4",
@@ -494,13 +493,51 @@ def test_member_weights_ignore_a_fixed_first_value():
     assert not invariant(lambda p: p[0] == 1)
 
 
-FORKED_COUNTS = [
+def test_member_weights_ignore_a_fixed_last_value():
+    # the column pads each core with fixed points at the end too, so
+    # every weight must give q + 1 (q, then its size + 1) what it gives q
+    def invariant(weight):
+        return all(weight(direct_sum(q, (1,))) == weight(q)
+                   for n in range(1, 11) for q in enumerate_grassmannian(n))
+    for family, (_, weight) in cli.MEMBER_COUNTS.items():
+        assert invariant(weight), family
+    assert not invariant(lambda p: p[-1] == len(p))
+
+
+def test_oracle_column_weighs_each_core_once(capsys, monkeypatch):
+    # a column ending at 12 weighs (1,) and the 2^11 - 1 cores of sizes
+    # 2..12, each once, and not every member of every size
+    formula, weight = cli.MEMBER_COUNTS["grassmannian"]
+    weighed = []
+
+    def counted(p):
+        weighed.append(p)
+        return weight(p)
+    monkeypatch.setitem(cli.MEMBER_COUNTS, "grassmannian", (formula, counted))
+    code, out, _ = run(capsys, "count", "grassmannian", "--n", "1..12",
+                       "--oracle")
+    assert code == 0
+    assert out.splitlines()[-1] == f"12,{2 ** 12 - 12},{2 ** 12 - 12},true"
+    assert len(weighed) == len(set(weighed)) == 2 ** 11
+
+
+ORACLE_COUNTS = [
     *([family, "--n", "1..9"] for family in cli.MEMBER_COUNTS),
     ["descent-at", "--k", "2", "--n", "3..10"],
+    ["descent-at", "--k", "1", "--n", "2..9"],
+    ["descent-at", "--k", "8", "--n", "9"],  # k = N - 1
+    ["descent-at", "--k", "3", "--n", "6..9"],
     ["finite-class", "--k", "4", "--n", "1..9"],
     ["avoiders", "--pattern", "2413", "--n", "1..9"],  # one descent
     ["avoiders", "--pattern", "4231", "--n", "1..9"],  # two descents
 ]
+
+
+def brute_count(family, n):
+    """The count of a MEMBER_COUNTS family as one enumeration of the
+    whole size-n family: the weights of its members, summed."""
+    weight = cli.MEMBER_COUNTS[family][1]
+    return sum(map(weight, enumerate_grassmannian(n)))
 
 
 def per_row_oracle(args):
@@ -508,7 +545,7 @@ def per_row_oracle(args):
     per row, as the column does not compute it."""
     members = enumerate_grassmannian
     if args.family in cli.MEMBER_COUNTS:
-        return lambda n: cli.brute_count(args.family, n)
+        return lambda n: brute_count(args.family, n)
     if args.family == "descent-at":
         return lambda n: sum(sole_descent(p) == args.k for p in members(n))
     if args.family == "finite-class":
@@ -519,7 +556,7 @@ def per_row_oracle(args):
     return lambda n: sum(not contains_pattern(p, sigma) for p in members(n))
 
 
-@pytest.mark.parametrize("argv", FORKED_COUNTS, ids=" ".join)
+@pytest.mark.parametrize("argv", ORACLE_COUNTS, ids=" ".join)
 def test_forked_oracle_column_matches_in_process(capsys, argv):
     # the column, each row built from the one before, prints what one
     # enumeration per row gives, in every format: on the listed sizes
@@ -554,9 +591,10 @@ def test_patched_oracles_fail_in_the_column(capsys, monkeypatch):
     assert code == 1
     assert out.splitlines()[1].endswith(",false")
 
-    # an enumerator that repeats a new member of each size: every row
-    # from that size on counts it twice
+    # an enumerator that repeats a core of each size: every row from
+    # that size on counts it twice
     def repeating(n, **kwargs):
+        assert kwargs.get("core")
         members = list(enumerate_grassmannian(n, **kwargs))
         return iter(members[:1] + members)
     monkeypatch.setattr(cli, "enumerate_grassmannian", repeating)
@@ -577,7 +615,7 @@ def test_patched_oracles_fail_in_the_column(capsys, monkeypatch):
     assert all(line.endswith(",-1,false") for line in out.splitlines()[1:])
 
 
-def test_forked_column_raises_the_first_error_in_row_order(capsys,
+def test_oracle_column_raises_the_first_error_in_row_order(capsys,
                                                           monkeypatch):
     # the formula refuses every size: no oracle row is computed
     start = time.perf_counter()
@@ -585,7 +623,7 @@ def test_forked_column_raises_the_first_error_in_row_order(capsys,
                          "--n", "1..21", "--oracle")
     assert time.perf_counter() - start < 1
     assert (code, out, err) == (2, "", "error: descent position 5 outside"
-                                       " 1..0\n")
+                                       " 1..0; use sizes from 6\n")
     # the oracle refuses sizes 6, 7 and 8; the smallest is reported, and
     # the rows before it are printed
     header = "n,formula,oracle,agree\n"
@@ -623,7 +661,7 @@ def test_forked_column_raises_the_first_error_in_row_order(capsys,
         assert err.startswith(f"error: {message}"), refused
 
 
-def test_forked_column_drops_sizes_above_a_refusal(capsys, no_fork):
+def test_oracle_column_drops_sizes_above_a_refusal(capsys, no_fork):
     # a first size above the cap is refused before the sizes below it
     # are walked, and the sizes above a refusal cost nothing
     start = time.perf_counter()
@@ -660,8 +698,7 @@ def test_failing_weight_stops_the_column(capsys, monkeypatch):
     assert capsys.readouterr().out == "n,formula,oracle,agree\n" + rows
 
 
-def test_oracle_column_in_process_without_workers(capsys, no_fork,
-                                                  monkeypatch):
+def test_oracle_column_runs_without_fork(capsys, no_fork, monkeypatch):
     # count and verify compute every row in this process: os.fork raises
     header = "n,formula,oracle,agree\n"
     rows = "".join(f"{n},{2 ** n - n},{2 ** n - n},true\n"
@@ -728,7 +765,7 @@ def into_a_closed_pipe(options, cores, argv):
 
 
 @pytest.mark.parametrize("cores", [2])
-def test_forked_sweep_into_a_closed_pipe(cores):
+def test_unbuffered_sweep_into_a_closed_pipe(cores):
     # unbuffered, so the first row already meets the closed pipe
     into_a_closed_pipe(["-u"], cores, ["verify", "thm51"])
 

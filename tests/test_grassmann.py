@@ -101,18 +101,28 @@ def test_enumeration_matches_definition():
 
 
 def test_enumeration_from_a_first_value():
-    # the members whose first value is at least min_first, in order; at
-    # min_first = 2 they and the members 1 + q of size n - 1 make the
-    # whole family, which the count --oracle column relies on
+    # the members whose first value is at least 2 are r + 1 + ... + 1,
+    # a core r padded with fixed points at the end, and with 1 + q for
+    # every q of size n - 1 they make the whole family, which the count
+    # --oracle column relies on
     for n in range(1, 11):
         members = list(enumerate_grassmannian(n))
-        for first in range(1, n + 2):
-            assert list(enumerate_grassmannian(n, min_first=first)) == [
-                p for p in members if p[0] >= first], (n, first)
+        padded = [direct_sum(r, identity(n - m)) for m in range(1, n + 1)
+                  for r in enumerate_grassmannian(m, core=True)]
+        assert sorted(padded) == [p for p in members if p[0] >= 2], n
         grown = [direct_sum((1,), q) for q in
                  (enumerate_grassmannian(n - 1) if n > 1 else [()])]
-        assert grown + list(enumerate_grassmannian(n, min_first=2)) \
-            == members
+        assert sorted(grown + padded) == members, n
+
+
+def test_core_walk():
+    # the cores, p(1) != 1 and p(m) != m, each once, 2^(m-2) of them;
+    # from m = 12 on the walk has nodes above its completion tables
+    for m in range(1, 13):
+        cores = list(enumerate_grassmannian(m, core=True))
+        assert sorted(cores) == [p for p in enumerate_grassmannian(m)
+                                 if p[0] != 1 and p[-1] != m], m
+        assert len(cores) == (2 ** (m - 2) if m > 1 else 0), m
 
 
 def block_lines(n):
