@@ -10,7 +10,6 @@ from grassperm.perms import (
     DEFAULT_ENUMERATION_CAP,
     Perm,
     descent_positions,
-    dip_pairs,
     direct_sum,
     format_lehmer_code,
     format_permutation,
@@ -24,7 +23,6 @@ from grassperm.perms import (
     parse_lehmer_code,
     parse_permutation,
     reverse_complement,
-    skew_sum,
 )
 from grassperm.grassmann import (
     count_bigrassmannian,

@@ -30,7 +30,7 @@ import sys
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import partial
-from itertools import chain, islice
+from itertools import chain
 
 from grassperm import kernels
 from grassperm.dyck import (
@@ -70,6 +70,7 @@ from grassperm.patterns import (
     enumerate_avoiders,
     finite_class_count,
     finite_class_formula,
+    one_descent_patterns,
     weiner_formula,
 )
 from grassperm.perms import (
@@ -105,6 +106,14 @@ def parse_range(text: str) -> range:
     return range(start, stop + 1)
 
 
+def _needs(args: argparse.Namespace, flag: str) -> object:
+    """args.flag, refused when unset, since the family needs it."""
+    value = getattr(args, flag)
+    if value is None:
+        raise ValueError(f"{args.command} {args.family} needs --{flag}")
+    return value
+
+
 # ---------------------------------------------------------------- enum
 
 # enum writes the families that come as items in blocks of about this
@@ -138,39 +147,6 @@ def _write_blocks(blocks: Iterable[str], as_json: bool) -> int:
     return count
 
 
-def cmd_enum(args: argparse.Namespace) -> int:
-    count = _write_blocks(_enum_blocks(args), args.format == "json")
-    print(f"count: {count}", file=sys.stderr)
-    return 0
-
-
-def _enum_blocks(args: argparse.Namespace) -> Iterator[str]:
-    """cmd_enum's output as text: the two walks' own blocks, one per
-    subtree, and blocks of about ENUM_CHUNK_CHARS characters for the
-    others."""
-    n = args.n
-    cap = args.cap
-    if args.family == "grassmannian":
-        return grassmannian_blocks(n, cap=cap)
-    if args.family == "dyck":
-        return dyck_path_blocks(n, grassmannian_only=args.grassmannian_only,
-                                cap=cap)
-    if args.family == "avoiders":
-        if args.pattern is None:
-            raise ValueError("enum avoiders needs --pattern")
-        sigma = parse_permutation(args.pattern)
-        lines: Iterator[str] = map(format_permutation,
-                                   enumerate_avoiders(n, sigma, cap=cap))
-    elif args.family == "bigrassmannian":
-        members = enumerate_grassmannian(n, cap=cap)
-        lines = map(format_permutation, filter(is_bigrassmannian, members))
-    elif args.family == "involutions":
-        lines = map(format_permutation, enumerate_involutions(n, cap=cap))
-    else:  # schroder
-        lines = enumerate_uudd_avoiding(n, cap=cap)
-    return _chunked(lines)
-
-
 def _chunked(lines: Iterable[str]) -> Iterator[str]:
     """The lines, each followed by a newline, joined into blocks that
     end at the first line to reach ENUM_CHUNK_CHARS characters."""
@@ -184,6 +160,32 @@ def _chunked(lines: Iterable[str]) -> Iterator[str]:
             chunk, size = [], 0
     if chunk:
         yield "\n".join(chunk) + "\n"
+
+
+# family -> its output as blocks of text (the walks' subtrees, else
+# _chunked lines), in the order that enum --help lists
+ENUM_FAMILIES: dict[str, Callable[[argparse.Namespace], Iterator[str]]] = {
+    "grassmannian": lambda args: grassmannian_blocks(args.n, cap=args.cap),
+    "bigrassmannian": lambda args: _chunked(map(format_permutation, filter(
+        is_bigrassmannian, enumerate_grassmannian(args.n, cap=args.cap)))),
+    "involutions": lambda args: _chunked(map(
+        format_permutation, enumerate_involutions(args.n, cap=args.cap))),
+    "avoiders": lambda args: _chunked(map(
+        format_permutation,
+        enumerate_avoiders(args.n, parse_permutation(_needs(args, "pattern")),
+                           cap=args.cap))),
+    "dyck": lambda args: dyck_path_blocks(
+        args.n, grassmannian_only=args.grassmannian_only, cap=args.cap),
+    "schroder": lambda args: _chunked(
+        enumerate_uudd_avoiding(args.n, cap=args.cap)),
+}
+
+
+def cmd_enum(args: argparse.Namespace) -> int:
+    blocks = ENUM_FAMILIES[args.family](args)
+    count = _write_blocks(blocks, args.format == "json")
+    print(f"count: {count}", file=sys.stderr)
+    return 0
 
 
 # ---------------------------------------------------------------- count
@@ -276,21 +278,15 @@ def _count_family(args: argparse.Namespace) -> tuple[
         formula, weight = MEMBER_COUNTS[family]
         return formula, lambda sizes: _weight_column(weight, sizes, cap)
     if family == "descent-at":
-        if args.k is None:
-            raise ValueError("count descent-at needs --k")
-        k = args.k
+        k = _needs(args, "k")
         return (lambda n: count_descent_at(n, k),
                 lambda sizes: _descent_column(k, sizes, cap))
     if family == "finite-class":
-        if args.k is None:
-            raise ValueError("count finite-class needs --k")
-        k = args.k
+        k = _needs(args, "k")
         return (lambda m: finite_class_formula(m, k),
                 lambda sizes: (finite_class_count(m, k) for m in sizes))
     # avoiders
-    if args.pattern is None:
-        raise ValueError("count avoiders needs --pattern")
-    sigma = parse_permutation(args.pattern)
+    sigma = parse_permutation(_needs(args, "pattern"))
     return (lambda n: count_avoiders_closed_form(n, sigma),
             lambda sizes: (count_avoiders_by_scan(n, sigma, cap=cap)
                            for n in sizes))
@@ -384,6 +380,13 @@ class Sweep:
 Row = tuple[str, object, object]
 Block = Callable[[], Iterator[Row]]
 
+# verify prop21 and prop41 refuse sizes above this: both walk each
+# size's whole family, about twice the cost of the size before.  prop21
+# tests each member for 2413, 13 s for a sweep to 18 on a 2-vCPU VM;
+# prop41's image row holds the family twice and prints it, a peak RSS
+# of 172 MB at 18
+MAX_WALKED_SIZE = 18
+
 
 def verify_weiner(args: argparse.Namespace) -> Iterator[Block]:
     def rows(k: int) -> Iterator[Row]:
@@ -400,13 +403,11 @@ def verify_theorem34(args: argparse.Namespace) -> Iterator[Block]:
             yield (f"sigma={name} n={n}",
                    count_avoiders_closed_form(n, sigma),
                    count_avoiders_by_scan(n, sigma))
-    # one_descent_patterns(size), one pattern at a time: each walk skips
-    # its first member, the identity, and all are made here, so that a
-    # size above the cap is refused before any row
-    walks = [enumerate_grassmannian(size)
+    # one pattern at a time, from walks all made here, so that a size
+    # above the cap is refused before any row
+    walks = [one_descent_patterns(size)
              for size in range(3, args.max_size + 1)]
-    return (partial(rows, sigma) for walk in walks
-            for sigma in islice(walk, 1, None))
+    return (partial(rows, sigma) for walk in walks for sigma in walk)
 
 
 def verify_prop21(args: argparse.Namespace) -> Iterator[Block]:
@@ -414,6 +415,9 @@ def verify_prop21(args: argparse.Namespace) -> Iterator[Block]:
                             range(1, args.max_n + 1), None)
 
     def rows(n: int) -> Iterator[Row]:
+        if n > MAX_WALKED_SIZE:
+            raise ValueError("verify prop21 walks each size's family, so its"
+                             f" sizes end at {MAX_WALKED_SIZE}, got {n}")
         yield (f"count n={n}", count_bigrassmannian(n), next(column))
         same_class = all(
             is_bigrassmannian(p) == (not contains_pattern(p, (2, 4, 1, 3)))
@@ -450,11 +454,10 @@ def verify_prop31(args: argparse.Namespace) -> Iterator[Block]:
 
 def verify_prop41(args: argparse.Namespace) -> Iterator[Block]:
     def rows(n: int) -> Iterator[Row]:
-        # the image row holds the size-n family twice and prints it: a
-        # peak RSS of 172 MB at n = 18, which doubles with each size
-        if n > 18:
+        if n > MAX_WALKED_SIZE:
             raise ValueError("verify prop41 holds each size's family in"
-                             f" memory, so its sizes end at 18, got {n}")
+                             f" memory, so its sizes end at {MAX_WALKED_SIZE},"
+                             f" got {n}")
         image = sorted(map(path_to_permutation,
                            enumerate_grassmannian_paths(n)))
         yield (f"path count n={n}", count_grassmannian(n), len(image))
@@ -636,25 +639,23 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- map
 
+# direction -> (read the value, apply the bijection, write the image),
+# in the order that map --help lists
+MAPS: dict[str, tuple[Callable[[str], object], Callable, Callable]] = {
+    "phi": (parse_dyck_path, path_to_permutation, format_permutation),
+    "phi-inverse": (parse_permutation, permutation_to_path, str),
+    "alpha": (str, word_to_code, format_lehmer_code),
+    "alpha-inverse": (parse_lehmer_code, code_to_word, str),
+    "lehmer-encode": (parse_permutation, lehmer_encode, format_lehmer_code),
+    "lehmer-decode": (parse_lehmer_code, lehmer_decode, format_permutation),
+    "xi": (parse_permutation, extend_to_odd_size, format_permutation),
+    "psi": (parse_permutation, extend_to_even_size, format_permutation),
+}
+
+
 def cmd_map(args: argparse.Namespace) -> int:
-    direction = args.direction
-    text = args.value
-    if direction == "phi":
-        print(format_permutation(path_to_permutation(parse_dyck_path(text))))
-    elif direction == "phi-inverse":
-        print(permutation_to_path(parse_permutation(text)))
-    elif direction == "alpha":
-        print(format_lehmer_code(word_to_code(text)))
-    elif direction == "alpha-inverse":
-        print(code_to_word(parse_lehmer_code(text)))
-    elif direction == "lehmer-encode":
-        print(format_lehmer_code(lehmer_encode(parse_permutation(text))))
-    elif direction == "lehmer-decode":
-        print(format_permutation(lehmer_decode(parse_lehmer_code(text))))
-    elif direction == "xi":
-        print(format_permutation(extend_to_odd_size(parse_permutation(text))))
-    else:  # psi
-        print(format_permutation(extend_to_even_size(parse_permutation(text))))
+    read, apply, write = MAPS[args.direction]
+    print(write(apply(read(args.value))))
     return 0
 
 
@@ -669,9 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     enum = sub.add_parser(
         "enum", help="list a family, one element per line")
-    enum.add_argument("family", choices=[
-        "grassmannian", "bigrassmannian", "involutions", "avoiders",
-        "dyck", "schroder"])
+    enum.add_argument("family", choices=list(ENUM_FAMILIES))
     enum.add_argument("--n", type=int, required=True, help="size/semilength")
     enum.add_argument("--pattern", help="pattern for the avoiders family")
     enum.add_argument("--format", choices=["lines", "json"], default="lines")
@@ -726,9 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     mapper = sub.add_parser(
         "map", help="apply one bijection to one value")
-    mapper.add_argument("direction", choices=[
-        "phi", "phi-inverse", "alpha", "alpha-inverse",
-        "lehmer-encode", "lehmer-decode", "xi", "psi"])
+    mapper.add_argument("direction", choices=list(MAPS))
     mapper.add_argument("value", help="path, word, code, or permutation")
     mapper.set_defaults(run=cmd_map)
 

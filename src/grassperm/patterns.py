@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
+from itertools import islice
 from math import comb
 
 from grassperm import kernels
@@ -192,8 +193,8 @@ def weiner_formula(m: int, k: int) -> int:
                for j in range(1, k - m // 2 + 1))
 
 
-def one_descent_patterns(k: int) -> tuple[Perm, ...]:
-    """All size-k patterns with exactly one descent (the non-identity
-    members of the size-k one-descent family), in lexicographic order."""
-    return tuple(p for p in enumerate_grassmannian(k)
-                 if descent_positions(p))
+def one_descent_patterns(k: int) -> Iterator[Perm]:
+    """All size-k patterns with exactly one descent: the size-k family
+    but its first member, the identity, in lexicographic order and
+    streamed; k is checked against the enumeration cap at the call."""
+    return islice(enumerate_grassmannian(k), 1, None)

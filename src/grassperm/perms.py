@@ -125,22 +125,6 @@ def inversion_count(p: Sequence[int]) -> int:
     return count
 
 
-def dip_pairs(p: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    """Pairs of positions (i, j) with i < j and p(i) = p(j) + 1.
-
-    Dips play the role of descents under inversion: p has as many dips
-    as inverse(p) has descents.  grassmann.inverse_is_grassmannian
-    tests for at most one dip without listing them.
-
-    >>> dip_pairs((2, 4, 1, 3))
-    ((1, 3), (2, 4))
-    """
-    pos = {v: i + 1 for i, v in enumerate(p)}
-    pairs = [(pos[v + 1], pos[v]) for v in range(1, len(p))
-             if pos[v + 1] < pos[v]]
-    return tuple(sorted(pairs))
-
-
 def lehmer_encode(p: Sequence[int]) -> tuple[int, ...]:
     """Lehmer code: entry i counts later values smaller than p(i).
 
@@ -184,17 +168,6 @@ def direct_sum(p: Sequence[int], q: Sequence[int]) -> Perm:
     (1, 3, 2)
     """
     return tuple(p) + tuple(v + len(p) for v in q)
-
-
-def skew_sum(p: Sequence[int], q: Sequence[int]) -> Perm:
-    """Place p, shifted above q, before q.
-
-    >>> skew_sum((1, 2, 3), (1, 2, 3))
-    (4, 5, 6, 1, 2, 3)
-    >>> skew_sum((1,), (1,))
-    (2, 1)
-    """
-    return tuple(v + len(q) for v in p) + tuple(q)
 
 
 def is_involution(p: Sequence[int]) -> bool:

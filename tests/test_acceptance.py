@@ -130,7 +130,7 @@ def test_criterion_03_weiner_conjecture(capsys):
 def test_criterion_04_one_descent_pattern_classes():
     with timed(4, 30.0, "1 + sum C(n,j-1) for all patterns of size 3..5"):
         for size, expected_count in ((3, 4), (4, 11), (5, 26)):
-            patterns = one_descent_patterns(size)
+            patterns = list(one_descent_patterns(size))
             assert len(patterns) == expected_count
             for sigma in patterns:
                 for n in range(1, 11):

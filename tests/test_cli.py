@@ -219,7 +219,7 @@ def test_enum_blocks_are_bounded_by_characters(argv):
     args = cli.build_parser().parse_args(["enum", *argv])
     tracemalloc.start()
     try:
-        block = next(cli._enum_blocks(args))
+        block = next(cli.ENUM_FAMILIES[args.family](args))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -239,8 +239,8 @@ def test_enum_output_does_not_depend_on_the_block_size(capsys, monkeypatch,
     for fmt in ("lines", "json"):
         whole = run(capsys, "enum", *argv, "--format", fmt)
         monkeypatch.setattr(cli, "ENUM_CHUNK_CHARS", 50)
-        assert len(list(cli._enum_blocks(cli.build_parser().parse_args(
-            ["enum", *argv])))) > 2
+        args = cli.build_parser().parse_args(["enum", *argv])
+        assert len(list(cli.ENUM_FAMILIES[args.family](args))) > 2
         assert run(capsys, "enum", *argv, "--format", fmt) == whole, fmt
         monkeypatch.undo()
 
@@ -255,9 +255,8 @@ def test_enum_schroder(capsys):
 
 
 def test_enum_errors(capsys):
-    code, _, err = run(capsys, "enum", "avoiders", "--n", "5")
-    assert code == 2
-    assert "pattern" in err
+    assert run(capsys, "enum", "avoiders", "--n", "5") == (
+        2, "", "error: enum avoiders needs --pattern\n")
     code, _, err = run(capsys, "enum", "grassmannian", "--n", "0")
     assert code == 2
     assert err.startswith("error:")
@@ -431,16 +430,14 @@ def test_count_descent_at(capsys):
 
 
 def test_count_input_errors(capsys):
-    for argv in (
-        ["count", "avoiders", "--n", "1..5"],
-        ["count", "descent-at", "--n", "6"],
-        ["count", "finite-class", "--n", "3..5"],
-        ["count", "grassmannian", "--n", "5..1"],
-        ["count", "grassmannian", "--n", "0..3"],
+    for argv, message in (
+        (["avoiders", "--n", "1..5"], "count avoiders needs --pattern"),
+        (["descent-at", "--n", "6"], "count descent-at needs --k"),
+        (["finite-class", "--n", "3..5"], "count finite-class needs --k"),
+        (["grassmannian", "--n", "5..1"], "empty range '5..1'"),
+        (["grassmannian", "--n", "0..3"], "sizes start at 1"),
     ):
-        code, _, err = run(capsys, *argv)
-        assert code == 2
-        assert err.startswith("error:")
+        assert run(capsys, "count", *argv) == (2, "", f"error: {message}\n")
 
 
 def test_count_refuses_sizes_above_the_bound(capsys):
@@ -557,7 +554,7 @@ def per_row_oracle(args):
 
 
 @pytest.mark.parametrize("argv", ORACLE_COUNTS, ids=" ".join)
-def test_forked_oracle_column_matches_in_process(capsys, argv):
+def test_oracle_column_matches_one_walk_per_row(capsys, argv):
     # the column, each row built from the one before, prints what one
     # enumeration per row gives, in every format: on the listed sizes
     # and on those from the same start to 12
@@ -1021,6 +1018,36 @@ def test_prop41_refuses_sizes_above_18(capsys, monkeypatch):
                    " memory, so its sizes end at 18, got 19\n")
 
 
+def test_prop21_refuses_sizes_above_18(capsys, monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(n, **kwargs):
+        raise Reached
+    # n = 18 is checked; n = 19 is refused before either row walks
+    blocks = list(cli.verify_prop21(argparse.Namespace(max_n=19)))
+    monkeypatch.setattr(cli, "enumerate_grassmannian", reached)
+    with pytest.raises(Reached):
+        next(blocks[17]())
+    with pytest.raises(ValueError, match="sizes end at 18, got 19"):
+        next(blocks[18]())
+    # as a command, with a one-member family at each size so that the
+    # rows are cheap: the rows up to 18 print, then the refusal
+    monkeypatch.setattr(cli, "enumerate_grassmannian",
+                        lambda n: iter([(n,)]))
+    monkeypatch.setattr(cli, "_weight_column",
+                        lambda weight, sizes, cap: iter(sizes))
+    monkeypatch.setattr(cli, "count_bigrassmannian", lambda n: n)
+    monkeypatch.setattr(cli, "is_bigrassmannian", lambda p: True)
+    code, out, err = run(capsys, "verify", "prop21", "--max-n", "30")
+    assert code == 2
+    assert out.splitlines()[-2:] == ["ok   count n=18: 18",
+                                     "ok   2413-avoidance n=18: True"]
+    assert len(out.splitlines()) == 36
+    assert err == ("error: verify prop21 walks each size's family, so its"
+                   " sizes end at 18, got 19\n")
+
+
 @pytest.mark.parametrize("target, flag, last", [
     ("prop22", "--max-n", "ok   n=26: 134214750"),
     ("weiner", "--kmax", f"ok   rising k=15 m=26: {weiner_formula(26, 15)}"),
@@ -1069,6 +1096,18 @@ def test_verify_unknown_target():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "nonsense"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command, choices", [
+    ("enum", "grassmannian,bigrassmannian,involutions,avoiders,dyck,schroder"),
+    ("map", "phi,phi-inverse,alpha,alpha-inverse,lehmer-encode,"
+            "lehmer-decode,xi,psi"),
+])
+def test_help_lists_the_choices_in_order(capsys, command, choices):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    assert "{" + choices + "}" in capsys.readouterr().out
 
 
 def test_verify_help_describes_every_target(capsys):

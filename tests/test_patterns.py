@@ -208,9 +208,9 @@ def test_catalan():
 
 
 def test_one_descent_patterns():
-    assert len(one_descent_patterns(3)) == 4
-    assert len(one_descent_patterns(4)) == 11
-    assert len(one_descent_patterns(5)) == 26
+    assert len(list(one_descent_patterns(3))) == 4
+    assert len(list(one_descent_patterns(4))) == 11
+    assert len(list(one_descent_patterns(5))) == 26
     for sigma in one_descent_patterns(4):
         assert len(descent_positions(sigma)) == 1
 
