@@ -1,0 +1,136 @@
+"""Rewrite tests/golden/count.tsv from the current code.
+
+    PYTHONPATH=src python tests/golden/regenerate.py
+
+Each line of count.tsv holds one `grassperm count` command (its argv,
+shell-quoted), the exit code, the sha256 of its stdout and its stderr
+(as a JSON string), tab-separated.  tests/test_golden.py runs every
+line in process and compares.  The file is written only when this
+script is run by hand; a change that alters a line says which line and
+why in CHANGES.md, as for any other test change.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import shlex
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from grassperm import cli
+
+CORPUS = Path(__file__).with_name("count.tsv")
+
+FORMATS = ("csv", "json", "bfile")
+
+# every count family over a small range, in every format, with and
+# without --oracle
+FAMILY_RANGES = [
+    ["grassmannian", "--n", "1..12"],
+    ["bigrassmannian", "--n", "1..12"],
+    ["union-inverse", "--n", "1..12"],
+    ["involutions", "--n", "1..12"],
+    ["odd", "--n", "1..12"],
+    ["even", "--n", "1..12"],
+    ["descent-at", "--k", "2", "--n", "3..12"],
+    ["finite-class", "--k", "4", "--n", "1..12"],
+    ["avoiders", "--pattern", "2413", "--n", "1..12"],  # one descent
+    ["avoiders", "--pattern", "4231", "--n", "1..10"],  # two descents
+    ["avoiders", "--pattern", "1234", "--n", "1..12"],  # rising
+]
+
+MORE = [
+    # the four count-oracle ranges of perfbench/run.py
+    ["grassmannian", "--n", "1..18", "--oracle"],
+    ["union-inverse", "--n", "1..17", "--oracle"],
+    ["odd", "--n", "1..16", "--oracle"],
+    ["bigrassmannian", "--n", "1..15", "--oracle"],
+    # descent-at at every small k, up to k = N - 1
+    *(["descent-at", "--k", str(k), "--n", f"{k + 1}..14", "--oracle"]
+      for k in (1, 3, 4, 5, 13)),
+    ["descent-at", "--k", "5", "--n", "14..16", "--oracle"],
+    # single sizes, starts above 1 and the largest sizes
+    ["grassmannian", "--n", "7", "--oracle"],
+    ["odd", "--n", "5..12", "--oracle"],
+    ["even", "--n", "9..14", "--oracle", "--format", "json"],
+    ["union-inverse", "--n", "990..1000"],
+    ["odd", "--n", "1000", "--format", "bfile"],
+    ["finite-class", "--k", "6", "--n", "1..26", "--oracle"],
+    ["avoiders", "--pattern", "35124", "--n", "20..26", "--oracle"],
+    # the enumeration cap, for each oracle family
+    ["grassmannian", "--n", "3..8", "--oracle", "--cap", "5"],
+    ["grassmannian", "--n", "3..8", "--oracle", "--cap", "5",
+     "--format", "json"],
+    ["grassmannian", "--n", "1..3", "--oracle", "--cap", "0"],
+    ["grassmannian", "--n", "26..1000", "--oracle"],
+    ["bigrassmannian", "--n", "4..9", "--oracle", "--cap", "6"],
+    ["union-inverse", "--n", "5", "--oracle", "--cap", "4"],
+    ["odd", "--n", "1..8", "--oracle", "--cap", "4", "--format", "bfile"],
+    ["even", "--n", "26..30", "--oracle"],
+    ["descent-at", "--k", "1", "--n", "2..8", "--oracle", "--cap", "4"],
+    ["descent-at", "--k", "3", "--n", "26..28", "--oracle"],
+    ["involutions", "--n", "3..8", "--oracle", "--cap", "5"],
+    ["involutions", "--n", "26..1000", "--oracle"],
+    ["avoiders", "--pattern", "4231", "--n", "5", "--oracle", "--cap", "4"],
+    ["avoiders", "--pattern", "4231", "--n", "5", "--oracle", "--cap", "5"],
+    ["grassmannian", "--n", "3", "--oracle", "--cap", "26"],
+    # the --cap ceiling of count --oracle, and no ceiling without it
+    ["grassmannian", "--n", "40", "--oracle", "--cap", "29"],
+    ["odd", "--n", "3", "--oracle", "--cap", "29"],
+    ["descent-at", "--k", "1", "--n", "2..3", "--oracle", "--cap", "29"],
+    ["involutions", "--n", "3", "--oracle", "--cap", "29"],
+    ["grassmannian", "--n", "3", "--cap", "29"],
+    # sizes: the count bound, the scan bound and bad ranges
+    ["odd", "--n", "1001"],
+    ["odd", "--n", "1..1001", "--oracle"],
+    ["grassmannian", "--n", "1..100000000000"],
+    ["grassmannian", "--n", "0..3"],
+    ["grassmannian", "--n", "5..1"],
+    ["grassmannian", "--n", "x"],
+    ["finite-class", "--k", "4", "--n", "27", "--oracle"],
+    ["finite-class", "--k", "4", "--n", "1..1000", "--oracle"],
+    ["avoiders", "--pattern", "2413", "--n", "25..30", "--oracle"],
+    ["descent-at", "--k", "5", "--n", "1..21", "--oracle"],
+    ["descent-at", "--k", "0", "--n", "3"],
+    ["avoiders", "--pattern", "", "--n", "3"],
+    # missing flags
+    ["avoiders", "--n", "1..5"],
+    ["avoiders", "--n", "1..5", "--oracle"],
+    ["descent-at", "--n", "6"],
+    ["descent-at", "--n", "6", "--oracle"],
+    ["finite-class", "--n", "3..5"],
+    ["finite-class", "--n", "3..5", "--oracle"],
+]
+
+
+def commands() -> list[list[str]]:
+    """The argv of every corpus line, in file order."""
+    listed = [["count", *spec, *oracle, "--format", fmt]
+              for spec in FAMILY_RANGES for oracle in ([], ["--oracle"])
+              for fmt in FORMATS]
+    return listed + [["count", *spec] for spec in MORE]
+
+
+def run(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one command, run in process."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def line(argv: list[str], code: int, out: str, err: str) -> str:
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    return "\t".join([shlex.join(argv), str(code), digest, json.dumps(err)])
+
+
+def main() -> None:
+    lines = [line(argv, *run(argv)) for argv in commands()]
+    CORPUS.write_text("\n".join(lines) + "\n")
+    print(f"wrote {len(lines)} lines to {CORPUS}")
+
+
+if __name__ == "__main__":
+    main()
