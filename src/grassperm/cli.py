@@ -15,11 +15,11 @@ soon as it is checked, and enum a block of lines per write, in either
 format: a subtree of the walk (at most a few hundred lines) for
 grassmannian and dyck, about ENUM_CHUNK_CHARS characters for its other
 families.  The rest write at exit.
-count --oracle enumerates only the cores, in this process: every member
-but the identity is a core r, with r(1) != 1 and r(m) != m, padded by
-fixed points at both ends, and each weight ignores the padding, so each
-row adds the weights of the members whose first value is at least 2,
-which the cores up to its size give, to the row before.
+count --oracle builds each column in this process: grassmannian,
+bigrassmannian, union-inverse, odd, even and descent-at with a kernels
+word automaton, in one pass; involutions by the core walk of
+_weight_column; finite-class and avoiders row by row, with an automaton,
+or by a scan for a pattern with two or more descents.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import partial
 from itertools import chain
@@ -52,9 +51,7 @@ from grassperm.grassmann import (
     enumerate_grassmannian,
     enumerate_involutions,
     grassmannian_blocks,
-    inverse_is_grassmannian,
     is_bigrassmannian,
-    sole_descent,
 )
 from grassperm.parity import (
     even_count,
@@ -194,34 +191,11 @@ def cmd_enum(args: argparse.Namespace) -> int:
 # every number far below int()'s 4300-digit printing limit
 MAX_COUNT_SIZE = 1000
 
-# count --oracle refuses --cap above this: a column ending at the cap
-# enumerates 2^27 - 1 cores, minutes of work on one core (enum, which
-# streams in bounded memory, keeps an unbounded --cap)
+# count --oracle refuses --cap above this; the cap bounds only the
+# oracles that enumerate.  An involutions column ending at the cap walks
+# 2^27 - 1 cores, minutes of work (enum, which streams in bounded
+# memory, keeps an unbounded --cap)
 MAX_ORACLE_CAP = 28
-
-# family -> (closed form, what one enumerated member adds to the
-# independent count); count --oracle and the verify sweeps both read it.
-# Each weight must give 1 + q (q with 1 put in front and every value
-# raised by one) and q + 1 (q with its size + 1 put after it) what it
-# gives q, since the oracle column weighs only the cores and pads them
-# with fixed points: the descents and inversions of 1 + q are those of
-# q, moved one place right, and those of q + 1 are those of q
-MEMBER_COUNTS: dict[str, tuple[Callable[[int], int],
-                               Callable[[Perm], int]]] = {
-    # every member is a non-empty tuple, so bool counts it as one
-    "grassmannian": (count_grassmannian, bool),
-    "bigrassmannian": (count_bigrassmannian, is_bigrassmannian),
-    # inclusion-exclusion: inversion is a bijection, so the family and
-    # its inverses are equally many, and they share the members whose
-    # inverse also has at most one descent, which inverse_is_grassmannian
-    # tests without building the inverse.  No set is kept, so a member
-    # enumerated twice miscounts rather than being hidden.
-    "union-inverse": (count_union_with_inverse,
-                      lambda p: 2 - inverse_is_grassmannian(p)),
-    "involutions": (count_involutions, is_involution),
-    "odd": (odd_count, lambda p: inversion_count(p) % 2),
-    "even": (even_count, lambda p: 1 - inversion_count(p) % 2),
-}
 
 
 def _cores(sizes: range,
@@ -240,7 +214,8 @@ def _weight_column(weight: Callable[[Perm], int], sizes: range,
     The size-m members whose first value is at least 2 are the cores of
     sizes up to m, each followed by fixed points, so their weight, new,
     grows by the size-m cores' weights; the members 1 + q carry the
-    total at m - 1 over."""
+    total at m - 1 over.  So the weight must give 1 + q (1 put in front,
+    the values of q raised) and q + 1 what it gives q."""
     # sum, not weight((1,)): bool's total stays an int
     total = sum(map(weight, [(1,)]))
     new = 0
@@ -251,20 +226,28 @@ def _weight_column(weight: Callable[[Perm], int], sizes: range,
             yield total
 
 
-def _descent_column(k: int, sizes: range,
-                    cap: int | None) -> Iterator[int]:
-    """How many members of the size-n family descend at k, for each n
-    in sizes.  new counts the descents of the cores so far, which are
-    those of the members whose first value is at least 2.  1 + q
-    descends one place after q, so each descent is kept less the size
-    of its member, a key that 1 + q keeps."""
-    descents: Counter[int] = Counter()
-    new: Counter[int] = Counter()
-    for m, cores in _cores(sizes, cap):
-        new.update(map(sole_descent, cores))
-        descents.update({d - m: count for d, count in new.items()})
-        if m in sizes:
-            yield descents[k - m]
+# family -> (closed form, oracle column: the counts for a range of sizes
+# under an enumeration cap).  The involutions test each core for
+# p == inverse(p), rather than list the shapes the closed form counts.
+Column = Callable[[range, int | None], Iterator[int]]
+MEMBER_COUNTS: dict[str, tuple[Callable[[int], int], Column]] = {
+    "grassmannian": (count_grassmannian, lambda sizes, cap: (
+        kernels.word_counts(kernels.ONE_DESCENT, sizes))),
+    "bigrassmannian": (count_bigrassmannian, lambda sizes, cap: (
+        kernels.word_counts(kernels.ONE_BA, sizes))),
+    # inclusion-exclusion: the family and its inverses are equally many,
+    # and they share the biGrassmannian members
+    "union-inverse": (count_union_with_inverse, lambda sizes, cap: map(
+        lambda every, both: 2 * every - both,
+        kernels.word_counts(kernels.ONE_DESCENT, sizes),
+        kernels.word_counts(kernels.ONE_BA, sizes))),
+    "involutions": (count_involutions, lambda sizes, cap: (
+        _weight_column(is_involution, sizes, cap))),
+    "odd": (odd_count, lambda sizes, cap: (
+        kernels.word_counts(kernels.ODD, sizes))),
+    "even": (even_count, lambda sizes, cap: (
+        kernels.word_counts(kernels.EVEN, sizes))),
+}
 
 
 def _count_family(args: argparse.Namespace) -> tuple[
@@ -275,12 +258,12 @@ def _count_family(args: argparse.Namespace) -> tuple[
     family = args.family
     cap = args.cap
     if family in MEMBER_COUNTS:
-        formula, weight = MEMBER_COUNTS[family]
-        return formula, lambda sizes: _weight_column(weight, sizes, cap)
+        formula, column = MEMBER_COUNTS[family]
+        return formula, lambda sizes: column(sizes, cap)
     if family == "descent-at":
         k = _needs(args, "k")
-        return (lambda n: count_descent_at(n, k),
-                lambda sizes: _descent_column(k, sizes, cap))
+        return (lambda n: count_descent_at(n, k), lambda sizes: (
+            kernels.word_counts(kernels.descent_at(k), sizes)))
     if family == "finite-class":
         k = _needs(args, "k")
         return (lambda m: finite_class_formula(m, k),
@@ -411,13 +394,14 @@ def verify_theorem34(args: argparse.Namespace) -> Iterator[Block]:
 
 
 def verify_prop21(args: argparse.Namespace) -> Iterator[Block]:
-    column = _weight_column(MEMBER_COUNTS["bigrassmannian"][1],
-                            range(1, args.max_n + 1), None)
+    if args.max_n > MAX_WALKED_SIZE:
+        raise ValueError("verify prop21 walks each size's family, so its"
+                         f" sizes end at {MAX_WALKED_SIZE},"
+                         f" got {MAX_WALKED_SIZE + 1}")
+    column = _weight_column(is_bigrassmannian, range(1, args.max_n + 1),
+                            None)
 
     def rows(n: int) -> Iterator[Row]:
-        if n > MAX_WALKED_SIZE:
-            raise ValueError("verify prop21 walks each size's family, so its"
-                             f" sizes end at {MAX_WALKED_SIZE}, got {n}")
         yield (f"count n={n}", count_bigrassmannian(n), next(column))
         same_class = all(
             is_bigrassmannian(p) == (not contains_pattern(p, (2, 4, 1, 3)))
@@ -453,11 +437,12 @@ def verify_prop31(args: argparse.Namespace) -> Iterator[Block]:
 
 
 def verify_prop41(args: argparse.Namespace) -> Iterator[Block]:
+    if args.max_n > MAX_WALKED_SIZE:
+        raise ValueError("verify prop41 holds each size's family in memory,"
+                         f" so its sizes end at {MAX_WALKED_SIZE},"
+                         f" got {MAX_WALKED_SIZE + 1}")
+
     def rows(n: int) -> Iterator[Row]:
-        if n > MAX_WALKED_SIZE:
-            raise ValueError("verify prop41 holds each size's family in"
-                             f" memory, so its sizes end at {MAX_WALKED_SIZE},"
-                             f" got {n}")
         image = sorted(map(path_to_permutation,
                            enumerate_grassmannian_paths(n)))
         yield (f"path count n={n}", count_grassmannian(n), len(image))
@@ -511,32 +496,35 @@ def verify_prop46(args: argparse.Namespace) -> Iterator[Block]:
 
 
 def verify_thm51(args: argparse.Namespace) -> Iterator[Block]:
-    # one oracle column for the sizes up to 14, a row per block
+    # as in count: every row within seconds, every number far below
+    # int()'s 4300-digit printing limit
+    if args.max_n > MAX_COUNT_SIZE:
+        raise ValueError(f"verify thm51 sizes end at {MAX_COUNT_SIZE},"
+                         f" got {MAX_COUNT_SIZE + 1}")
+    # the word counts of the odd members, and the core walk for the sizes
+    # up to 14: one column each, a row per block
+    words = kernels.word_counts(kernels.ODD, range(1, args.max_n + 1))
+    odd: list[int] = []
     oracle_sizes = range(1, 15)
-    column = _weight_column(MEMBER_COUNTS["odd"][1], oracle_sizes, None)
+    column = _weight_column(lambda p: inversion_count(p) % 2, oracle_sizes,
+                            None)
 
     def counts(n: int) -> Iterator[Row]:
-        # as in count: every row within seconds, every number far below
-        # int()'s 4300-digit printing limit
-        if n > MAX_COUNT_SIZE:
-            raise ValueError(f"verify thm51 sizes end at {MAX_COUNT_SIZE},"
-                             f" got {n}")
-        odd = kernels.count_odd_members(n)
-        yield (f"closed form n={n}", odd_count(n), odd)
+        odd.append(next(words))
+        yield (f"closed form n={n}", odd_count(n), odd[-1])
         if n > 2:
             # on the word count, so that the row checks an oracle and
             # not the closed form against itself
-            yield (f"recurrence n={n}",
-                   2 * kernels.count_odd_members(n - 2) + 2 ** (n - 2), odd)
+            yield (f"recurrence n={n}", 2 * odd[-3] + 2 ** (n - 2), odd[-1])
         if n in oracle_sizes:
             yield (f"oracle n={n}", odd_count(n), next(column))
 
     def maps(m: int) -> Iterator[Row]:
-        odd = [p for p in enumerate_grassmannian(2 * m)
-               if inversion_count(p) % 2]
+        odd_down = [p for p in enumerate_grassmannian(2 * m)
+                    if inversion_count(p) % 2]
         odd_up = [p for p in enumerate_grassmannian(2 * m + 1)
                   if inversion_count(p) % 2]
-        images = {extend_to_odd_size(p) for p in odd}
+        images = {extend_to_odd_size(p) for p in odd_down}
         target = {p for p in odd_up if p[-1] != 2 * m + 1}
         yield (f"xi image m={m}", True, images == target)
         images = {extend_to_even_size(p) for p in odd_up}
@@ -696,8 +684,9 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument("--format", choices=["csv", "json", "bfile"],
                        default="csv")
     count.add_argument("--cap", type=int, default=None,
-                       help="raise the enumeration size cap (default 25,"
-                            f" at most {MAX_ORACLE_CAP})")
+                       help="raise the size cap of the oracles that"
+                            " enumerate (default 25, at most"
+                            f" {MAX_ORACLE_CAP})")
     count.set_defaults(run=cmd_count)
 
     verify = sub.add_parser(

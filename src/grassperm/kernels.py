@@ -1,24 +1,25 @@
-"""Counters for the brute-force checks, each polynomial in the size.
+"""Counters for the oracle columns and the brute-force checks, each
+polynomial in the size.
 
 A one-descent member of size n is fixed by its first rising block S.
 Reading the values 1..n in order and writing A for a value in S and B
 for one outside turns each member into a word over {A, B}; the n + 1
 words A^j B^(n-j) all give the identity, every other word gives one
-member of its own.  The one-descent counters walk these words letter
-by letter, and the avoider counters subtract the n surplus identity
-words at the end.  The two-pattern count over the whole symmetric
-group shares nothing with this encoding: it grows permutations one
-value at a time and memoises on a signature of the prefix.
+member of its own.  Each one-descent count here counts words with an
+automaton (the transfer-matrix method), and one stepper runs them all.
+The two-pattern count over the whole symmetric group shares nothing
+with this encoding: it grows permutations one value at a time and
+memoises on a signature of the prefix.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections.abc import Iterator
 
-from grassperm.perms import check_size, descent_positions
+from grassperm.perms import descent_positions
 
-# Size guard of every counter here.  The counters are polynomial, so it
-# bounds the cost of the sizes a user can type: count rows, verify
+# Size guard of the single-size counters below.  They are polynomial, so
+# it bounds the cost of the sizes a user can type: count rows, verify
 # weiner and prop31 --kmax, verify prop22 and theorem34 --max-n.
 MAX_SCAN_SIZE = 26
 
@@ -28,16 +29,89 @@ def check_scan_size(n: int) -> None:
         raise ValueError(f"scan size {n} outside 1..{MAX_SCAN_SIZE}")
 
 
+def word_counts(automaton: tuple, sizes: range) -> Iterator[int]:
+    """The count of an automaton (start, step, accepts, surplus) at each
+    size n in sizes: the words ending in a state that accepts, less
+    surplus(n), the identity words it accepts beyond the first.
+    step(state, letter) is the state after the letter "A" or "B", None
+    once the word is dead.  One pass over the letters takes each step
+    once, when its state is first reached: O(sizes[-1] x states) work.
+
+    >>> list(word_counts(ONE_DESCENT, range(1, 6)))
+    [1, 2, 5, 12, 27]
+    """
+    start, step, accepts, surplus = automaton
+    number = {start: 0}  # state -> its number, in the order reached
+    moves: list[list[int]] = []  # by number: where its letters lead
+    ways = [1]  # by number: the words of the last size ending there
+    for n in range(1, sizes[-1] + 1):
+        if len(moves) < len(number):  # states first reached at n - 1
+            for state in list(number)[len(moves):]:
+                moves.append([number.setdefault(after, len(number))
+                              for after in (step(state, "A"), step(state, "B"))
+                              if after is not None])
+        grown = [0] * len(number)
+        for targets, count in zip(moves, ways):
+            if count:
+                for target in targets:
+                    grown[target] += count
+        ways = grown
+        if n in sizes:
+            yield sum(count for state, count in zip(number, ways)
+                      if accepts(state)) - surplus(n)
+
+
+def count_words(automaton: tuple, n: int) -> int:
+    """The automaton's count at the one size n."""
+    return next(word_counts(automaton, range(n, n + 1)))
+
+
+# every word: 2^n - n members
+ONE_DESCENT = (0, lambda state, letter: 0, lambda state: True, lambda n: n)
+
+
+def _one_ba_step(state: tuple[str, bool], letter: str) -> tuple | None:
+    # (last letter, BA seen): the inverse of a member descends at i
+    # exactly where its word reads BA at i, i + 1
+    last, seen = state
+    if last + letter == "BA":
+        return None if seen else (letter, True)
+    return letter, seen
+
+
+# the biGrassmannian members: the words with at most one BA factor
+ONE_BA = (("", False), _one_ba_step, lambda state: True, lambda n: n)
+
+
+def _parity_step(state: tuple[int, int], letter: str) -> tuple[int, int]:
+    # (#B mod 2, inversion parity): the inversions are the pairs of a
+    # B-value below an A-value, so an A adds #B inversions and a B none
+    downs, odd = state
+    return (downs, odd ^ downs) if letter == "A" else (downs ^ 1, odd)
+
+
+# by inversion parity; the identity words have none, so are all even
+ODD = ((0, 0), _parity_step, lambda state: state[1] == 1, lambda n: 0)
+EVEN = ((0, 0), _parity_step, lambda state: state[1] == 0, lambda n: n)
+
+
+def descent_at(k: int) -> tuple:
+    """The members descending at k: the words with k letters A, cut at
+    k, less the identity word A^k B^(n-k)."""
+    def step(a: int, letter: str) -> int | None:
+        return a if letter == "B" else a + 1 if a < k else None
+    return 0, step, lambda a: a == k, lambda n: n >= k
+
+
 def count_grassmannian_avoiding_increasing(m: int, k: int) -> int:
     """Count one-descent permutations of size m with no rising
     subsequence of length k.
 
     Read the word as a walk, A a step up and B a step down.  The
-    member's longest rising subsequence is #B plus the walk's highest
-    point (counting the start at 0), so a walk survives while that sum
-    stays below k; both terms only grow, so a walk is dropped the
-    moment it fails.  After t letters the height is t - 2 #B, so the
-    state is (highest point, #B).
+    member's longest rising subsequence, lis, is #B plus the walk's
+    highest point (counting the start at 0), and only grows, so a walk
+    dies once lis reaches k.  The state is (d, lis), d the highest point
+    less the height: a B raises both, an A lowers d or, at d = 0, lis.
 
     >>> count_grassmannian_avoiding_increasing(5, 4)
     10
@@ -45,19 +119,16 @@ def count_grassmannian_avoiding_increasing(m: int, k: int) -> int:
     check_scan_size(m)
     if k < 1:
         raise ValueError(f"pattern length {k} must be at least 1")
-    walks = {(0, 0): 1}  # (highest point, #B) -> number of words
-    for t in range(m):
-        grown: dict[tuple[int, int], int] = defaultdict(int)
-        for (top, downs), ways in walks.items():
-            up = max(top, t - 2 * downs + 1)
-            if up + downs < k:
-                grown[up, downs] += ways
-            if top + downs + 1 < k:
-                grown[top, downs + 1] += ways
-        walks = grown
+
+    def step(state: tuple[int, int], letter: str) -> tuple[int, int] | None:
+        d, lis = state
+        d, lis = ((d + 1, lis + 1) if letter == "B" else (d - 1, lis) if d
+                  else (0, lis + 1))
+        return (d, lis) if lis < k else None
     # the identity words have longest rising run m: they all survive
     # exactly when m < k, and then stand for one permutation, not m + 1
-    return sum(walks.values()) - (m if m < k else 0)
+    return count_words(((0, 0), step, lambda state: True,
+                        lambda m: m if m < k else 0), m)
 
 
 def count_grassmannian_avoiders(n: int, sigma: tuple[int, ...]) -> int:
@@ -85,38 +156,11 @@ def count_grassmannian_avoiders(n: int, sigma: tuple[int, ...]) -> int:
         raise ValueError("pattern has two or more descents")
     block = set(sigma[:descents[0]])
     word = ["A" if v in block else "B" for v in sorted(sigma)]
-    matched = [1] + [0] * k  # words by automaton state
-    for _ in range(n):
-        step = [0] * (k + 1)
-        for state in range(k):
-            for letter in "AB":
-                step[state + (letter == word[state])] += matched[state]
-        matched = step
-    return sum(matched[:k]) - n
 
-
-def count_odd_members(n: int) -> int:
-    """Count one-descent permutations of size n with an odd number of
-    inversions.
-
-    The inversions are the pairs of a B-value below an A-value, so an
-    A adds #B inversions and a B adds none: the state is (#B mod 2,
-    inversion parity).  The identity words have no inversions, so
-    every odd word is one member.
-
-    >>> [count_odd_members(n) for n in range(1, 8)]
-    [0, 1, 2, 6, 12, 28, 56]
-    """
-    check_size(n)
-    # words by #B mod 2, then inversion parity: even_odd counts the
-    # words with an even #B and an odd inversion count
-    even_even, even_odd, odd_even, odd_odd = 1, 0, 0, 0
-    for _ in range(n):
-        # an A flips the parity when #B is odd; a B flips #B
-        even_even, even_odd, odd_even, odd_odd = (
-            even_even + odd_even, even_odd + odd_odd,
-            even_even + odd_odd, even_odd + odd_even)
-    return even_odd + odd_odd
+    def step(matched: int, letter: str) -> int | None:
+        matched += letter == word[matched]
+        return matched if matched < k else None
+    return count_words((0, step, lambda state: True, lambda n: n), n)
 
 
 def count_sn_avoiding_321_2143(n: int) -> int:

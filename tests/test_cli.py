@@ -25,6 +25,8 @@ from grassperm.grassmann import (
     count_involutions,
     enumerate_grassmannian,
     grassmannian_blocks,
+    inverse_is_grassmannian,
+    is_bigrassmannian,
     sole_descent,
 )
 from grassperm.parity import odd_count
@@ -40,6 +42,7 @@ from grassperm.perms import (
     format_permutation,
     inverse,
     inversion_count,
+    is_involution,
     parse_permutation,
 )
 
@@ -325,10 +328,11 @@ def test_finite_class_oracle_refuses_beyond_scan_size(capsys):
 
 
 def test_union_oracle_matches_set_union():
-    for n in range(1, 12):
+    column = cli.MEMBER_COUNTS["union-inverse"][1](range(1, 12), None)
+    for n, got in zip(range(1, 12), column):
         family = set(enumerate_grassmannian(n))
         union = family | {inverse(p) for p in family}
-        assert brute_count("union-inverse", n) == len(union)
+        assert got == brute_count("union-inverse", n) == len(union), n
 
 
 @pytest.mark.parametrize("argv, digest", [
@@ -357,15 +361,17 @@ def test_inverse_weight_output_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_union_oracle_flags_a_repeated_member(capsys, monkeypatch):
-    # a set union would hide an enumerator that yields a member twice;
-    # the column walks the cores, and one of each size comes twice
+def test_involution_oracle_flags_a_repeated_core(capsys, monkeypatch):
+    # the column sums a weight per core and keeps no set, so a walk that
+    # yields a core twice miscounts rather than being hidden: the first
+    # core of each size comes twice, and the size-2 one, (2, 1), is an
+    # involution
     def repeating(n, *, cap=None, core=False):
         assert core
         members = list(enumerate_grassmannian(n, cap=cap, core=core))
         return iter(members[:1] + members)
     monkeypatch.setattr(cli, "enumerate_grassmannian", repeating)
-    code, out, _ = run(capsys, "count", "union-inverse", "--n", "4",
+    code, out, _ = run(capsys, "count", "involutions", "--n", "4",
                        "--oracle")
     assert code == 1
     assert out.splitlines()[1].endswith(",false")
@@ -385,23 +391,31 @@ def test_involution_oracle_is_independent(capsys, monkeypatch):
         for n in range(1, 9)]
 
 
-def test_member_counts_feed_count_and_verify(capsys, monkeypatch):
-    # count --oracle and verify read the same oracle table: a wrong
-    # weight must show in both
-    monkeypatch.setitem(cli.MEMBER_COUNTS, "odd",
-                        (odd_count, lambda p: 1 - inversion_count(p) % 2))
-    code, out, _ = run(capsys, "count", "odd", "--n", "3", "--oracle")
+def test_verify_oracle_rows_walk_the_cores(capsys, monkeypatch):
+    # the oracle rows of thm51 and prop21 weigh the cores with the
+    # weight written at their call: a wrong weight must show in them.
+    # Only on size 13, which no map row of thm51 walks
+    monkeypatch.setattr(cli, "inversion_count",
+                        lambda p: inversion_count(p) + (len(p) == 13))
+    code, out, _ = run(capsys, "verify", "thm51", "--max-n", "14")
     assert code == 1
-    assert out.splitlines()[1].endswith(",false")
-    code, out, _ = run(capsys, "verify", "thm51", "--max-n", "6")
+    assert [row.split(":")[0] for row in out.splitlines()
+            if row.startswith("FAIL")] == ["FAIL oracle n=13",
+                                           "FAIL oracle n=14"]
+    monkeypatch.setattr(cli, "is_bigrassmannian",
+                        lambda p: not is_bigrassmannian(p))
+    code, out, _ = run(capsys, "verify", "prop21", "--max-n", "3")
     assert code == 1
-    assert "FAIL oracle n=3" in out
+    assert "FAIL count n=3" in out
 
 
 def test_thm51_closed_form_rows_use_the_word_count(capsys, monkeypatch):
-    # the closed form rows compare odd_count with the word DP, so a
-    # wrong DP must fail them, also where no enumeration oracle runs
-    monkeypatch.setattr(kernels, "count_odd_members", lambda n: -1)
+    # the closed form rows compare odd_count with the word count, so a
+    # wrong automaton must fail them, also where no enumeration oracle
+    # runs
+    start, step, _, surplus = kernels.ODD
+    monkeypatch.setattr(kernels, "ODD", (start, step, lambda state: True,
+                                         surplus))
     code, out, _ = run(capsys, "verify", "thm51")
     assert code == 1
     assert "FAIL closed form n=40: expected" in out
@@ -409,11 +423,14 @@ def test_thm51_closed_form_rows_use_the_word_count(capsys, monkeypatch):
 
 
 def test_thm51_recurrence_rows_check_the_word_count(capsys, monkeypatch):
-    # both sides of a recurrence row come from the word DP, so a DP
-    # wrong at n = 10 fails the rows n = 10 and n = 12
-    right = kernels.count_odd_members
-    monkeypatch.setattr(kernels, "count_odd_members",
-                        lambda n: right(n) + (n == 10))
+    # both sides of a recurrence row come from the word count, so a
+    # count wrong at n = 10 fails the rows n = 10 and n = 12
+    right = kernels.word_counts
+
+    def wrong_at_10(automaton, sizes):
+        for n, count in zip(sizes, right(automaton, sizes)):
+            yield count + (n == 10)
+    monkeypatch.setattr(kernels, "word_counts", wrong_at_10)
     code, out, _ = run(capsys, "verify", "thm51", "--max-n", "14")
     assert code == 1
     assert [row.split(":")[0] for row in out.splitlines()
@@ -480,12 +497,12 @@ def no_fork(monkeypatch):
 
 
 def test_member_weights_ignore_a_fixed_first_value():
-    # the oracle column counts the size-n members 1 + q with the weights
-    # of their q, so every weight must give 1 + q what it gives q
+    # the core walk counts the size-n members 1 + q with the weights of
+    # their q, so every weight it takes must give 1 + q what it gives q
     def invariant(weight):
         return all(weight(direct_sum((1,), q)) == weight(q)
                    for n in range(1, 11) for q in enumerate_grassmannian(n))
-    for family, (_, weight) in cli.MEMBER_COUNTS.items():
+    for family, weight in WEIGHTS.items():
         assert invariant(weight), family
     assert not invariant(lambda p: p[0] == 1)
 
@@ -496,7 +513,7 @@ def test_member_weights_ignore_a_fixed_last_value():
     def invariant(weight):
         return all(weight(direct_sum(q, (1,))) == weight(q)
                    for n in range(1, 11) for q in enumerate_grassmannian(n))
-    for family, (_, weight) in cli.MEMBER_COUNTS.items():
+    for family, weight in WEIGHTS.items():
         assert invariant(weight), family
     assert not invariant(lambda p: p[-1] == len(p))
 
@@ -504,17 +521,17 @@ def test_member_weights_ignore_a_fixed_last_value():
 def test_oracle_column_weighs_each_core_once(capsys, monkeypatch):
     # a column ending at 12 weighs (1,) and the 2^11 - 1 cores of sizes
     # 2..12, each once, and not every member of every size
-    formula, weight = cli.MEMBER_COUNTS["grassmannian"]
     weighed = []
 
     def counted(p):
         weighed.append(p)
-        return weight(p)
-    monkeypatch.setitem(cli.MEMBER_COUNTS, "grassmannian", (formula, counted))
-    code, out, _ = run(capsys, "count", "grassmannian", "--n", "1..12",
+        return is_involution(p)
+    monkeypatch.setattr(cli, "is_involution", counted)
+    code, out, _ = run(capsys, "count", "involutions", "--n", "1..12",
                        "--oracle")
     assert code == 0
-    assert out.splitlines()[-1] == f"12,{2 ** 12 - 12},{2 ** 12 - 12},true"
+    count = count_involutions(12)
+    assert out.splitlines()[-1] == f"12,{count},{count},true"
     assert len(weighed) == len(set(weighed)) == 2 ** 11
 
 
@@ -530,11 +547,23 @@ ORACLE_COUNTS = [
 ]
 
 
+# what one member adds to the count of each MEMBER_COUNTS family
+WEIGHTS = {
+    # every member is a non-empty tuple, so bool counts it as one
+    "grassmannian": bool,
+    "bigrassmannian": is_bigrassmannian,
+    # the family and its inverses, less the members in both
+    "union-inverse": lambda p: 2 - inverse_is_grassmannian(p),
+    "involutions": is_involution,
+    "odd": lambda p: inversion_count(p) % 2,
+    "even": lambda p: 1 - inversion_count(p) % 2,
+}
+
+
 def brute_count(family, n):
     """The count of a MEMBER_COUNTS family as one enumeration of the
     whole size-n family: the weights of its members, summed."""
-    weight = cli.MEMBER_COUNTS[family][1]
-    return sum(map(weight, enumerate_grassmannian(n)))
+    return sum(map(WEIGHTS[family], enumerate_grassmannian(n)))
 
 
 def per_row_oracle(args):
@@ -580,13 +609,59 @@ def test_oracle_column_matches_one_walk_per_row(capsys, argv):
                 (sizes, fmt)
 
 
+def b_ends_the_word(step):
+    return lambda state, letter: None if letter == "B" else step(state, letter)
+
+
+def second_ba_lives(step):
+    return lambda state, letter: ((letter, True) if state[0] + letter == "BA"
+                                  else step(state, letter))
+
+
+def a_adds_no_inversions(step):
+    return lambda state, letter: state if letter == "A" else step(state,
+                                                                  letter)
+
+
+def cut_one_early(step):
+    # descent_at(2): the second A ends the word
+    return lambda a, letter: None if (a, letter) == (1, "A") else step(
+        a, letter)
+
+
+@pytest.mark.parametrize("argv, name, wrong", [
+    (["grassmannian", "--n", "1..9"], "ONE_DESCENT", b_ends_the_word),
+    (["union-inverse", "--n", "1..9"], "ONE_DESCENT", b_ends_the_word),
+    (["bigrassmannian", "--n", "1..9"], "ONE_BA", second_ba_lives),
+    (["union-inverse", "--n", "1..9"], "ONE_BA", second_ba_lives),
+    (["odd", "--n", "1..9"], "ODD", a_adds_no_inversions),
+    (["even", "--n", "1..9"], "EVEN", a_adds_no_inversions),
+    # the closed form refuses sizes up to k
+    (["descent-at", "--k", "2", "--n", "3..9"], "descent_at", cut_one_early),
+], ids=lambda value: " ".join(value) if isinstance(value, list)
+    else getattr(value, "__name__", value))
+def test_a_planted_wrong_transition_fails_the_column(capsys, monkeypatch,
+                                                     argv, name, wrong):
+    def planted(automaton):
+        start, step, accepts, surplus = automaton
+        return start, wrong(step), accepts, surplus
+    assert run(capsys, "count", *argv, "--oracle")[0] == 0
+    right = getattr(kernels, name)
+    monkeypatch.setattr(kernels, name, (lambda k: planted(right(k)))
+                        if name == "descent_at" else planted(right))
+    code, out, _ = run(capsys, "count", *argv, "--oracle")
+    assert code == 1
+    assert ",false" in out
+
+
 def test_patched_oracles_fail_in_the_column(capsys, monkeypatch):
     # a wrong weight shows in the column
-    monkeypatch.setitem(cli.MEMBER_COUNTS, "odd",
-                        (odd_count, lambda p: 1 - inversion_count(p) % 2))
-    code, out, _ = run(capsys, "count", "odd", "--n", "3..6", "--oracle")
+    monkeypatch.setattr(cli, "is_involution", lambda p: not is_involution(p))
+    code, out, _ = run(capsys, "count", "involutions", "--n", "3..6",
+                       "--oracle")
     assert code == 1
     assert out.splitlines()[1].endswith(",false")
+    monkeypatch.undo()
 
     # an enumerator that repeats a core of each size: every row from
     # that size on counts it twice
@@ -595,7 +670,7 @@ def test_patched_oracles_fail_in_the_column(capsys, monkeypatch):
         members = list(enumerate_grassmannian(n, **kwargs))
         return iter(members[:1] + members)
     monkeypatch.setattr(cli, "enumerate_grassmannian", repeating)
-    code, out, _ = run(capsys, "count", "union-inverse", "--n", "2..6",
+    code, out, _ = run(capsys, "count", "involutions", "--n", "2..6",
                        "--oracle")
     assert code == 1
     assert all(line.endswith(",false") for line in out.splitlines()[1:])
@@ -624,19 +699,22 @@ def test_oracle_column_raises_the_first_error_in_row_order(capsys,
     # the oracle refuses sizes 6, 7 and 8; the smallest is reported, and
     # the rows before it are printed
     header = "n,formula,oracle,agree\n"
-    code, out, err = run(capsys, "count", "grassmannian", "--n", "3..8",
+
+    def rows(sizes):
+        return "".join(f"{n},{count_involutions(n)},{count_involutions(n)},"
+                       "true\n" for n in sizes)
+    code, out, err = run(capsys, "count", "involutions", "--n", "3..8",
                          "--oracle", "--cap", "5")
-    assert (code, out) == (2, header + "3,5,5,true\n4,12,12,true\n"
-                                       "5,27,27,true\n")
+    assert (code, out) == (2, header + rows(range(3, 6)))
     assert err.startswith("error: size 6 exceeds the enumeration cap 5;")
     # a JSON document is printed whole or not at all
-    code, out, err = run(capsys, "count", "grassmannian", "--n", "3..8",
+    code, out, err = run(capsys, "count", "involutions", "--n", "3..8",
                          "--oracle", "--cap", "5", "--format", "json")
     assert (code, out) == (2, "")
     assert err.startswith("error: size 6 exceeds the enumeration cap 5;")
     # the column walks sizes below the first row, but not above the cap
     for cap, n in (("0", "1..3"), ("1", "2..3"), ("4", "5")):
-        code, out, err = run(capsys, "count", "grassmannian", "--n", n,
+        code, out, err = run(capsys, "count", "involutions", "--n", n,
                              "--oracle", "--cap", cap)
         assert (code, out) == (2, ""), cap
         assert err.startswith(f"error: size {n[0]} exceeds the enumeration"
@@ -645,16 +723,15 @@ def test_oracle_column_raises_the_first_error_in_row_order(capsys,
     def formula(n):
         if n >= refused:
             raise ValueError(f"formula refuses {n}")
-        return 2 ** n - n
+        return count_involutions(n)
 
-    monkeypatch.setitem(cli.MEMBER_COUNTS, "grassmannian", (formula, bool))
+    column = cli.MEMBER_COUNTS["involutions"][1]
+    monkeypatch.setitem(cli.MEMBER_COUNTS, "involutions", (formula, column))
     for refused, message in ((5, "formula refuses 5"),
                              (6, "size 5 exceeds the enumeration cap 4;")):
-        code, out, err = run(capsys, "count", "grassmannian", "--n", "1..8",
+        code, out, err = run(capsys, "count", "involutions", "--n", "1..8",
                              "--oracle", "--cap", "4")
-        assert (code, out) == (2, header + "1,1,1,true\n2,2,2,true\n"
-                                           "3,5,5,true\n4,12,12,true\n"), \
-            refused
+        assert (code, out) == (2, header + rows(range(1, 5))), refused
         assert err.startswith(f"error: {message}"), refused
 
 
@@ -662,7 +739,7 @@ def test_oracle_column_drops_sizes_above_a_refusal(capsys, no_fork):
     # a first size above the cap is refused before the sizes below it
     # are walked, and the sizes above a refusal cost nothing
     start = time.perf_counter()
-    code, out, err = run(capsys, "count", "grassmannian", "--n", "26..1000",
+    code, out, err = run(capsys, "count", "involutions", "--n", "26..1000",
                          "--oracle")
     assert time.perf_counter() - start < 0.5
     assert (code, out) == (2, "")
@@ -686,11 +763,11 @@ def test_failing_weight_stops_the_column(capsys, monkeypatch):
     def broken(p):
         if len(p) == 8:
             raise TypeError("not a weight")
-        return inversion_count(p) % 2
-    monkeypatch.setitem(cli.MEMBER_COUNTS, "odd", (odd_count, broken))
+        return is_involution(p)
+    monkeypatch.setattr(cli, "is_involution", broken)
     with pytest.raises(TypeError, match="not a weight"):
-        cli.main(["count", "odd", "--n", "1..8", "--oracle"])
-    rows = "".join(f"{n},{odd_count(n)},{odd_count(n)},true\n"
+        cli.main(["count", "involutions", "--n", "1..8", "--oracle"])
+    rows = "".join(f"{n},{count_involutions(n)},{count_involutions(n)},true\n"
                    for n in range(1, 8))
     assert capsys.readouterr().out == "n,formula,oracle,agree\n" + rows
 
@@ -718,31 +795,38 @@ def test_oracle_column_runs_without_fork(capsys, no_fork, monkeypatch):
 
 
 # runs a command on the given number of CPUs, or on all there are if
-# fewer; with SLOW_N14 set, every MEMBER_COUNTS weight sleeps for a
-# minute at size 14
+# fewer; with SLOW_N14 set, the core-walk weights of count involutions
+# and verify prop21, and the word counts, sleep for a minute at size 14
 PINNED_COMMAND = (
     "import os, sys, time\n"
-    "from grassperm import cli\n"
+    "from grassperm import cli, kernels\n"
     "cores, argv = int(sys.argv[1]), sys.argv[2:]\n"
     "if hasattr(os, 'sched_setaffinity'):\n"
     "    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:cores])\n"
+    "def slow(n):\n"
+    "    if n == 14 and os.environ.get('SLOW_N14'):\n"
+    "        time.sleep(60)\n"
     "def slowed(weight):\n"
-    "    def slow(p):\n"
-    "        if len(p) == 14 and os.environ.get('SLOW_N14'):\n"
-    "            time.sleep(60)\n"
+    "    def slowed_weight(p):\n"
+    "        slow(len(p))\n"
     "        return weight(p)\n"
-    "    return slow\n"
-    "for family, (formula, weight) in cli.MEMBER_COUNTS.items():\n"
-    "    cli.MEMBER_COUNTS[family] = (formula, slowed(weight))\n"
+    "    return slowed_weight\n"
+    "def slowed_counts(automaton, sizes, counts=kernels.word_counts):\n"
+    "    for n, count in zip(sizes, counts(automaton, sizes)):\n"
+    "        slow(n)\n"
+    "        yield count\n"
+    "cli.is_involution = slowed(cli.is_involution)\n"
+    "cli.is_bigrassmannian = slowed(cli.is_bigrassmannian)\n"
+    "kernels.word_counts = slowed_counts\n"
     "sys.exit(cli.main(argv))\n")
 
 
-def pinned_cases(count_argv, verify_argv):
-    """Cases (argv, CPUs): the count command on one and on two, and
+def pinned_cases(count_argvs, verify_argv):
+    """Cases (argv, CPUs): each count command on one and on two, and
     the verify command on two; none depends on how many there are."""
+    cases = [(argv, cores) for argv in count_argvs for cores in (1, 2)]
     return [pytest.param(argv, cores, id=f"{' '.join(argv)}-{cores}")
-            for argv, cores in ((count_argv, 1), (count_argv, 2),
-                                (verify_argv, 2))]
+            for argv, cores in cases + [(verify_argv, 2)]]
 
 
 def into_a_closed_pipe(options, cores, argv):
@@ -768,7 +852,8 @@ def test_unbuffered_sweep_into_a_closed_pipe(cores):
 
 
 @pytest.mark.parametrize("argv,cores", pinned_cases(
-    ["count", "grassmannian", "--n", "1..22", "--oracle"],
+    [["count", family, "--n", "1..22", "--oracle"]
+     for family in ("grassmannian", "involutions")],
     ["verify", "thm51"]))
 def test_buffered_output_into_a_closed_pipe(argv, cores):
     # buffered, as a user runs it: the flush after the first row or
@@ -779,7 +864,8 @@ def test_buffered_output_into_a_closed_pipe(argv, cores):
 
 
 @pytest.mark.parametrize("argv,cores", pinned_cases(
-    ["count", "grassmannian", "--n", "1..14", "--oracle"],
+    [["count", family, "--n", "1..14", "--oracle"]
+     for family in ("grassmannian", "involutions")],
     ["verify", "prop21", "--max-n", "14"]))
 def test_rows_reach_a_pipe_before_the_last_one_ends(capsys, argv, cores):
     # the last row or block, n = 14, sleeps for a minute; the first ones
@@ -816,6 +902,8 @@ def test_output_is_flushed_at_most_once_per_task(monkeypatch, start):
     # a flush per line would cost a system call per line; a count that
     # starts above size 1 walks the sizes below its first row unflushed
     for argv, tasks in (
+            (["count", "involutions", "--n", f"{start}..12", "--oracle"],
+             13 - start),  # rows
             (["count", "odd", "--n", f"{start}..12", "--oracle"],
              13 - start),  # rows
             (["verify", "thm51"], 40 + 5),  # blocks: n = 1..40, m = 1..5
@@ -838,17 +926,19 @@ def test_sweep_stops_when_stdout_fails(monkeypatch):
 
         def flush(self):
             pass
-    # the count's first row fails to print: no size above it is weighed
+    # the first row fails to print: no size above it is weighed
     weighed = set()
-    formula, weight = cli.MEMBER_COUNTS["odd"]
 
-    def recorded(p):
-        weighed.add(len(p))
-        return weight(p)
-    monkeypatch.setitem(cli.MEMBER_COUNTS, "odd", (formula, recorded))
+    def recorded(weight):
+        def recorded_weight(p):
+            weighed.add(len(p))
+            return weight(p)
+        return recorded_weight
+    monkeypatch.setattr(cli, "inversion_count", recorded(inversion_count))
+    monkeypatch.setattr(cli, "is_involution", recorded(is_involution))
     monkeypatch.setattr(sys, "stdout", Closed())
     for argv in (["verify", "thm51"],
-                 ["count", "odd", "--n", "1..12", "--oracle"]):
+                 ["count", "involutions", "--n", "1..12", "--oracle"]):
         weighed.clear()
         args = cli.build_parser().parse_args(argv)
         with pytest.raises(BrokenPipeError) as caught:
@@ -988,64 +1078,44 @@ def test_theorem34_makes_its_blocks_one_pattern_at_a_time(capsys):
     assert err.startswith("error: size 26 exceeds the enumeration cap 25;")
 
 
-def test_prop41_refuses_sizes_above_18(capsys, monkeypatch):
-    class Reached(Exception):
-        pass
+class Reached(Exception):
+    pass
 
-    def reached(n):
-        raise Reached
-    # n = 18 is checked; n = 19 is refused before any work
-    blocks = list(cli.verify_prop41(argparse.Namespace(max_n=19)))
+
+def reached(*args, **kwargs):
+    raise Reached
+
+
+def test_prop41_refuses_sizes_above_18(capsys, monkeypatch):
+    # n = 18 is checked; above it the sweep is refused when its blocks
+    # are made, before any row
+    blocks = list(cli.verify_prop41(argparse.Namespace(max_n=18)))
     monkeypatch.setattr(cli, "enumerate_grassmannian_paths", reached)
     with pytest.raises(Reached):
         next(blocks[17]())
-    with pytest.raises(ValueError, match="sizes end at 18, got 19"):
-        next(blocks[18]())
-    # as a command, with a one-member family at each size so that the
-    # rows are cheap: the rows up to 18 print, then the refusal
-    monkeypatch.setattr(cli, "enumerate_grassmannian_paths",
-                        lambda n: iter([(n,)]))
-    monkeypatch.setattr(cli, "enumerate_grassmannian",
-                        lambda n: iter([(n,)]))
-    monkeypatch.setattr(cli, "path_to_permutation", lambda path: path)
-    monkeypatch.setattr(cli, "count_grassmannian", lambda n: 1)
-    code, out, err = run(capsys, "verify", "prop41", "--max-n", "30")
-    assert code == 2
-    assert out.splitlines()[-2:] == ["ok   path count n=18: 1",
-                                     "ok   image n=18: [(18,)]"]
-    assert len(out.splitlines()) == 36
-    assert err == ("error: verify prop41 holds each size's family in"
-                   " memory, so its sizes end at 18, got 19\n")
+    refusal = ("error: verify prop41 holds each size's family in memory,"
+               " so its sizes end at 18, got 19\n")
+    for n in ("19", "30"):
+        start = time.perf_counter()
+        assert run(capsys, "verify", "prop41", "--max-n", n) == (
+            2, "", refusal), n
+        assert time.perf_counter() - start < 1, n
 
 
 def test_prop21_refuses_sizes_above_18(capsys, monkeypatch):
-    class Reached(Exception):
-        pass
-
-    def reached(n, **kwargs):
-        raise Reached
-    # n = 18 is checked; n = 19 is refused before either row walks
-    blocks = list(cli.verify_prop21(argparse.Namespace(max_n=19)))
+    # n = 18 is checked; above it the sweep is refused when its blocks
+    # are made, before either row walks
+    blocks = list(cli.verify_prop21(argparse.Namespace(max_n=18)))
     monkeypatch.setattr(cli, "enumerate_grassmannian", reached)
     with pytest.raises(Reached):
         next(blocks[17]())
-    with pytest.raises(ValueError, match="sizes end at 18, got 19"):
-        next(blocks[18]())
-    # as a command, with a one-member family at each size so that the
-    # rows are cheap: the rows up to 18 print, then the refusal
-    monkeypatch.setattr(cli, "enumerate_grassmannian",
-                        lambda n: iter([(n,)]))
-    monkeypatch.setattr(cli, "_weight_column",
-                        lambda weight, sizes, cap: iter(sizes))
-    monkeypatch.setattr(cli, "count_bigrassmannian", lambda n: n)
-    monkeypatch.setattr(cli, "is_bigrassmannian", lambda p: True)
-    code, out, err = run(capsys, "verify", "prop21", "--max-n", "30")
-    assert code == 2
-    assert out.splitlines()[-2:] == ["ok   count n=18: 18",
-                                     "ok   2413-avoidance n=18: True"]
-    assert len(out.splitlines()) == 36
-    assert err == ("error: verify prop21 walks each size's family, so its"
-                   " sizes end at 18, got 19\n")
+    refusal = ("error: verify prop21 walks each size's family, so its"
+               " sizes end at 18, got 19\n")
+    for n in ("19", "30"):
+        start = time.perf_counter()
+        assert run(capsys, "verify", "prop21", "--max-n", n) == (
+            2, "", refusal), n
+        assert time.perf_counter() - start < 1, n
 
 
 @pytest.mark.parametrize("target, flag, last", [
@@ -1073,15 +1143,17 @@ def test_sweep_makes_its_blocks_as_it_reaches_them(capsys, target, flag,
 
 
 def test_thm51_refuses_sizes_above_the_count_limit(capsys):
-    # past it the odd counts near int()'s 4300-digit printing limit
+    # past it the odd counts near int()'s 4300-digit printing limit; the
+    # sweep is refused when its blocks are made, before any row
     n = cli.MAX_COUNT_SIZE
-    code, out, err = run(capsys, "verify", "thm51", "--max-n", str(n + 1))
-    assert code == 2
-    lines = out.splitlines()
-    assert len(lines) == n + (n - 2) + 14
-    assert lines[-2:] == [f"ok   closed form n={n}: {odd_count(n)}",
-                          f"ok   recurrence n={n}: {odd_count(n)}"]
-    assert err == f"error: verify thm51 sizes end at {n}, got {n + 1}\n"
+    for max_n in (n + 1, 10 ** 8):
+        assert run(capsys, "verify", "thm51", "--max-n", str(max_n)) == (
+            2, "", f"error: verify thm51 sizes end at {n}, got {n + 1}\n")
+    blocks = list(cli.verify_thm51(argparse.Namespace(max_n=n)))
+    assert len(blocks) == n + 5
+    rows = [row for block in blocks[:n] for row in block()]
+    assert rows[-2:] == [(f"closed form n={n}", odd_count(n), odd_count(n)),
+                         (f"recurrence n={n}", odd_count(n), odd_count(n))]
 
 
 def test_weiner_rows_check_the_cli_formula(capsys, monkeypatch):

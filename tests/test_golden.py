@@ -33,8 +33,8 @@ def test_count_output_matches_the_corpus(capsys, argv, code, digest, err):
 
 
 def test_corpus_covers_every_family_format_and_refusal():
-    argvs = [shlex.split(text.split("\t")[0])
-             for text in CORPUS.read_text().splitlines()]
+    lines = [text.split("\t") for text in CORPUS.read_text().splitlines()]
+    argvs = [shlex.split(argv) for argv, *_ in lines]
     for family in cli.MEMBER_COUNTS.keys() | {"descent-at", "finite-class",
                                               "avoiders"}:
         for fmt in ("csv", "json", "bfile"):
@@ -43,3 +43,8 @@ def test_corpus_covers_every_family_format_and_refusal():
                            and ("--oracle" in argv) == oracle
                            for argv in argvs), (family, fmt, oracle)
     assert len(argvs) >= 100
+    refusals = {json.loads(err).split(";")[0].split(" got ")[0]
+                for _, code, _, err in lines if code == "2"}
+    for text in ("exceeds the enumeration cap", "takes --cap up to",
+                 "sizes end at", "needs --pattern", "needs --k"):
+        assert any(text in refusal for refusal in refusals), text

@@ -8,7 +8,12 @@ from collections import Counter
 import pytest
 
 from grassperm import kernels
-from grassperm.grassmann import count_union_with_inverse, enumerate_grassmannian
+from grassperm.grassmann import (
+    count_union_with_inverse,
+    enumerate_grassmannian,
+    inverse_is_grassmannian,
+    sole_descent,
+)
 from grassperm.patterns import (
     contains_pattern,
     count_avoiders_by_scan,
@@ -174,17 +179,67 @@ def test_scan_guards():
         kernels.count_sn_avoiding_321_2143(kernels.MAX_SCAN_SIZE + 1)
 
 
+def word(p):
+    """The member's word: A for each value of its first rising block,
+    B for every other; the identity's is B^n."""
+    block = set(p[:sole_descent(p) or 0])
+    return "".join("A" if v in block else "B" for v in range(1, len(p) + 1))
+
+
+def read(automaton, letters):
+    """The state the automaton ends in on the letters, None if dead."""
+    start, step, _, _ = automaton
+    state = start
+    for letter in letters:
+        state = step(state, letter)
+        if state is None:
+            return None
+    return state
+
+
+def test_automata_read_each_members_word():
+    for n in range(1, 13):
+        words = set()
+        for p in enumerate_grassmannian(n):
+            letters = word(p)
+            words.add(letters)
+            assert read(kernels.ONE_DESCENT, letters) is not None
+            # the inverse descends where the word reads BA
+            assert (read(kernels.ONE_BA, letters) is not None) == \
+                inverse_is_grassmannian(p), p
+            assert letters.count("A") == (sole_descent(p) or 0), p
+            assert read(kernels.ODD, letters)[1] == inversion_count(p) % 2, p
+            # descent_at(k) accepts at k = the descent, and nowhere near
+            d = sole_descent(p) or 0
+            for k in range(max(d - 1, 1), d + 2):
+                _, _, accepts, _ = automaton = kernels.descent_at(k)
+                state = read(automaton, letters)
+                assert (state is not None and accepts(state)) == (k == d), \
+                    (p, k)
+        # one word per member: the identity's is one of its n + 1
+        assert len(words) == 2 ** n - n, n
+
+
+def test_word_counts_give_each_size_of_a_column():
+    # one pass yields what a pass per size gives, for any start
+    for automaton in (kernels.ONE_DESCENT, kernels.ONE_BA, kernels.ODD,
+                      kernels.EVEN, kernels.descent_at(3)):
+        column = list(kernels.word_counts(automaton, range(3, 41)))
+        assert column == [kernels.count_words(automaton, n)
+                          for n in range(3, 41)]
+    assert list(kernels.word_counts(kernels.ONE_BA, range(1, 8))) == [
+        1, 2, 5, 11, 21, 36, 57]  # 1 + C(n+1, 3)
+
+
 def test_odd_member_count_matches_enumeration():
     for n in range(1, 15):
         odd = sum(inversion_count(p) % 2 for p in enumerate_grassmannian(n))
-        assert kernels.count_odd_members(n) == odd, n
+        assert kernels.count_words(kernels.ODD, n) == odd, n
 
 
 def test_odd_member_count_matches_closed_form():
-    for n in range(1, 201):
-        assert kernels.count_odd_members(n) == odd_count(n), n
-    with pytest.raises(ValueError):
-        kernels.count_odd_members(0)
+    column = kernels.word_counts(kernels.ODD, range(1, 201))
+    assert list(column) == [odd_count(n) for n in range(1, 201)]
 
 
 def test_module_level_reexports():
