@@ -1,13 +1,14 @@
-"""Rewrite tests/golden/count.tsv from the current code.
+"""Rewrite the golden corpora in tests/golden from the current code.
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-Each line of count.tsv holds one `grassperm count` command (its argv,
-shell-quoted), the exit code, the sha256 of its stdout and its stderr
-(as a JSON string), tab-separated.  tests/test_golden.py runs every
-line in process and compares.  The file is written only when this
-script is run by hand; a change that alters a line says which line and
-why in CHANGES.md, as for any other test change.
+count.tsv, enum.tsv and map.tsv each hold one `grassperm` command of
+that subcommand a line: its argv (shell-quoted), the exit code, the
+sha256 of its stdout and its stderr (as a JSON string), tab-separated.
+tests/test_golden.py runs every line in process and compares.  The
+files are written only when this script is run by hand; a change that
+alters a line says which line and why in CHANGES.md, as for any other
+test change.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from grassperm import cli
-
-CORPUS = Path(__file__).with_name("count.tsv")
 
 FORMATS = ("csv", "json", "bfile")
 
@@ -105,12 +104,86 @@ MORE = [
 ]
 
 
-def commands() -> list[list[str]]:
-    """The argv of every corpus line, in file order."""
-    listed = [["count", *spec, *oracle, "--format", fmt]
+# enum: every family in both formats at the smallest sizes, around the
+# switch from digits to commas (9, 10) and around the edge of the walk's
+# completion tables
+ENUM_FAMILIES = [
+    ["grassmannian"],
+    ["bigrassmannian"],
+    ["involutions"],
+    ["avoiders", "--pattern", "2413"],  # one descent
+    ["avoiders", "--pattern", "4231"],  # two descents
+    ["avoiders", "--pattern", "123"],  # rising
+    ["dyck"],
+    ["dyck", "--grassmannian-only"],
+    ["schroder"],
+]
+ENUM_SIZES = ["1", "2", "8", "9", "10", "11"]
+
+ENUM_MORE = [
+    # the two enum-write commands of perfbench/run.py
+    ["grassmannian", "--n", "19"],
+    ["dyck", "--n", "12"],
+    # larger sizes, JSON included
+    ["grassmannian", "--n", "16"],
+    ["grassmannian", "--n", "16", "--format", "json"],
+    ["bigrassmannian", "--n", "14", "--format", "json"],
+    ["involutions", "--n", "40", "--cap", "40", "--format", "json"],
+    ["schroder", "--n", "20", "--format", "json"],
+    ["dyck", "--n", "0"],
+    ["dyck", "--n", "0", "--format", "json"],
+    ["schroder", "--n", "0"],
+    ["grassmannian", "--n", "26", "--cap", "0"],
+    # the enumeration cap, for each family, and bad sizes
+    *([*family, "--n", "26"] for family in ENUM_FAMILIES),
+    ["grassmannian", "--n", "9", "--cap", "8"],
+    ["grassmannian", "--n", "0"],
+    ["involutions", "--n", "0"],
+    ["dyck", "--n", "-1"],
+    ["dyck", "--n", "0", "--grassmannian-only"],
+    ["schroder", "--n", "-1"],
+    # the pattern: missing, empty or not a permutation
+    ["avoiders", "--n", "5"],
+    ["avoiders", "--n", "5", "--format", "json"],
+    ["avoiders", "--pattern", "", "--n", "5"],
+    ["avoiders", "--pattern", "2213", "--n", "5"],
+]
+
+# map: every direction on a valid and an invalid value
+MAP_VALUES = [
+    ["phi", "UUUDDDUUDUDUUDDD"],
+    ["phi", "U3D3UD"],
+    ["phi", "UDDU"],
+    ["phi-inverse", "2,3,1,7,4,5,8,6"],
+    ["phi-inverse", "321"],
+    ["alpha", "UHDUD"],
+    ["alpha", "UFDUFD"],
+    ["alpha", "UUDD"],
+    ["alpha-inverse", "0,1,0,2"],
+    ["alpha-inverse", "1,0"],
+    ["lehmer-encode", "31524"],
+    ["lehmer-encode", "1,1"],
+    ["lehmer-decode", "2,0,2,0,0"],
+    ["lehmer-decode", "0,3"],
+    ["xi", "2413"],
+    ["xi", "3412"],
+    ["psi", "24513"],
+    ["psi", "1423"],
+]
+
+
+def commands() -> dict[str, list[list[str]]]:
+    """The argv of every corpus line, by corpus file, in file order."""
+    counts = [["count", *spec, *oracle, "--format", fmt]
               for spec in FAMILY_RANGES for oracle in ([], ["--oracle"])
               for fmt in FORMATS]
-    return listed + [["count", *spec] for spec in MORE]
+    counts += [["count", *spec] for spec in MORE]
+    enums = [["enum", *family, "--n", n, "--format", fmt]
+             for family in ENUM_FAMILIES for n in ENUM_SIZES
+             for fmt in ("lines", "json")]
+    enums += [["enum", *spec] for spec in ENUM_MORE]
+    maps = [["map", *spec] for spec in MAP_VALUES]
+    return {"count.tsv": counts, "enum.tsv": enums, "map.tsv": maps}
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:
@@ -127,9 +200,11 @@ def line(argv: list[str], code: int, out: str, err: str) -> str:
 
 
 def main() -> None:
-    lines = [line(argv, *run(argv)) for argv in commands()]
-    CORPUS.write_text("\n".join(lines) + "\n")
-    print(f"wrote {len(lines)} lines to {CORPUS}")
+    for name, argvs in commands().items():
+        lines = [line(argv, *run(argv)) for argv in argvs]
+        corpus = Path(__file__).with_name(name)
+        corpus.write_text("\n".join(lines) + "\n")
+        print(f"wrote {len(lines)} lines to {corpus}")
 
 
 if __name__ == "__main__":

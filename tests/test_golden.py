@@ -1,8 +1,8 @@
-"""Replay the committed corpus of `grassperm count` behaviour.
+"""Replay the committed corpora of `grassperm` behaviour.
 
-tests/golden/count.tsv holds, for each command, its exit code, the
-sha256 of its stdout and its stderr; tests/golden/regenerate.py
-rewrites it by hand.
+tests/golden/count.tsv, enum.tsv and map.tsv hold, for each command,
+its exit code, the sha256 of its stdout and its stderr;
+tests/golden/regenerate.py rewrites them by hand.
 """
 
 import hashlib
@@ -14,27 +14,51 @@ import pytest
 
 from grassperm import cli
 
-CORPUS = Path(__file__).parent / "golden" / "count.tsv"
+GOLDEN = Path(__file__).parent / "golden"
 
 
-def corpus():
-    for text in CORPUS.read_text().splitlines():
-        argv, code, digest, err = text.split("\t")
+def lines(name):
+    """The corpus's lines, each split into its four fields."""
+    return [text.split("\t")
+            for text in (GOLDEN / name).read_text().splitlines()]
+
+
+def corpus(name):
+    for argv, code, digest, err in lines(name):
         yield pytest.param(shlex.split(argv), int(code), digest,
                            json.loads(err), id=argv)
 
 
-@pytest.mark.parametrize("argv, code, digest, err", corpus())
-def test_count_output_matches_the_corpus(capsys, argv, code, digest, err):
+def replay(capsys, argv, code, digest, err):
     got = cli.main(argv)
     captured = capsys.readouterr()
     assert (got, captured.err) == (code, err)
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, code, digest, err", corpus("count.tsv"))
+def test_count_output_matches_the_corpus(capsys, argv, code, digest, err):
+    replay(capsys, argv, code, digest, err)
+
+
+@pytest.mark.parametrize("argv, code, digest, err", corpus("enum.tsv"))
+def test_enum_output_matches_the_corpus(capsys, argv, code, digest, err):
+    replay(capsys, argv, code, digest, err)
+
+
+@pytest.mark.parametrize("argv, code, digest, err", corpus("map.tsv"))
+def test_map_output_matches_the_corpus(capsys, argv, code, digest, err):
+    replay(capsys, argv, code, digest, err)
+
+
+def refusals(name):
+    """The refusal texts of a corpus, without the value refused."""
+    return {json.loads(err).split(";")[0].split(" got ")[0]
+            for _, code, _, err in lines(name) if code == "2"}
+
+
 def test_corpus_covers_every_family_format_and_refusal():
-    lines = [text.split("\t") for text in CORPUS.read_text().splitlines()]
-    argvs = [shlex.split(argv) for argv, *_ in lines]
+    argvs = [shlex.split(argv) for argv, *_ in lines("count.tsv")]
     for family in cli.MEMBER_COUNTS.keys() | {"descent-at", "finite-class",
                                               "avoiders"}:
         for fmt in ("csv", "json", "bfile"):
@@ -43,8 +67,24 @@ def test_corpus_covers_every_family_format_and_refusal():
                            and ("--oracle" in argv) == oracle
                            for argv in argvs), (family, fmt, oracle)
     assert len(argvs) >= 100
-    refusals = {json.loads(err).split(";")[0].split(" got ")[0]
-                for _, code, _, err in lines if code == "2"}
     for text in ("exceeds the enumeration cap", "takes --cap up to",
                  "sizes end at", "needs --pattern", "needs --k"):
-        assert any(text in refusal for refusal in refusals), text
+        assert any(text in refusal for refusal in refusals("count.tsv")), text
+
+
+def test_enum_and_map_corpora_cover_every_family_and_direction():
+    enums = [(shlex.split(argv), code) for argv, code, *_ in lines("enum.tsv")]
+    for family in cli.ENUM_FAMILIES:
+        for fmt in ("lines", "json"):
+            assert any(argv[1] == family and argv[-1] == fmt and code == "0"
+                       for argv, code in enums), (family, fmt)
+        assert any(argv[1] == family and code == "2"
+                   for argv, code in enums), family
+    for text in ("exceeds the enumeration cap", "needs --pattern",
+                 "must be at least 1", "must be non-negative"):
+        assert any(text in refusal for refusal in refusals("enum.tsv")), text
+    maps = [(shlex.split(argv), code) for argv, code, *_ in lines("map.tsv")]
+    for direction in cli.MAPS:
+        for code in ("0", "2"):
+            assert any(argv[1] == direction and got == code
+                       for argv, got in maps), (direction, code)
