@@ -119,17 +119,27 @@ def _needs(args: argparse.Namespace, flag: str) -> object:
 ENUM_CHUNK_CHARS = 1 << 20
 
 
-def _write_blocks(blocks: Iterable[str], as_json: bool) -> int:
+def _write_blocks(blocks: Iterable[str], as_json: bool,
+                  same_width: bool) -> int:
     """Write text made of whole lines to stdout a block at a time, as
     it is or as a JSON list of its lines equal to json.dumps of the
-    whole list; return how many lines."""
+    whole list; return how many lines.  With same_width, every line as
+    wide as the first, text is not read again for its newlines: the
+    count is the characters written over the first line's width."""
     write = sys.stdout.write
     count = 0
     if not as_json:
+        if not same_width:
+            for block in blocks:
+                write(block)
+                count += block.count("\n")
+            return count
+        width = 0
         for block in blocks:
             write(block)
-            count += block.count("\n")
-        return count
+            count += len(block)
+            width = width or block.index("\n") + 1
+        return count // width if width else 0
     # imported here and in cmd_count, so that the commands that print
     # no JSON skip its 2 ms import
     import json
@@ -180,7 +190,10 @@ ENUM_FAMILIES: dict[str, Callable[[argparse.Namespace], Iterator[str]]] = {
 
 def cmd_enum(args: argparse.Namespace) -> int:
     blocks = ENUM_FAMILIES[args.family](args)
-    count = _write_blocks(blocks, args.format == "json")
+    # a line is a permutation of 1..n or a path of 2n steps, as wide as
+    # any other, but for the Schroder words, which vary in length
+    count = _write_blocks(blocks, args.format == "json",
+                          args.family != "schroder")
     print(f"count: {count}", file=sys.stderr)
     return 0
 

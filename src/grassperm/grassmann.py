@@ -105,8 +105,11 @@ def sole_descent(p: Sequence[int]) -> int | None:
 
 # a node with this many values or fewer above its last one, and the
 # descent spent, is emitted from tables of at most 2^TAIL_VALUES
-# entries; larger tables saved little more time and cost memory
-TAIL_VALUES = 8
+# entries.  At 9, enum grassmannian --n 19 writes 5,658 blocks, not
+# the 10,257 of 8, and its text walk took about a tenth less time; at
+# 10 it was barely faster, and the tables raised the command's peak
+# RSS above that of enum dyck --n 12
+TAIL_VALUES = 9
 
 
 def _rising_prefix_walk(n: int, atoms: Sequence,
@@ -148,9 +151,10 @@ def _rising_prefix_walk(n: int, atoms: Sequence,
     built once per call for last >= n - TAIL_VALUES only, so each has
     at most 2^TAIL_VALUES entries whatever n is.  Member by member,
     such a subtree is emitted by map, three concatenations in C per
-    member.  As text it is P, then the pairs (Q, C), each joined by L,
-    joined in turn by a newline and P, then a newline: one join in C
-    and no string per member.
+    member.  As text, lines[last] holds "" and then Q + "\0" + C + a
+    newline for every pair, and the subtree is P joined by lines[last]
+    with L put in place of each "\0", which no atom holds: one join
+    and one replace in C, and no call or string per member.
 
     Only the nodes above those tails are visited one at a time, depth
     first.  A stack frame is a node and the next child it has to give:
@@ -176,7 +180,10 @@ def _rising_prefix_walk(n: int, atoms: Sequence,
         rests[last] = [run[start:]] + [run[start:at[v]] + c
                                        for v in range(last + 1, n + 1)
                                        for c in rests[v]]
-    pairs = [list(zip(h, r)) for h, r in zip(heads, rests)] if text else []
+    # "\0" stands for low, which no atom holds: a subtree's text is
+    # prefix.join(lines[last]) with low put in its place
+    lines = [[""] + [q + "\0" + c + "\n" for q, c in zip(h, r)]
+             for h, r in zip(heads, rests)] if text else []
     end = "\n" if text else empty
     firsts = atoms if firsts is None else firsts
     mark = empty if mark is None else mark
@@ -190,9 +197,7 @@ def _rising_prefix_walk(n: int, atoms: Sequence,
             if v == last + 1:  # the node's first visit
                 if low and last >= base:
                     if text:
-                        # low.join((q, c)) is q + low + c
-                        members = map(low.join, pairs[last])
-                        yield prefix + ("\n" + prefix).join(members) + "\n"
+                        yield prefix.join(lines[last]).replace("\0", low)
                     else:
                         yield from map(add, map(prefix.__add__, heads[last]),
                                        map(low.__add__, rests[last]))
@@ -242,7 +247,8 @@ def grassmannian_blocks(n: int, *, cap: int | None = None) -> Iterator[str]:
     """The members of enumerate_grassmannian(n) as format_permutation
     prints them, each followed by a newline, built as text by the same
     walk: one string per completion-table subtree, of at most
-    2^TAIL_VALUES lines, and one per node above the tables.
+    2^TAIL_VALUES lines made by one join and one replace, and one per
+    node above the tables.
 
     >>> list(grassmannian_blocks(3))
     ['123\\n', '132\\n', '213\\n231\\n', '312\\n']
