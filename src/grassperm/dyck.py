@@ -15,7 +15,7 @@ exactly to the paths with at most one long ascent (two or more U's).
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from itertools import chain
+from itertools import chain, islice
 
 from grassperm.perms import Perm, check_cap, shown
 
@@ -84,33 +84,28 @@ def parse_dyck_path(text: str) -> str:
     return validate_dyck(parse_path(text))
 
 
-def heights(path: str) -> tuple[int, ...]:
-    """Height after each step."""
-    out = []
-    h = 0
-    for step in path:
-        h += 1 if step == "U" else -1
-        out.append(h)
-    return tuple(out)
-
-
 def peak_heights(path: str) -> tuple[int, ...]:
     """Heights of the UD corners, left to right.
+
+    The j-th piece of path.split("D") is the ascent after j down-steps;
+    a non-empty one ends at a peak, whose height is the up-steps so far
+    less j.
 
     >>> peak_heights("UUUDDDUUDUDUUDDD")
     (3, 2, 2, 3)
     """
     out = []
-    h = 0
-    for i, step in enumerate(path):
-        h += 1 if step == "U" else -1
-        if step == "U" and i + 1 < len(path) and path[i + 1] == "D":
-            out.append(h)
+    ups = 0
+    for j, ascent in enumerate(path.split("D")[:-1]):
+        if ascent:
+            ups += len(ascent)
+            out.append(ups - j)
     return tuple(out)
 
 
 def max_height(path: str) -> int:
-    return max(heights(path), default=0)
+    """The height of the highest peak, 0 for the empty path."""
+    return max(peak_heights(path), default=0)
 
 
 def long_ascent_count(path: str) -> int:
@@ -119,16 +114,7 @@ def long_ascent_count(path: str) -> int:
     >>> long_ascent_count("UUUDDDUUDUDUUDDD")
     3
     """
-    count = 0
-    run = 0
-    for step in path:
-        if step == "U":
-            run += 1
-        else:
-            if run >= 2:
-                count += 1
-            run = 0
-    return count
+    return sum(len(ascent) >= 2 for ascent in path.split("D"))
 
 
 def peaks_above_height_one(path: str) -> int:
@@ -281,19 +267,17 @@ def path_to_permutation(path: str) -> Perm:
     (2, 3, 1, 7, 4, 5, 8, 6)
     """
     validate_dyck(path)
-    down_number = {}
-    d = 0
-    for i, step in enumerate(path):
-        if step == "D":
-            d += 1
-            down_number[i] = d
-    labels: dict[int, int] = {}
-    for i, step in enumerate(path):
-        if step == "U" and i + 1 < len(path) and path[i + 1] == "D":
-            labels[i] = down_number[i + 1]
-    spare = iter(sorted(set(range(1, d + 1)) - set(labels.values())))
-    return tuple(labels[i] if i in labels else next(spare)
-                 for i, step in enumerate(path) if step == "U")
+    # the ascent after j down-steps ends at a peak labelled j + 1; its
+    # other up-steps take the labels of no peak, smallest first
+    ascents = path.split("D")
+    peaks = {j + 1 for j, ascent in enumerate(ascents) if ascent}
+    spare = (label for label in range(1, len(ascents)) if label not in peaks)
+    out: list[int] = []
+    for j, ascent in enumerate(ascents):
+        if ascent:
+            out.extend(islice(spare, len(ascent) - 1))
+            out.append(j + 1)
+    return tuple(out)
 
 
 def permutation_to_path(p: Sequence[int]) -> str:

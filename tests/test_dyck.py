@@ -13,7 +13,6 @@ from grassperm.dyck import (
     dyck_path_blocks,
     enumerate_dyck_paths,
     enumerate_grassmannian_paths,
-    heights,
     is_grassmannian_path,
     long_ascent_count,
     max_height,
@@ -58,7 +57,6 @@ def test_parse_path_step_limit():
 
 
 def test_path_statistics():
-    assert heights("UUDD") == (1, 2, 1, 0)
     assert peak_heights(GOLDEN_PATH) == (3, 2, 2, 3)
     assert long_ascent_count(GOLDEN_PATH) == 3
     assert max_height(GOLDEN_PATH) == 3
@@ -78,6 +76,42 @@ def test_walkthrough_path_statistics():
     # the permutation has 15 inversions
     assert inversion_count(TALL_PERM) == 15
     assert peaks_at_even_height(TALL_PATH) == 3
+
+
+def step_readers(path):
+    """The peak heights, the highest point, the long ascents and the
+    image of a path, read one step at a time: the references for the
+    readers of dyck.py, which read the path by its ascents."""
+    h = top = run = longs = d = 0
+    peaks = []
+    down_number = {}
+    for i, step in enumerate(path):
+        if step == "U":
+            h += 1
+            run += 1
+            if i + 1 < len(path) and path[i + 1] == "D":
+                peaks.append(h)
+        else:
+            h -= 1
+            longs += run >= 2
+            run = 0
+            d += 1
+            down_number[i] = d
+        top = max(top, h)
+    labels = {i: down_number[i + 1] for i, step in enumerate(path)
+              if step == "U" and i + 1 < len(path) and path[i + 1] == "D"}
+    spare = iter(sorted(set(range(1, d + 1)) - set(labels.values())))
+    image = tuple(labels[i] if i in labels else next(spare)
+                  for i, step in enumerate(path) if step == "U")
+    return tuple(peaks), top, longs, image
+
+
+def test_ascent_readers_match_the_step_readers():
+    for n in range(0, 10):
+        for path in enumerate_dyck_paths(n):
+            assert (peak_heights(path), max_height(path),
+                    long_ascent_count(path),
+                    path_to_permutation(path)) == step_readers(path), path
 
 
 def test_bijection_goldens():
