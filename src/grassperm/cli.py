@@ -411,15 +411,17 @@ def verify_prop21(args: argparse.Namespace) -> Iterator[Block]:
         raise ValueError("verify prop21 walks each size's family, so its"
                          f" sizes end at {MAX_WALKED_SIZE},"
                          f" got {MAX_WALKED_SIZE + 1}")
-    column = _weight_column(is_bigrassmannian, range(1, args.max_n + 1),
-                            None)
 
     def rows(n: int) -> Iterator[Row]:
-        yield (f"count n={n}", count_bigrassmannian(n), next(column))
-        same_class = all(
-            is_bigrassmannian(p) == (not contains_pattern(p, (2, 4, 1, 3)))
-            for p in enumerate_grassmannian(n))
-        yield (f"2413-avoidance n={n}", True, same_class)
+        # one walk of the family counts the members that pass and the
+        # ones that pass exactly when they contain 2413
+        members = mismatches = 0
+        for p in enumerate_grassmannian(n):
+            both = is_bigrassmannian(p)
+            members += both
+            mismatches += both == contains_pattern(p, (2, 4, 1, 3))
+        yield (f"count n={n}", count_bigrassmannian(n), members)
+        yield (f"2413-avoidance n={n}", True, not mismatches)
     return (partial(rows, n) for n in range(1, args.max_n + 1))
 
 

@@ -352,9 +352,10 @@ def test_involution_oracle_is_independent(capsys, monkeypatch):
 
 
 def test_verify_oracle_rows_walk_the_cores(capsys, monkeypatch):
-    # the oracle rows of thm51 and prop21 weigh the cores with the
-    # weight written at their call: a wrong weight must show in them.
-    # Only on size 13, which no map row of thm51 walks
+    # the oracle rows of thm51 weigh the cores with the weight written
+    # at their call, and prop21's count rows weigh the members its 2413
+    # rows walk: a wrong weight must show in them.  Only on size 13,
+    # which no map row of thm51 walks
     monkeypatch.setattr(cli, "inversion_count",
                         lambda p: inversion_count(p) + (len(p) == 13))
     code, out, _ = run(capsys, "verify", "thm51", "--max-n", "14")
