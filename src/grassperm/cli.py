@@ -393,16 +393,22 @@ def verify_weiner(args: argparse.Namespace) -> Iterator[Block]:
 
 
 def verify_theorem34(args: argparse.Namespace) -> Iterator[Block]:
+    sizes = range(1, args.max_n + 1)
+
     def rows(sigma: Perm) -> Iterator[Row]:
+        # one pass of the pattern's automaton over every size
         name = format_permutation(sigma)
-        for n in range(1, args.max_n + 1):
+        column = kernels.word_counts(kernels.avoiding(sigma), sizes)
+        for n, got in zip(sizes, column):
             yield (f"sigma={name} n={n}",
-                   count_avoiders_closed_form(n, sigma),
-                   count_avoiders_by_scan(n, sigma))
+                   count_avoiders_closed_form(n, sigma), got)
     # one pattern at a time, from walks all made here, so that a size
-    # above the cap is refused before any row
+    # above the cap, or a size above the scan's, is refused before any
+    # row
     walks = [one_descent_patterns(size)
              for size in range(3, args.max_size + 1)]
+    if sizes:
+        kernels.check_scan_size(sizes[-1])
     return (partial(rows, sigma) for walk in walks for sigma in walk)
 
 

@@ -154,13 +154,21 @@ def count_grassmannian_avoiders(n: int, sigma: tuple[int, ...]) -> int:
         return count_grassmannian_avoiding_increasing(n, k)
     if len(descents) > 1:
         raise ValueError("pattern has two or more descents")
-    block = set(sigma[:descents[0]])
+    return count_words(avoiding(sigma), n)
+
+
+def avoiding(sigma: tuple[int, ...]) -> tuple:
+    """The members avoiding a pattern sigma with exactly one descent:
+    the words that do not hold sigma's word as a subsequence, matched
+    greedily, so that a member dies once all k letters are matched."""
+    k = len(sigma)
+    block = set(sigma[:descent_positions(sigma)[0]])
     word = ["A" if v in block else "B" for v in sorted(sigma)]
 
     def step(matched: int, letter: str) -> int | None:
         matched += letter == word[matched]
         return matched if matched < k else None
-    return count_words((0, step, lambda state: True, lambda n: n), n)
+    return 0, step, lambda state: True, lambda n: n
 
 
 def count_sn_avoiding_321_2143(n: int) -> int:

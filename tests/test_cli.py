@@ -1037,6 +1037,26 @@ def test_theorem34_makes_its_blocks_one_pattern_at_a_time(capsys):
                          "--max-n", "1")
     assert (code, out) == (2, "")
     assert err.startswith("error: size 26 exceeds the enumeration cap 25;")
+    # and so is a size above the scan's
+    code, out, err = run(capsys, "verify", "theorem34", "--max-n", "27")
+    assert (code, out, err) == (2, "", "error: scan size 27 outside 1..26\n")
+
+
+def test_theorem34_rows_check_the_pattern_automaton(capsys, monkeypatch):
+    # each pattern's rows come from one column of its automaton, so a
+    # count wrong at n = 7 fails that row of every pattern and no other
+    right = kernels.avoiding
+
+    def wrong_at_7(sigma):
+        start, step, accepts, surplus = right(sigma)
+        return start, step, accepts, lambda n: surplus(n) - (n == 7)
+    monkeypatch.setattr(kernels, "avoiding", wrong_at_7)
+    code, out, _ = run(capsys, "verify", "theorem34", "--max-n", "8",
+                       "--max-size", "3")
+    assert code == 1
+    assert [row.split(":")[0] for row in out.splitlines()
+            if row.startswith("FAIL")] == [
+        f"FAIL sigma={sigma} n=7" for sigma in ("132", "213", "231", "312")]
 
 
 class Reached(Exception):
