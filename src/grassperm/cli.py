@@ -123,23 +123,20 @@ def _write_blocks(blocks: Iterable[str], as_json: bool,
                   same_width: bool) -> int:
     """Write text made of whole lines to stdout a block at a time, as
     it is or as a JSON list of its lines equal to json.dumps of the
-    whole list; return how many lines.  With same_width, every line as
-    wide as the first, text is not read again for its newlines: the
-    count is the characters written over the first line's width."""
+    whole list; return how many lines.  Text with same_width, every
+    line as wide as the first, is not read again: its count is the
+    characters written over the first line's width."""
     write = sys.stdout.write
-    count = 0
+    count = width = 0
     if not as_json:
-        if not same_width:
-            for block in blocks:
-                write(block)
-                count += block.count("\n")
-            return count
-        width = 0
         for block in blocks:
             write(block)
-            count += len(block)
-            width = width or block.index("\n") + 1
-        return count // width if width else 0
+            if same_width:
+                count += len(block)
+                width = width or block.index("\n") + 1
+            else:
+                count += block.count("\n")
+        return count // width if width else count
     # imported here and in cmd_count, so that the commands that print
     # no JSON skip its 2 ms import
     import json
@@ -211,16 +208,6 @@ MAX_COUNT_SIZE = 1000
 MAX_ORACLE_CAP = 28
 
 
-def _cores(sizes: range,
-           cap: int | None) -> Iterator[tuple[int, Iterator[Perm]]]:
-    """(m, the size-m cores) for m = 1 .. sizes[-1].  The first size is
-    checked against the cap before any is walked, and each one as its
-    walk is made."""
-    check_cap(sizes[0], cap)
-    for m in range(1, sizes[-1] + 1):
-        yield m, enumerate_grassmannian(m, cap=cap, core=True)
-
-
 def _weight_column(weight: Callable[[Perm], int], sizes: range,
                    cap: int | None) -> Iterator[int]:
     """The summed weights of the size-n family for each n in sizes.
@@ -228,12 +215,15 @@ def _weight_column(weight: Callable[[Perm], int], sizes: range,
     sizes up to m, each followed by fixed points, so their weight, new,
     grows by the size-m cores' weights; the members 1 + q carry the
     total at m - 1 over.  So the weight must give 1 + q (1 put in front,
-    the values of q raised) and q + 1 what it gives q."""
+    the values of q raised) and q + 1 what it gives q.  The first size
+    is checked against the cap before any is walked, and each one as
+    its walk is made."""
+    check_cap(sizes[0], cap)
     # sum, not weight((1,)): bool's total stays an int
     total = sum(map(weight, [(1,)]))
     new = 0
-    for m, cores in _cores(sizes, cap):
-        new += sum(map(weight, cores))
+    for m in range(1, sizes[-1] + 1):
+        new += sum(map(weight, enumerate_grassmannian(m, cap=cap, core=True)))
         total += new
         if m in sizes:
             yield total
@@ -403,8 +393,7 @@ def verify_theorem34(args: argparse.Namespace) -> Iterator[Block]:
             yield (f"sigma={name} n={n}",
                    count_avoiders_closed_form(n, sigma), got)
     # one pattern at a time, from walks all made here, so that a size
-    # above the cap, or a size above the scan's, is refused before any
-    # row
+    # above the cap or the scan's is refused before any row
     walks = [one_descent_patterns(size)
              for size in range(3, args.max_size + 1)]
     if sizes:
@@ -419,8 +408,7 @@ def verify_prop21(args: argparse.Namespace) -> Iterator[Block]:
                          f" got {MAX_WALKED_SIZE + 1}")
 
     def rows(n: int) -> Iterator[Row]:
-        # one walk of the family counts the members that pass and the
-        # ones that pass exactly when they contain 2413
+        # one walk counts the members that pass and checks them for 2413
         members = mismatches = 0
         for p in enumerate_grassmannian(n):
             both = is_bigrassmannian(p)

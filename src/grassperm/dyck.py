@@ -104,7 +104,6 @@ def peak_heights(path: str) -> tuple[int, ...]:
 
 
 def max_height(path: str) -> int:
-    """The height of the highest peak, 0 for the empty path."""
     return max(peak_heights(path), default=0)
 
 

@@ -105,10 +105,8 @@ def sole_descent(p: Sequence[int]) -> int | None:
 
 # a node with this many values or fewer above its last one, and the
 # descent spent, is emitted from tables of at most 2^TAIL_VALUES
-# entries.  At 9, enum grassmannian --n 19 writes 5,658 blocks, not
-# the 10,257 of 8, and its text walk took about a tenth less time; at
-# 10 it was barely faster, and the tables raised the command's peak
-# RSS above that of enum dyck --n 12
+# entries.  At 9, not 8, the text walk of size 19 took a tenth less
+# time; at 10 it was barely faster, and its peak RSS was above dyck's
 TAIL_VALUES = 9
 
 
@@ -180,8 +178,6 @@ def _rising_prefix_walk(n: int, atoms: Sequence,
         rests[last] = [run[start:]] + [run[start:at[v]] + c
                                        for v in range(last + 1, n + 1)
                                        for c in rests[v]]
-    # "\0" stands for low, which no atom holds: a subtree's text is
-    # prefix.join(lines[last]) with low put in its place
     lines = [[""] + [q + "\0" + c + "\n" for q, c in zip(h, r)]
              for h, r in zip(heads, rests)] if text else []
     end = "\n" if text else empty

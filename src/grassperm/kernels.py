@@ -135,11 +135,8 @@ def count_grassmannian_avoiders(n: int, sigma: tuple[int, ...]) -> int:
     """Count one-descent permutations of size n containing no
     occurrence of the pattern sigma.
 
-    A one-descent sigma is itself a word over {A, B}, and a member
-    contains sigma exactly when that word is a subsequence of the
-    member's word.  A k + 1 state automaton, matching the pattern's
-    word greedily, counts the words that never reach state k.  Rising
-    patterns go to count_grassmannian_avoiding_increasing; patterns
+    One-descent patterns run the automaton avoiding(sigma), rising
+    ones go to count_grassmannian_avoiding_increasing, and patterns
     with two or more descents are refused.
 
     >>> count_grassmannian_avoiders(6, (1, 3, 2))
@@ -158,9 +155,10 @@ def count_grassmannian_avoiders(n: int, sigma: tuple[int, ...]) -> int:
 
 
 def avoiding(sigma: tuple[int, ...]) -> tuple:
-    """The members avoiding a pattern sigma with exactly one descent:
-    the words that do not hold sigma's word as a subsequence, matched
-    greedily, so that a member dies once all k letters are matched."""
+    """The members avoiding a pattern sigma with exactly one descent.
+    sigma is itself a word over {A, B}, and a member contains it
+    exactly when that word is a subsequence of the member's word: k + 1
+    states match it greedily, and a word dies at the k-th match."""
     k = len(sigma)
     block = set(sigma[:descent_positions(sigma)[0]])
     word = ["A" if v in block else "B" for v in sorted(sigma)]
