@@ -130,11 +130,12 @@ ENUM_MORE = [
     ["bigrassmannian", "--n", "14", "--format", "json"],
     ["involutions", "--n", "40", "--cap", "40", "--format", "json"],
     ["schroder", "--n", "20", "--format", "json"],
+    # semilength 0, the one empty path or word
     ["dyck", "--n", "0"],
     ["dyck", "--n", "0", "--format", "json"],
     ["schroder", "--n", "0"],
+    # the enumeration cap, also at 0 and for each family, and bad sizes
     ["grassmannian", "--n", "26", "--cap", "0"],
-    # the enumeration cap, for each family, and bad sizes
     *([*family, "--n", "26"] for family in ENUM_FAMILIES),
     ["grassmannian", "--n", "9", "--cap", "8"],
     ["grassmannian", "--n", "0"],
