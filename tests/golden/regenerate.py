@@ -2,8 +2,8 @@
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-count.tsv, enum.tsv and map.tsv each hold one `grassperm` command of
-that subcommand a line: its argv (shell-quoted), the exit code, the
+count.tsv, enum.tsv, map.tsv, verify.tsv and table.tsv each hold one
+`grassperm` command of that subcommand a line: its argv (shell-quoted), the exit code, the
 sha256 of its stdout and its stderr (as a JSON string), tab-separated.
 tests/test_golden.py runs every line in process and compares.  The
 files are written only when this script is run by hand; a change that
@@ -46,6 +46,7 @@ MORE = [
     ["union-inverse", "--n", "1..17", "--oracle"],
     ["odd", "--n", "1..16", "--oracle"],
     ["bigrassmannian", "--n", "1..15", "--oracle"],
+    ["union-inverse", "--n", "1..14", "--oracle", "--format", "json"],
     # descent-at at every small k, up to k = N - 1
     *(["descent-at", "--k", str(k), "--n", f"{k + 1}..14", "--oracle"]
       for k in (1, 3, 4, 5, 13)),
@@ -127,6 +128,7 @@ ENUM_MORE = [
     # larger sizes, JSON included
     ["grassmannian", "--n", "16"],
     ["grassmannian", "--n", "16", "--format", "json"],
+    ["bigrassmannian", "--n", "14"],
     ["bigrassmannian", "--n", "14", "--format", "json"],
     ["involutions", "--n", "40", "--cap", "40", "--format", "json"],
     ["schroder", "--n", "20", "--format", "json"],
@@ -173,6 +175,55 @@ MAP_VALUES = [
 ]
 
 
+# verify: every target at its defaults (made in commands from
+# cli.VERIFY_TARGETS), then at a few bounds and at each refusal
+VERIFY_MORE = [
+    ["weiner", "--kmax", "2"],
+    ["weiner", "--kmax", "14"],
+    ["theorem34", "--max-n", "1", "--max-size", "3"],
+    ["theorem34", "--max-n", "12", "--max-size", "6"],
+    ["prop21", "--max-n", "1"],
+    ["prop21", "--max-n", "12"],
+    ["prop22", "--max-n", "14"],
+    ["prop23", "--max-n", "14"],
+    ["prop31", "--kmax", "2"],
+    ["prop31", "--kmax", "14"],
+    ["prop41", "--max-n", "1"],
+    ["prop42", "--max-n", "2"],
+    ["prop43", "--max-n", "2"],
+    ["prop46", "--max-n", "0"],
+    ["thm51", "--max-n", "0"],  # the map rows only
+    ["thm51", "--max-n", "14"],  # the last oracle row
+    ["thm51", "--max-n", "1000"],
+    ["prop53", "--max-n", "11"],
+    # an empty range
+    ["weiner", "--kmax", "1"],
+    ["theorem34", "--max-size", "2"],
+    ["theorem34", "--max-n", "0"],
+    ["prop21", "--max-n", "0"],
+    ["prop22", "--max-n", "-1"],
+    # the walked sizes, the count sizes and the scan bound
+    ["prop21", "--max-n", "19"],
+    ["prop21", "--max-n", "100000000"],
+    ["prop41", "--max-n", "19"],
+    ["thm51", "--max-n", "1001"],
+    ["weiner", "--kmax", "15"],
+    ["theorem34", "--max-n", "27"],
+    ["prop31", "--kmax", "15"],
+]
+
+# table: both tables, and the --kmax bounds of table1 (table2 has none)
+TABLES = [
+    ["table1"],
+    ["table2"],
+    ["table1", "--kmax", "2"],
+    ["table1", "--kmax", "14"],
+    ["table1", "--kmax", "1"],
+    ["table1", "--kmax", "15"],
+    ["table2", "--kmax", "3"],
+]
+
+
 def commands() -> dict[str, list[list[str]]]:
     """The argv of every corpus line, by corpus file, in file order."""
     counts = [["count", *spec, *oracle, "--format", fmt]
@@ -184,7 +235,11 @@ def commands() -> dict[str, list[list[str]]]:
              for fmt in ("lines", "json")]
     enums += [["enum", *spec] for spec in ENUM_MORE]
     maps = [["map", *spec] for spec in MAP_VALUES]
-    return {"count.tsv": counts, "enum.tsv": enums, "map.tsv": maps}
+    verifies = [["verify", target] for target in cli.VERIFY_TARGETS]
+    verifies += [["verify", *spec] for spec in VERIFY_MORE]
+    tables = [["table", *spec] for spec in TABLES]
+    return {"count.tsv": counts, "enum.tsv": enums, "map.tsv": maps,
+            "verify.tsv": verifies, "table.tsv": tables}
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:

@@ -1,7 +1,7 @@
 """Replay the committed corpora of `grassperm` behaviour.
 
-tests/golden/count.tsv, enum.tsv and map.tsv hold, for each command,
-its exit code, the sha256 of its stdout and its stderr;
+tests/golden/count.tsv, enum.tsv, map.tsv, verify.tsv and table.tsv
+hold, for each command, its exit code, the sha256 of its stdout and its stderr;
 tests/golden/regenerate.py rewrites them by hand.
 """
 
@@ -51,6 +51,16 @@ def test_map_output_matches_the_corpus(capsys, argv, code, digest, err):
     replay(capsys, argv, code, digest, err)
 
 
+@pytest.mark.parametrize("argv, code, digest, err", corpus("verify.tsv"))
+def test_verify_output_matches_the_corpus(capsys, argv, code, digest, err):
+    replay(capsys, argv, code, digest, err)
+
+
+@pytest.mark.parametrize("argv, code, digest, err", corpus("table.tsv"))
+def test_table_output_matches_the_corpus(capsys, argv, code, digest, err):
+    replay(capsys, argv, code, digest, err)
+
+
 def refusals(name):
     """The refusal texts of a corpus, without the value refused."""
     return {json.loads(err).split(";")[0].split(" got ")[0]
@@ -88,3 +98,20 @@ def test_enum_and_map_corpora_cover_every_family_and_direction():
         for code in ("0", "2"):
             assert any(argv[1] == direction and got == code
                        for argv, got in maps), (direction, code)
+
+
+def test_verify_and_table_corpora_cover_every_target_and_refusal():
+    verifies = [shlex.split(argv) for argv, *_ in lines("verify.tsv")]
+    for target in cli.VERIFY_TARGETS:
+        assert ["verify", target] in verifies, target
+        assert any(argv[1] == target and len(argv) > 2
+                   for argv in verifies), target
+    for text in ("has no rows to check", "walks each size's family",
+                 "holds each size's family in memory",
+                 "verify thm51 sizes end at", "scan size"):
+        assert any(text in refusal for refusal in refusals("verify.tsv")), text
+    tables = [shlex.split(argv) for argv, *_ in lines("table.tsv")]
+    for which in ("table1", "table2"):
+        assert ["table", which] in tables, which
+    for kmax in ("1", "2", "14", "15"):
+        assert ["table", "table1", "--kmax", kmax] in tables, kmax
