@@ -48,6 +48,7 @@ from grassperm.grassmann import (
     count_grassmannian,
     count_involutions,
     count_union_with_inverse,
+    enumerate_bigrassmannian,
     enumerate_grassmannian,
     enumerate_involutions,
     grassmannian_blocks,
@@ -170,8 +171,8 @@ def _chunked(lines: Iterable[str]) -> Iterator[str]:
 # _chunked lines), in the order that enum --help lists
 ENUM_FAMILIES: dict[str, Callable[[argparse.Namespace], Iterator[str]]] = {
     "grassmannian": lambda args: grassmannian_blocks(args.n, cap=args.cap),
-    "bigrassmannian": lambda args: _chunked(map(format_permutation, filter(
-        is_bigrassmannian, enumerate_grassmannian(args.n, cap=args.cap)))),
+    "bigrassmannian": lambda args: _chunked(map(
+        format_permutation, enumerate_bigrassmannian(args.n, cap=args.cap))),
     "involutions": lambda args: _chunked(map(
         format_permutation, enumerate_involutions(args.n, cap=args.cap))),
     "avoiders": lambda args: _chunked(map(

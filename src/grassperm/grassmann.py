@@ -11,7 +11,6 @@ brute-force cross-checks live with the pattern tooling and the tests.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from functools import cache
 from itertools import chain, islice
 from math import comb
 from operator import add, gt
@@ -38,31 +37,9 @@ def is_grassmannian(p: Sequence[int]) -> bool:
     return sum(map(gt, p, islice(p, 1, None))) <= 1
 
 
-@cache
-def _size_tables(n: int) -> tuple[int, list[bytes], list[bytes]]:
-    """For a size n <= 255: the identity as a big-endian int, and the
-    lists prefixes and suffixes with prefixes[j] = 1..j and suffixes[j]
-    = j+1..n as bytes."""
-    ident = bytes(range(1, n + 1))
-    return (int.from_bytes(ident, "big"), [ident[:j] for j in range(n + 1)],
-            [ident[j:] for j in range(n + 1)])
-
-
 def inverse_is_grassmannian(p: Sequence[int]) -> bool:
     """True iff p is a permutation whose inverse has at most one
-    descent, tested without building the inverse.
-
-    inverse(p) descends at i when i + 1 stands left of i in p, so it
-    has at most one descent iff p is a shuffle of 1..j and j+1..n for
-    some j.  Unless p is the identity, let p(k) = v != k be its first
-    value out of place.  Such a shuffle that starts 1..k-1 and is not
-    the identity has k <= j, so v is not k, the next of 1..j: it is
-    j + 1, the first of j+1..n.  With j = v - 1, deleting j+1..n from
-    p must leave 1..j, and deleting 1..j must leave j+1..n.  A value
-    outside 1..n, or a repeated one, survives a deletion and spoils its
-    result, so the two tests also check that p is a permutation.  Up
-    to size 255 they run on bytes in C; above it this falls back to
-    the inverse.
+    descent; a sequence that is not a permutation gives False.
 
     >>> inverse_is_grassmannian((3, 1, 4, 2))
     True
@@ -71,25 +48,10 @@ def inverse_is_grassmannian(p: Sequence[int]) -> bool:
     >>> inverse_is_grassmannian((1, 1))
     False
     """
-    n = len(p)
-    if n > 255:
-        try:
-            return is_grassmannian(inverse(p))
-        except ValueError:
-            return False
     try:
-        b = bytes(p)
+        return is_grassmannian(inverse(p))
     except (TypeError, ValueError):
         return False
-    ident_int, prefixes, suffixes = _size_tables(n)
-    # the highest differing byte of the big-endian ints is p's first
-    # value out of place
-    diff = (int.from_bytes(b, "big") ^ ident_int).bit_length()
-    if not diff:
-        return True
-    j = b[n - 1 - (diff - 1) // 8] - 1
-    return (0 < j < n and b.translate(None, suffixes[j]) == prefixes[j]
-            and b.translate(None, prefixes[j]) == suffixes[j])
 
 
 def sole_descent(p: Sequence[int]) -> int | None:
@@ -288,13 +250,34 @@ def count_descent_at(n: int, k: int) -> int:
 
 
 def is_bigrassmannian(p: Sequence[int]) -> bool:
-    """True iff both p and its inverse have at most one descent.
-
-    p is assumed to be a permutation, as everywhere in the package; a
-    sequence that is not one gives False.  The inverse test goes first,
-    as only 1 + C(n+1, 3) members of the size-n family pass it.
+    """True iff both p and its inverse have at most one descent; a
+    sequence that is not a permutation gives False, as the inverse
+    test, which goes first, refuses it.
     """
     return inverse_is_grassmannian(p) and is_grassmannian(p)
+
+
+def enumerate_bigrassmannian(n: int, *,
+                             cap: int | None = None) -> Iterator[Perm]:
+    """Members of the size-n family whose inverses are members too, in
+    lexicographic order, streamed.
+
+    Each but the identity is id_a, then the c values above a + b, then
+    the b values above a, then the rest, for the C(n+1, 3) cuts 0 <= a
+    < a + b < a + b + c <= n; it descends after a + c and its inverse
+    after a + b.
+
+    >>> list(enumerate_bigrassmannian(3))
+    [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2)]
+    """
+    check_size(n)
+    check_cap(n, cap)
+    ident = identity(n)
+    swapped = (ident[:a] + ident[a + b:a + b + c] + ident[a:a + b]
+               + ident[a + b + c:]
+               for a in range(n - 2, -1, -1) for b in range(1, n - a)
+               for c in range(1, n - a - b + 1))
+    return chain((ident,), swapped)
 
 
 def count_bigrassmannian(n: int) -> int:

@@ -21,6 +21,7 @@ from grassperm import cli, kernels
 from grassperm.dyck import dyck_path_blocks
 from grassperm.grassmann import (
     TAIL_VALUES,
+    count_bigrassmannian,
     count_involutions,
     enumerate_grassmannian,
     grassmannian_blocks,
@@ -322,6 +323,35 @@ def test_involution_oracle_is_independent(capsys, monkeypatch):
     assert out.splitlines() == ["n,formula,oracle,agree"] + [
         f"{n},{count_involutions(n)},{count_involutions(n)},true"
         for n in range(1, 9)]
+
+
+def test_bigrassmannian_oracles_are_independent(capsys, monkeypatch):
+    # verify prop21 filters the family by is_bigrassmannian and count
+    # runs the ONE_BA automaton; the enumerator lists the very shapes
+    # that the closed form counts
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle used enumerate_bigrassmannian")
+    monkeypatch.setattr(cli, "enumerate_bigrassmannian", refuse)
+    code, out, err = run(capsys, "verify", "prop21")
+    assert (code, err) == (0, "prop21: 20 checks, all agree\n")
+    code, out, _ = run(capsys, "count", "bigrassmannian", "--n", "1..9",
+                       "--oracle")
+    assert code == 0
+    assert out.splitlines() == ["n,formula,oracle,agree"] + [
+        f"{n},{count_bigrassmannian(n)},{count_bigrassmannian(n)},true"
+        for n in range(1, 10)]
+    with pytest.raises(AssertionError):
+        run(capsys, "enum", "bigrassmannian", "--n", "3")
+
+
+def test_enum_bigrassmannian_cost_is_bounded(capsys):
+    # the shapes are listed, not filtered from the 2^n - n members:
+    # size 23 took 13 s as a filter
+    start = time.perf_counter()
+    code, out, err = run(capsys, "enum", "bigrassmannian", "--n", "25")
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, f"count: {count_bigrassmannian(25)}\n")
+    assert out.splitlines()[-1] == ",".join(map(str, [25, *range(1, 25)]))
 
 
 def test_verify_oracle_rows_walk_the_cores(capsys, monkeypatch):

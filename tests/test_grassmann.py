@@ -13,6 +13,7 @@ from grassperm.grassmann import (
     count_grassmannian,
     count_involutions,
     count_union_with_inverse,
+    enumerate_bigrassmannian,
     enumerate_grassmannian,
     enumerate_involutions,
     grassmannian_blocks,
@@ -58,7 +59,7 @@ def test_inverse_test_matches_the_inverse_on_the_family():
         assert passed == count_bigrassmannian(n)
 
 
-def test_inverse_test_falls_back_above_size_255():
+def test_inverse_test_above_size_255():
     n = 300
     shuffle = tuple(range(2, n + 1, 2)) + tuple(range(1, n + 1, 2))
     assert not is_grassmannian(inverse(shuffle))
@@ -287,6 +288,34 @@ def test_bigrassmannian_goldens():
         (1, 2, 3, 4), (1, 2, 4, 3), (1, 3, 2, 4), (1, 3, 4, 2),
         (1, 4, 2, 3), (2, 1, 3, 4), (2, 3, 1, 4), (2, 3, 4, 1),
         (3, 1, 2, 4), (3, 4, 1, 2), (4, 1, 2, 3)]
+
+
+def test_bigrassmannian_enumeration_matches_the_filter():
+    # the shapes A^a B^b A^c B^d, listed, against the definition applied
+    # to the whole family, in order and count
+    for n in range(1, 13):
+        listed = list(enumerate_bigrassmannian(n))
+        assert listed == list(filter(is_bigrassmannian,
+                                     enumerate_grassmannian(n))), n
+        assert len(listed) == count_bigrassmannian(n)
+    assert list(enumerate_bigrassmannian(25))[-1] == (25,) + identity(24)
+    with pytest.raises(ValueError):
+        enumerate_bigrassmannian(0)
+    with pytest.raises(ValueError):
+        enumerate_bigrassmannian(26)
+
+
+def test_bigrassmannian_enumeration_streams():
+    tracemalloc.start()
+    try:
+        first = list(itertools.islice(
+            enumerate_bigrassmannian(300, cap=300), 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == [identity(300), identity(298) + (300, 299),
+                     identity(297) + (299, 298, 300)]
+    assert peak < 256 * 1024, peak
 
 
 def test_bigrassmannian_count():
