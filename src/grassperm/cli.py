@@ -28,7 +28,6 @@ import argparse
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from functools import partial
 from itertools import chain
 
 from grassperm import kernels
@@ -359,13 +358,13 @@ class Sweep:
 
 
 # A verify target returns an iterator of blocks, one per value of its
-# outer loop, made as the sweep reaches them, so that a large bound costs
-# nothing before its first row; a block yields that value's (label,
-# expected, got) rows.  cmd_verify checks the rows one by one, in order,
-# in a single Sweep, and flushes stdout after each block, so that a
-# block reaches a pipe once checked.
+# outer loop, made as the sweep reaches them; a block is a generator of
+# that value's (label, expected, got) rows, which runs nothing until the
+# sweep iterates it, so that a large bound costs nothing before its
+# first row.  cmd_verify checks the rows one by one, in order, in a
+# single Sweep, and flushes stdout after each block, so that a block
+# reaches a pipe once checked.
 Row = tuple[str, object, object]
-Block = Callable[[], Iterator[Row]]
 
 # verify prop21 and prop41 refuse sizes above this: both walk each
 # size's whole family, about twice the cost of the size before.  prop21
@@ -375,15 +374,15 @@ Block = Callable[[], Iterator[Row]]
 MAX_WALKED_SIZE = 18
 
 
-def verify_weiner(args: argparse.Namespace) -> Iterator[Block]:
+def verify_weiner(args: argparse.Namespace) -> Iterator[Iterator[Row]]:
     def rows(k: int) -> Iterator[Row]:
         for m in range(k, 2 * k - 1):
             yield (f"rising k={k} m={m}", weiner_formula(m, k),
                    finite_class_count(m, k))
-    return (partial(rows, k) for k in range(2, args.kmax + 1))
+    return (rows(k) for k in range(2, args.kmax + 1))
 
 
-def verify_theorem34(args: argparse.Namespace) -> Iterator[Block]:
+def verify_theorem34(args: argparse.Namespace) -> Iterator[Iterator[Row]]:
     sizes = range(1, args.max_n + 1)
 
     def rows(sigma: Perm) -> Iterator[Row]:
@@ -399,10 +398,10 @@ def verify_theorem34(args: argparse.Namespace) -> Iterator[Block]:
              for size in range(3, args.max_size + 1)]
     if sizes:
         kernels.check_scan_size(sizes[-1])
-    return (partial(rows, sigma) for walk in walks for sigma in walk)
+    return (rows(sigma) for walk in walks for sigma in walk)
 
 
-def verify_prop21(args: argparse.Namespace) -> Iterator[Block]:
+def verify_prop21(args: argparse.Namespace) -> Iterator[Iterator[Row]]:
     if args.max_n > MAX_WALKED_SIZE:
         raise ValueError("verify prop21 walks each size's family, so its"
                          f" sizes end at {MAX_WALKED_SIZE},"
@@ -417,36 +416,36 @@ def verify_prop21(args: argparse.Namespace) -> Iterator[Block]:
             mismatches += both == contains_pattern(p, (2, 4, 1, 3))
         yield (f"count n={n}", count_bigrassmannian(n), members)
         yield (f"2413-avoidance n={n}", True, not mismatches)
-    return (partial(rows, n) for n in range(1, args.max_n + 1))
+    return (rows(n) for n in range(1, args.max_n + 1))
 
 
-def verify_prop22(args: argparse.Namespace) -> Iterator[Block]:
+def verify_prop22(args: argparse.Namespace) -> Iterator[Iterator[Row]]:
     def rows(n: int) -> Iterator[Row]:
         yield (f"n={n}", count_union_with_inverse(n),
                kernels.count_sn_avoiding_321_2143(n))
-    return (partial(rows, n) for n in range(1, args.max_n + 1))
+    return (rows(n) for n in range(1, args.max_n + 1))
 
 
-def verify_prop23(args: argparse.Namespace) -> Iterator[Block]:
+def verify_prop23(args: argparse.Namespace) -> Iterator[Iterator[Row]]:
     def rows(n: int) -> Iterator[Row]:
         listed = list(enumerate_involutions(n))
         brute = list(filter(is_involution, enumerate_grassmannian(n)))
         yield (f"members n={n}", brute, listed)
         yield (f"count n={n}", count_involutions(n), len(listed))
-    return (partial(rows, n) for n in range(1, args.max_n + 1))
+    return (rows(n) for n in range(1, args.max_n + 1))
 
 
-def verify_prop31(args: argparse.Namespace) -> Iterator[Block]:
+def verify_prop31(args: argparse.Namespace) -> Iterator[Iterator[Row]]:
     def rows(k: int) -> Iterator[Row]:
         yield (f"k={k} m={2 * k - 2}", catalan(k - 1),
                finite_class_count(2 * k - 2, k))
         if k >= 3:
             yield (f"k={k} m={2 * k - 3}", 2 * catalan(k - 1),
                    finite_class_count(2 * k - 3, k))
-    return (partial(rows, k) for k in range(2, args.kmax + 1))
+    return (rows(k) for k in range(2, args.kmax + 1))
 
 
-def verify_prop41(args: argparse.Namespace) -> Iterator[Block]:
+def verify_prop41(args: argparse.Namespace) -> Iterator[Iterator[Row]]:
     if args.max_n > MAX_WALKED_SIZE:
         raise ValueError("verify prop41 holds each size's family in memory,"
                          f" so its sizes end at {MAX_WALKED_SIZE},"
@@ -457,12 +456,13 @@ def verify_prop41(args: argparse.Namespace) -> Iterator[Block]:
                            enumerate_grassmannian_paths(n)))
         yield (f"path count n={n}", count_grassmannian(n), len(image))
         yield (f"image n={n}", list(enumerate_grassmannian(n)), image)
-    return (partial(rows, n) for n in range(1, args.max_n + 1))
+    return (rows(n) for n in range(1, args.max_n + 1))
 
 
 def _verify_path_class(args: argparse.Namespace,
                        keep: Callable[[str, int], bool],
-                       sigma_of: Callable[[int], Perm]) -> Iterator[Block]:
+                       sigma_of: Callable[[int], Perm]
+                       ) -> Iterator[Iterator[Row]]:
     def rows(k: int, n: int) -> Iterator[Row]:
         sigma = sigma_of(k)
         name = format_permutation(sigma)
@@ -472,25 +472,25 @@ def _verify_path_class(args: argparse.Namespace,
         yield (f"sigma={name} n={n} count",
                count_avoiders_closed_form(n, sigma), len(chosen))
         yield (f"sigma={name} n={n} image", True, image == avoiders)
-    return (partial(rows, k, n) for k in (3, 4, 5)
+    return (rows(k, n) for k in (3, 4, 5)
             for n in range(1, args.max_n + 1))
 
 
-def verify_prop42(args: argparse.Namespace) -> Iterator[Block]:
+def verify_prop42(args: argparse.Namespace) -> Iterator[Iterator[Row]]:
     return _verify_path_class(
         args,
         lambda path, k: peaks_above_height_one(path) <= k - 2,
         lambda k: (k,) + tuple(range(1, k)))
 
 
-def verify_prop43(args: argparse.Namespace) -> Iterator[Block]:
+def verify_prop43(args: argparse.Namespace) -> Iterator[Iterator[Row]]:
     return _verify_path_class(
         args,
         lambda path, k: max_height(path) <= k - 1,
         lambda k: tuple(range(2, k + 1)) + (1,))
 
 
-def verify_prop46(args: argparse.Namespace) -> Iterator[Block]:
+def verify_prop46(args: argparse.Namespace) -> Iterator[Iterator[Row]]:
     sigma = (3, 5, 1, 2, 4)
 
     def rows(n: int) -> Iterator[Row]:
@@ -502,10 +502,10 @@ def verify_prop46(args: argparse.Namespace) -> Iterator[Block]:
         yield (f"image n={n}", True, image == avoiders)
         yield (f"count n={n}",
                count_avoiders_closed_form(n + 1, sigma), len(words))
-    return (partial(rows, n) for n in range(0, args.max_n + 1))
+    return (rows(n) for n in range(0, args.max_n + 1))
 
 
-def verify_thm51(args: argparse.Namespace) -> Iterator[Block]:
+def verify_thm51(args: argparse.Namespace) -> Iterator[Iterator[Row]]:
     # as in count: every row within seconds, every number far below
     # int()'s 4300-digit printing limit
     if args.max_n > MAX_COUNT_SIZE:
@@ -542,23 +542,23 @@ def verify_thm51(args: argparse.Namespace) -> Iterator[Block]:
                   if inversion_count(p) % 2
                   and descent_positions(p)[0] % 2 == 0}
         yield (f"psi image m={m}", True, images == target)
-    return chain((partial(counts, n) for n in range(1, args.max_n + 1)),
-                 (partial(maps, m) for m in range(1, 6)))
+    return chain((counts(n) for n in range(1, args.max_n + 1)),
+                 (maps(m) for m in range(1, 6)))
 
 
-def verify_prop53(args: argparse.Namespace) -> Iterator[Block]:
+def verify_prop53(args: argparse.Namespace) -> Iterator[Iterator[Row]]:
     def rows(n: int) -> Iterator[Row]:
         bridged = all(
             inversion_count(path_to_permutation(path)) % 2
             == peaks_at_even_height(path) % 2
             for path in enumerate_grassmannian_paths(n))
         yield (f"n={n}", True, bridged)
-    return (partial(rows, n) for n in range(1, args.max_n + 1))
+    return (rows(n) for n in range(1, args.max_n + 1))
 
 
 # target -> (blocks, one-line description, defaults of unset flags)
 VERIFY_TARGETS: dict[str, tuple[Callable[[argparse.Namespace],
-                                         Iterable[Block]], str,
+                                         Iterable[Iterator[Row]]], str,
                                 dict[str, int]]] = {
     "weiner": (verify_weiner,
                "finite-class walk counts equal the alternating-sum formula",
@@ -608,7 +608,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             setattr(args, flag, value)
     sweep = Sweep()
     for block in blocks(args):
-        for row in block():
+        for row in block:
             sweep.check(*row)
         sys.stdout.flush()
     if not sweep.rows:

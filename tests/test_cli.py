@@ -1024,12 +1024,13 @@ def test_theorem34_makes_its_blocks_one_pattern_at_a_time(capsys):
     # in the order of one_descent_patterns, without listing them first,
     # so that memory stays flat however large --max-size is
     args = argparse.Namespace(max_size=6, max_n=2)
-    assert [block.args[0] for block in cli.verify_theorem34(args)] == [
-        sigma for size in range(3, 7) for sigma in one_descent_patterns(size)]
+    assert [next(block)[0] for block in cli.verify_theorem34(args)] == [
+        f"sigma={format_permutation(sigma)} n=1"
+        for size in range(3, 7) for sigma in one_descent_patterns(size)]
     args.max_size = 16
     tracemalloc.start()
     try:
-        first = list(next(iter(cli.verify_theorem34(args)))())
+        first = list(next(iter(cli.verify_theorem34(args))))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1076,7 +1077,7 @@ def test_prop41_refuses_sizes_above_18(capsys, monkeypatch):
     blocks = list(cli.verify_prop41(argparse.Namespace(max_n=18)))
     monkeypatch.setattr(cli, "enumerate_grassmannian_paths", reached)
     with pytest.raises(Reached):
-        next(blocks[17]())
+        next(blocks[17])
     refusal = ("error: verify prop41 holds each size's family in memory,"
                " so its sizes end at 18, got 19\n")
     for n in ("19", "30"):
@@ -1092,7 +1093,7 @@ def test_prop21_refuses_sizes_above_18(capsys, monkeypatch):
     blocks = list(cli.verify_prop21(argparse.Namespace(max_n=18)))
     monkeypatch.setattr(cli, "enumerate_grassmannian", reached)
     with pytest.raises(Reached):
-        next(blocks[17]())
+        next(blocks[17])
     refusal = ("error: verify prop21 walks each size's family, so its"
                " sizes end at 18, got 19\n")
     for n in ("19", "30"):
@@ -1114,7 +1115,7 @@ def test_sweep_makes_its_blocks_as_it_reaches_them(capsys, target, flag,
     tracemalloc.start()
     try:
         blocks = cli.VERIFY_TARGETS[target][0](args)
-        first = list(next(blocks)())
+        first = list(next(blocks))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1135,7 +1136,7 @@ def test_thm51_refuses_sizes_above_the_count_limit(capsys):
             2, "", f"error: verify thm51 sizes end at {n}, got {n + 1}\n")
     blocks = list(cli.verify_thm51(argparse.Namespace(max_n=n)))
     assert len(blocks) == n + 5
-    rows = [row for block in blocks[:n] for row in block()]
+    rows = [row for block in blocks[:n] for row in block]
     assert rows[-2:] == [(f"closed form n={n}", odd_count(n), odd_count(n)),
                          (f"recurrence n={n}", odd_count(n), odd_count(n))]
 
