@@ -529,19 +529,26 @@ def verify_thm51(args: argparse.Namespace) -> Iterator[Iterator[Row]]:
         if n in oracle_sizes:
             yield (f"oracle n={n}", odd_count(n), next(column))
 
+    def odd_members(size: int) -> list[Perm]:
+        return [p for p in enumerate_grassmannian(size)
+                if inversion_count(p) % 2]
+
+    # the odd members of size 2m + 2, walked for block m's psi target,
+    # kept as block m + 1's xi source.  The xi sets are made in the row
+    # and freed before that walk, so the kept list adds nothing to the
+    # peak RSS
+    kept: list[list[Perm]] = []
+
     def maps(m: int) -> Iterator[Row]:
-        odd_down = [p for p in enumerate_grassmannian(2 * m)
-                    if inversion_count(p) % 2]
-        odd_up = [p for p in enumerate_grassmannian(2 * m + 1)
-                  if inversion_count(p) % 2]
-        images = {extend_to_odd_size(p) for p in odd_down}
-        target = {p for p in odd_up if p[-1] != 2 * m + 1}
-        yield (f"xi image m={m}", True, images == target)
+        odd_down = kept.pop() if kept else odd_members(2 * m)
+        odd_up = odd_members(2 * m + 1)
+        yield (f"xi image m={m}", True,
+               {extend_to_odd_size(p) for p in odd_down}
+               == {p for p in odd_up if p[-1] != 2 * m + 1})
         images = {extend_to_even_size(p) for p in odd_up}
-        target = {p for p in enumerate_grassmannian(2 * m + 2)
-                  if inversion_count(p) % 2
-                  and descent_positions(p)[0] % 2 == 0}
-        yield (f"psi image m={m}", True, images == target)
+        kept.append(odd_members(2 * m + 2))
+        yield (f"psi image m={m}", True, images == {
+            p for p in kept[-1] if descent_positions(p)[0] % 2 == 0})
     return chain((counts(n) for n in range(1, args.max_n + 1)),
                  (maps(m) for m in range(1, 6)))
 
