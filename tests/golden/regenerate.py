@@ -3,8 +3,9 @@
     PYTHONPATH=src python tests/golden/regenerate.py
 
 count.tsv, enum.tsv, map.tsv, verify.tsv and table.tsv each hold one
-`grassperm` command of that subcommand a line: its argv (shell-quoted), the exit code, the
-sha256 of its stdout and its stderr (as a JSON string), tab-separated.
+`grassperm` command of that subcommand a line: its argv (shell-quoted),
+the exit code, the sha256 of its stdout and its stderr (as a JSON
+string), tab-separated.
 tests/test_golden.py runs every line in process and compares.  The
 files are written only when this script is run by hand; a change that
 alters a line says which line and why in CHANGES.md, as for any other

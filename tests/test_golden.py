@@ -1,7 +1,8 @@
 """Replay the committed corpora of `grassperm` behaviour.
 
 tests/golden/count.tsv, enum.tsv, map.tsv, verify.tsv and table.tsv
-hold, for each command, its exit code, the sha256 of its stdout and its stderr;
+hold, for each command, its exit code, the sha256 of its stdout and its
+stderr;
 tests/golden/regenerate.py rewrites them by hand.
 """
 
