@@ -40,6 +40,7 @@ from grassperm.grassmann import (
     sole_descent,
 )
 from grassperm.patterns import (
+    avoider_counts,
     catalan,
     contains_pattern,
     count_avoiders_by_scan,

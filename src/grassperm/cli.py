@@ -15,11 +15,11 @@ soon as it is checked, and enum a block of lines per write, in either
 format: a subtree of the walk (at most a few hundred lines) for
 grassmannian and dyck, about ENUM_CHUNK_CHARS characters for its other
 families.  The rest write at exit.
-count --oracle builds each column in this process: grassmannian,
-bigrassmannian, union-inverse, odd, even and descent-at with a kernels
-word automaton, in one pass; involutions by the core walk of
-_weight_column; finite-class and avoiders row by row, with an automaton,
-or by a scan for a pattern with two or more descents.
+count --oracle builds each column of COUNT_FAMILIES in one pass, in
+this process: grassmannian, bigrassmannian, union-inverse, odd, even and
+descent-at with a kernels word automaton; involutions by the core walk
+of _weight_column; finite-class and avoiders with the pattern's column,
+patterns.avoider_counts.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import argparse
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from functools import partial
 from itertools import chain
 
 from grassperm import kernels
@@ -60,9 +61,9 @@ from grassperm.parity import (
     odd_count,
 )
 from grassperm.patterns import (
+    avoider_counts,
     catalan,
     contains_pattern,
-    count_avoiders_by_scan,
     count_avoiders_closed_form,
     enumerate_avoiders,
     finite_class_count,
@@ -229,53 +230,43 @@ def _weight_column(weight: Callable[[Perm], int], sizes: range,
             yield total
 
 
-# family -> (closed form, oracle column: the counts for a range of sizes
-# under an enumeration cap).  The involutions test each core for
+# family -> for the parsed args, its closed form (a size to its count)
+# and its oracle column (a range of sizes to their counts, in order), in
+# the order that count --help lists.  The involutions test each core for
 # p == inverse(p), rather than list the shapes the closed form counts.
-Column = Callable[[range, int | None], Iterator[int]]
-MEMBER_COUNTS: dict[str, tuple[Callable[[int], int], Column]] = {
-    "grassmannian": (count_grassmannian, lambda sizes, cap: (
-        kernels.word_counts(kernels.ONE_DESCENT, sizes))),
-    "bigrassmannian": (count_bigrassmannian, lambda sizes, cap: (
-        kernels.word_counts(kernels.ONE_BA, sizes))),
+COUNT_FAMILIES: dict[str, Callable[[argparse.Namespace], tuple[
+        Callable[[int], int], Callable[[range], Iterator[int]]]]] = {
+    "grassmannian": lambda args: (
+        count_grassmannian, partial(kernels.word_counts, kernels.ONE_DESCENT)),
+    "bigrassmannian": lambda args: (
+        count_bigrassmannian, partial(kernels.word_counts, kernels.ONE_BA)),
     # inclusion-exclusion: the family and its inverses are equally many,
     # and they share the biGrassmannian members
-    "union-inverse": (count_union_with_inverse, lambda sizes, cap: map(
+    "union-inverse": lambda args: (count_union_with_inverse, lambda sizes: map(
         lambda every, both: 2 * every - both,
         kernels.word_counts(kernels.ONE_DESCENT, sizes),
         kernels.word_counts(kernels.ONE_BA, sizes))),
-    "involutions": (count_involutions, lambda sizes, cap: (
-        _weight_column(is_involution, sizes, cap))),
-    "odd": (odd_count, lambda sizes, cap: (
-        kernels.word_counts(kernels.ODD, sizes))),
-    "even": (even_count, lambda sizes, cap: (
-        kernels.word_counts(kernels.EVEN, sizes))),
+    "involutions": lambda args: (
+        count_involutions, partial(_weight_column, is_involution,
+                                   cap=args.cap)),
+    "avoiders": lambda args: (
+        partial(count_avoiders_closed_form,
+                sigma=(sigma := parse_permutation(_needs(args, "pattern")))),
+        partial(avoider_counts, sigma, cap=args.cap)),
+    "odd": lambda args: (
+        odd_count, partial(kernels.word_counts, kernels.ODD)),
+    "even": lambda args: (
+        even_count, partial(kernels.word_counts, kernels.EVEN)),
+    "descent-at": lambda args: (
+        partial(count_descent_at, k=(k := _needs(args, "k"))),
+        partial(kernels.word_counts, kernels.descent_at(k))),
+    # a member of a size up to kernels.MAX_SCAN_SIZE, the largest a
+    # column counts, avoids every longer 12...k alike
+    "finite-class": lambda args: (
+        partial(finite_class_formula, k=(k := _needs(args, "k"))),
+        partial(avoider_counts, tuple(range(
+            1, min(k, kernels.MAX_SCAN_SIZE + 1) + 1)))),
 }
-
-
-def _count_family(args: argparse.Namespace) -> tuple[
-        Callable[[int], int], Callable[[range], Iterator[int]]]:
-    """Formula column and brute-force column for one family: the one
-    maps a size to its count, the other a range of sizes to their
-    counts in order."""
-    family = args.family
-    cap = args.cap
-    if family in MEMBER_COUNTS:
-        formula, column = MEMBER_COUNTS[family]
-        return formula, lambda sizes: column(sizes, cap)
-    if family == "descent-at":
-        k = _needs(args, "k")
-        return (lambda n: count_descent_at(n, k), lambda sizes: (
-            kernels.word_counts(kernels.descent_at(k), sizes)))
-    if family == "finite-class":
-        k = _needs(args, "k")
-        return (lambda m: finite_class_formula(m, k),
-                lambda sizes: (finite_class_count(m, k) for m in sizes))
-    # avoiders
-    sigma = parse_permutation(_needs(args, "pattern"))
-    return (lambda n: count_avoiders_closed_form(n, sigma),
-            lambda sizes: (count_avoiders_by_scan(n, sigma, cap=cap)
-                           for n in sizes))
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -288,7 +279,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     if args.oracle and args.cap is not None and args.cap > MAX_ORACLE_CAP:
         raise ValueError(f"count --oracle takes --cap up to {MAX_ORACLE_CAP},"
                          f" got {args.cap}")
-    formula, oracle = _count_family(args)
+    formula, oracle = COUNT_FAMILIES[args.family](args)
     # The formula column comes first, up to its first refusal, and the
     # oracle runs only on the sizes before that.  A CSV or b-file row is
     # written as soon as its oracle value is known, so the first error a
@@ -687,9 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     count = sub.add_parser(
         "count", help="formula counts over a size range, CSV/JSON/b-file")
-    count.add_argument("family", choices=[
-        "grassmannian", "bigrassmannian", "union-inverse", "involutions",
-        "avoiders", "odd", "even", "descent-at", "finite-class"])
+    count.add_argument("family", choices=list(COUNT_FAMILIES))
     count.add_argument("--n", required=True, help="size N or range LO..HI")
     count.add_argument("--pattern", help="pattern for the avoiders family")
     count.add_argument("--k", type=int,

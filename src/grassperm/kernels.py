@@ -6,10 +6,11 @@ Reading the values 1..n in order and writing A for a value in S and B
 for one outside turns each member into a word over {A, B}; the n + 1
 words A^j B^(n-j) all give the identity, every other word gives one
 member of its own.  Each one-descent count here counts words with an
-automaton (the transfer-matrix method), and one stepper runs them all.
-The two-pattern count over the whole symmetric group shares nothing
-with this encoding: it grows permutations one value at a time and
-memoises on a signature of the prefix.
+automaton (the transfer-matrix method), and one stepper runs them all;
+avoiding(sigma) builds the one automaton of each pattern class.  The
+two-pattern count over the whole symmetric group shares nothing with
+this encoding: it grows permutations one value at a time and memoises
+on a signature of the prefix.
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ from collections.abc import Iterator
 
 from grassperm.perms import descent_positions
 
-# Size guard of the single-size counters below.  They are polynomial, so
-# it bounds the cost of the sizes a user can type: count rows, verify
-# weiner and prop31 --kmax, verify prop22 and theorem34 --max-n.
+# Size guard of the counters below.  They are polynomial, so it bounds
+# the cost of the sizes a user can type: count rows, verify weiner and
+# prop31 --kmax, verify prop22 and theorem34 --max-n.  It also bounds
+# the two oracles that enumerate, count involutions' core walk and the
+# avoider scan of a pattern with two or more descents, whatever --cap.
 MAX_SCAN_SIZE = 26
 
 
@@ -103,15 +106,48 @@ def descent_at(k: int) -> tuple:
     return 0, step, lambda a: a == k, lambda n: n >= k
 
 
+def avoiding(sigma: tuple[int, ...]) -> tuple:
+    """The members avoiding a pattern sigma, which must have fewer than
+    two descents: every member avoids the others.
+
+    A one-descent sigma is itself a word over {A, B}, and a member
+    contains it exactly when that word is a subsequence of the member's
+    word: k + 1 states match it greedily, a word dies at the k-th match,
+    and every identity word survives.  A rising sigma, 12...k, reads the
+    word as a walk, A a step up and B a step down.  The member's longest
+    rising subsequence, lis, is #B plus the walk's highest point
+    (counting the start at 0), and only grows, so a walk dies once lis
+    reaches k.  The state is (d, lis), d the highest point less the
+    height: a B raises both, an A lowers d or, at d = 0, lis.  The
+    identity words all survive exactly when n < k, and then stand for
+    one permutation, not n + 1.
+    """
+    k = len(sigma)
+    if k < 1:
+        raise ValueError("pattern must be non-empty")
+    descents = descent_positions(sigma)
+    if len(descents) > 1:
+        raise ValueError("pattern has two or more descents")
+    if not descents:
+        def rise(state: tuple[int, int], letter: str) -> tuple | None:
+            d, lis = state
+            d, lis = ((d + 1, lis + 1) if letter == "B"
+                      else (d - 1, lis) if d else (0, lis + 1))
+            return (d, lis) if lis < k else None
+        return (0, 0), rise, lambda state: True, lambda n: n if n < k else 0
+    block = set(sigma[:descents[0]])
+    word = ["A" if v in block else "B" for v in sorted(sigma)]
+
+    def match(matched: int, letter: str) -> int | None:
+        matched += letter == word[matched]
+        return matched if matched < k else None
+    return 0, match, lambda state: True, lambda n: n
+
+
 def count_grassmannian_avoiding_increasing(m: int, k: int) -> int:
     """Count one-descent permutations of size m with no rising
-    subsequence of length k.
-
-    Read the word as a walk, A a step up and B a step down.  The
-    member's longest rising subsequence, lis, is #B plus the walk's
-    highest point (counting the start at 0), and only grows, so a walk
-    dies once lis reaches k.  The state is (d, lis), d the highest point
-    less the height: a B raises both, an A lowers d or, at d = 0, lis.
+    subsequence of length k: avoiding(12...k) at size m, with k cut to
+    m + 1, as no member has a longer one.
 
     >>> count_grassmannian_avoiding_increasing(5, 4)
     10
@@ -119,54 +155,18 @@ def count_grassmannian_avoiding_increasing(m: int, k: int) -> int:
     check_scan_size(m)
     if k < 1:
         raise ValueError(f"pattern length {k} must be at least 1")
-
-    def step(state: tuple[int, int], letter: str) -> tuple[int, int] | None:
-        d, lis = state
-        d, lis = ((d + 1, lis + 1) if letter == "B" else (d - 1, lis) if d
-                  else (0, lis + 1))
-        return (d, lis) if lis < k else None
-    # the identity words have longest rising run m: they all survive
-    # exactly when m < k, and then stand for one permutation, not m + 1
-    return count_words(((0, 0), step, lambda state: True,
-                        lambda m: m if m < k else 0), m)
+    return count_words(avoiding(tuple(range(1, min(k, m + 1) + 1))), m)
 
 
 def count_grassmannian_avoiders(n: int, sigma: tuple[int, ...]) -> int:
     """Count one-descent permutations of size n containing no
-    occurrence of the pattern sigma.
-
-    One-descent patterns run the automaton avoiding(sigma), rising
-    ones go to count_grassmannian_avoiding_increasing, and patterns
-    with two or more descents are refused.
+    occurrence of the pattern sigma: avoiding(sigma) at size n.
 
     >>> count_grassmannian_avoiders(6, (1, 3, 2))
     16
     """
     check_scan_size(n)
-    k = len(sigma)
-    if k < 1:
-        raise ValueError("pattern must be non-empty")
-    descents = descent_positions(sigma)
-    if not descents:
-        return count_grassmannian_avoiding_increasing(n, k)
-    if len(descents) > 1:
-        raise ValueError("pattern has two or more descents")
     return count_words(avoiding(sigma), n)
-
-
-def avoiding(sigma: tuple[int, ...]) -> tuple:
-    """The members avoiding a pattern sigma with exactly one descent.
-    sigma is itself a word over {A, B}, and a member contains it
-    exactly when that word is a subsequence of the member's word: k + 1
-    states match it greedily, and a word dies at the k-th match."""
-    k = len(sigma)
-    block = set(sigma[:descent_positions(sigma)[0]])
-    word = ["A" if v in block else "B" for v in sorted(sigma)]
-
-    def step(matched: int, letter: str) -> int | None:
-        matched += letter == word[matched]
-        return matched if matched < k else None
-    return 0, step, lambda state: True, lambda n: n
 
 
 def count_sn_avoiding_321_2143(n: int) -> int:

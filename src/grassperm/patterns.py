@@ -11,9 +11,10 @@ The headline facts implemented here:
   from size 2k-1 on, with an alternating-sum count (conjectured by
   Weiner) on the sizes k..2k-2 where the count is still shrinking.
 
-contains_pattern is the correctness reference.  The counts that check
-the closed forms come from the kernels, which share no code with the
-formulas and which the tests hold to the reference.
+contains_pattern is the correctness reference.  avoider_counts, the
+oracle column of every pattern, picks by its shape the automaton of
+kernels.avoiding, which shares no code with the formulas and which the
+tests hold to the reference, or a scan with contains_pattern.
 """
 
 from __future__ import annotations
@@ -84,16 +85,28 @@ def enumerate_avoiders(n: int, sigma: Sequence[int],
     return (p for p in members if not contains_pattern(p, sigma))
 
 
-def count_avoiders_by_scan(n: int, sigma: Sequence[int],
-                           *, cap: int | None = None) -> int:
-    """Avoider count independent of the closed forms: from the kernels,
-    or for patterns with two or more descents by enumeration, bounded
-    by cap and by the kernels' size guard."""
+def avoider_counts(sigma: Sequence[int], sizes: range,
+                   *, cap: int | None = None) -> Iterator[int]:
+    """The avoiders of sigma in the size-n family for each n in sizes,
+    independent of the closed forms: one pass of kernels.avoiding(sigma)
+    or, for two or more descents, a scan of each family under cap.  The
+    kernels' size guard holds each size as its count comes due."""
     sigma = tuple(sigma)
     if len(descent_positions(sigma)) < 2:
-        return kernels.count_grassmannian_avoiders(n, sigma)
-    kernels.check_scan_size(n)
-    return sum(1 for _ in enumerate_avoiders(n, sigma, cap=cap))
+        counts = kernels.word_counts(kernels.avoiding(sigma), sizes)
+    else:
+        counts = (sum(not contains_pattern(p, sigma)
+                      for p in enumerate_grassmannian(n, cap=cap))
+                  for n in sizes)
+    for n in sizes:
+        kernels.check_scan_size(n)
+        yield next(counts)
+
+
+def count_avoiders_by_scan(n: int, sigma: Sequence[int],
+                           *, cap: int | None = None) -> int:
+    """avoider_counts at the one size n."""
+    return next(avoider_counts(sigma, range(n, n + 1), cap=cap))
 
 
 def count_avoiders_closed_form(n: int, sigma: Sequence[int]) -> int:

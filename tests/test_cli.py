@@ -258,21 +258,37 @@ def test_count_finite_class(capsys):
     assert out.splitlines()[1:] == ["3,4,4,true", "4,2,2,true", "5,0,0,true"]
 
 
+# an automaton that counts -1 at every size: its words all die, and
+# it takes one off
+def counts_minus_one(sigma):
+    return 0, lambda state, letter: None, lambda state: True, lambda n: 1
+
+
 def test_finite_class_oracle_is_independent(capsys, monkeypatch):
-    # a wrong counter must show at every size, the closed form's
+    # a wrong automaton must show at every size, the closed form's
     # special cases m <= k and m >= 2k - 1 included
-    monkeypatch.setattr(kernels, "count_grassmannian_avoiding_increasing",
-                        lambda m, k: -1)
-    finite_class_count.cache_clear()
-    try:
-        for sizes in ("1..3", "4", "7..8"):
-            code, out, _ = run(capsys, "count", "finite-class",
-                               "--k", "4", "--n", sizes, "--oracle")
-            assert code == 1, sizes
-            assert all(line.endswith(",-1,false")
-                       for line in out.splitlines()[1:]), sizes
-    finally:
-        finite_class_count.cache_clear()
+    monkeypatch.setattr(kernels, "avoiding", counts_minus_one)
+    for sizes in ("1..3", "4", "7..8"):
+        code, out, _ = run(capsys, "count", "finite-class",
+                           "--k", "4", "--n", sizes, "--oracle")
+        assert code == 1, sizes
+        assert all(line.endswith(",-1,false")
+                   for line in out.splitlines()[1:]), sizes
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_finite_class_is_the_rising_avoiders_class(capsys, k):
+    # finite-class --k k and avoiders --pattern 12...k are one class,
+    # counted by one column, refusals included
+    pattern = "".join(map(str, range(1, k + 1)))
+    for oracle in ([], ["--oracle"]):
+        for fmt in ("csv", "json", "bfile"):
+            tail = ["--n", "1..30", *oracle, "--format", fmt]
+            finite = run(capsys, "count", "finite-class", "--k", str(k),
+                         *tail)
+            assert finite == run(capsys, "count", "avoiders", "--pattern",
+                                 pattern, *tail), (oracle, fmt)
+            assert finite[0] == (2 if oracle else 0), (oracle, fmt)
 
 
 def test_finite_class_oracle_refuses_beyond_scan_size(capsys):
@@ -288,7 +304,9 @@ def test_finite_class_oracle_refuses_beyond_scan_size(capsys):
 
 
 def test_union_oracle_matches_set_union():
-    column = cli.MEMBER_COUNTS["union-inverse"][1](range(1, 12), None)
+    args = cli.build_parser().parse_args(["count", "union-inverse", "--n",
+                                          "1..11"])
+    column = cli.COUNT_FAMILIES["union-inverse"](args)[1](range(1, 12))
     for n, got in zip(range(1, 12), column):
         family = set(enumerate_grassmannian(n))
         union = family | {inverse(p) for p in family}
@@ -499,8 +517,12 @@ def test_oracle_column_weighs_each_core_once(capsys, monkeypatch):
     assert len(weighed) == len(set(weighed)) == 2 ** 11
 
 
+# the count families that take --k or --pattern
+FLAGGED = ("descent-at", "finite-class", "avoiders")
+
 ORACLE_COUNTS = [
-    *([family, "--n", "1..9"] for family in cli.MEMBER_COUNTS),
+    *([family, "--n", "1..9"] for family in cli.COUNT_FAMILIES
+      if family not in FLAGGED),
     ["descent-at", "--k", "2", "--n", "3..10"],
     ["descent-at", "--k", "1", "--n", "2..9"],
     ["descent-at", "--k", "8", "--n", "9"],  # k = N - 1
@@ -511,7 +533,8 @@ ORACLE_COUNTS = [
 ]
 
 
-# what one member adds to the count of each MEMBER_COUNTS family
+# what one member adds to the count of each count family that takes
+# no flag
 WEIGHTS = {
     # every member is a non-empty tuple, so bool counts it as one
     "grassmannian": bool,
@@ -525,7 +548,7 @@ WEIGHTS = {
 
 
 def brute_count(family, n):
-    """The count of a MEMBER_COUNTS family as one enumeration of the
+    """The count of a family of WEIGHTS as one enumeration of the
     whole size-n family: the weights of its members, summed."""
     return sum(map(WEIGHTS[family], enumerate_grassmannian(n)))
 
@@ -534,7 +557,7 @@ def per_row_oracle(args):
     """The oracle of count args as one enumeration of the whole family
     per row, as the column does not compute it."""
     members = enumerate_grassmannian
-    if args.family in cli.MEMBER_COUNTS:
+    if args.family not in FLAGGED:
         return lambda n: brute_count(args.family, n)
     if args.family == "descent-at":
         return lambda n: sum(sole_descent(p) == args.k for p in members(n))
@@ -555,7 +578,7 @@ def test_oracle_column_matches_one_walk_per_row(capsys, argv):
     for sizes in (argv[-1], f"{start}..12"):
         command = ["count", *argv[:-1], sizes, "--oracle"]
         args = cli.build_parser().parse_args(command)
-        formula = cli._count_family(args)[0]
+        formula = cli.COUNT_FAMILIES[args.family](args)[0]
         oracle = per_row_oracle(args)
         rows = [{"n": n, "formula": formula(n), "oracle": oracle(n)}
                 for n in cli.parse_range(sizes)]
@@ -593,6 +616,13 @@ def cut_one_early(step):
         a, letter)
 
 
+def top_a_keeps_lis(step):
+    # avoiding(12...k): an A at the highest point does not lengthen the
+    # longest rising subsequence
+    return lambda state, letter: (state if (letter, state[0]) == ("A", 0)
+                                  else step(state, letter))
+
+
 @pytest.mark.parametrize("argv, name, wrong", [
     (["grassmannian", "--n", "1..9"], "ONE_DESCENT", b_ends_the_word),
     (["union-inverse", "--n", "1..9"], "ONE_DESCENT", b_ends_the_word),
@@ -602,6 +632,11 @@ def cut_one_early(step):
     (["even", "--n", "1..9"], "EVEN", a_adds_no_inversions),
     # the closed form refuses sizes up to k
     (["descent-at", "--k", "2", "--n", "3..9"], "descent_at", cut_one_early),
+    # one automaton for the rising class, however it is asked for
+    (["finite-class", "--k", "4", "--n", "1..9"], "avoiding",
+     top_a_keeps_lis),
+    (["avoiders", "--pattern", "1234", "--n", "1..9"], "avoiding",
+     top_a_keeps_lis),
 ], ids=lambda value: " ".join(value) if isinstance(value, list)
     else getattr(value, "__name__", value))
 def test_a_planted_wrong_transition_fails_the_column(capsys, monkeypatch,
@@ -612,10 +647,30 @@ def test_a_planted_wrong_transition_fails_the_column(capsys, monkeypatch,
     assert run(capsys, "count", *argv, "--oracle")[0] == 0
     right = getattr(kernels, name)
     monkeypatch.setattr(kernels, name, (lambda k: planted(right(k)))
-                        if name == "descent_at" else planted(right))
+                        if callable(right) else planted(right))
     code, out, _ = run(capsys, "count", *argv, "--oracle")
     assert code == 1
     assert ",false" in out
+
+
+def test_a_planted_wrong_rising_transition_fails_verify_weiner(
+        capsys, monkeypatch):
+    # verify weiner counts with the automaton that count finite-class
+    # and count avoiders --pattern 12...k run
+    assert run(capsys, "verify", "weiner", "--kmax", "5")[0] == 0
+    right = kernels.avoiding
+
+    def planted(sigma):
+        start, step, accepts, surplus = right(sigma)
+        return start, top_a_keeps_lis(step), accepts, surplus
+    monkeypatch.setattr(kernels, "avoiding", planted)
+    finite_class_count.cache_clear()
+    try:
+        code, out, _ = run(capsys, "verify", "weiner", "--kmax", "5")
+    finally:
+        finite_class_count.cache_clear()
+    assert code == 1
+    assert "FAIL rising" in out
 
 
 def test_patched_oracles_fail_in_the_column(capsys, monkeypatch):
@@ -639,14 +694,9 @@ def test_patched_oracles_fail_in_the_column(capsys, monkeypatch):
     assert code == 1
     assert all(line.endswith(",false") for line in out.splitlines()[1:])
 
-    monkeypatch.setattr(kernels, "count_grassmannian_avoiding_increasing",
-                        lambda m, k: -1)
-    finite_class_count.cache_clear()
-    try:
-        code, out, _ = run(capsys, "count", "finite-class", "--k", "4",
-                           "--n", "1..8", "--oracle")
-    finally:
-        finite_class_count.cache_clear()
+    monkeypatch.setattr(kernels, "avoiding", counts_minus_one)
+    code, out, _ = run(capsys, "count", "finite-class", "--k", "4",
+                       "--n", "1..8", "--oracle")
     assert code == 1
     assert all(line.endswith(",-1,false") for line in out.splitlines()[1:])
 
@@ -689,8 +739,9 @@ def test_oracle_column_raises_the_first_error_in_row_order(capsys,
             raise ValueError(f"formula refuses {n}")
         return count_involutions(n)
 
-    column = cli.MEMBER_COUNTS["involutions"][1]
-    monkeypatch.setitem(cli.MEMBER_COUNTS, "involutions", (formula, column))
+    right = cli.COUNT_FAMILIES["involutions"]
+    monkeypatch.setitem(cli.COUNT_FAMILIES, "involutions",
+                        lambda args: (formula, right(args)[1]))
     for refused, message in ((5, "formula refuses 5"),
                              (6, "size 5 exceeds the enumeration cap 4;")):
         code, out, err = run(capsys, "count", "involutions", "--n", "1..8",

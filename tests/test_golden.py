@@ -70,8 +70,7 @@ def refusals(name):
 
 def test_corpus_covers_every_family_format_and_refusal():
     argvs = [shlex.split(argv) for argv, *_ in lines("count.tsv")]
-    for family in cli.MEMBER_COUNTS.keys() | {"descent-at", "finite-class",
-                                              "avoiders"}:
+    for family in cli.COUNT_FAMILIES:
         for fmt in ("csv", "json", "bfile"):
             for oracle in (False, True):
                 assert any(argv[1] == family and argv[-1] == fmt
