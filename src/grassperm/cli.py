@@ -202,12 +202,6 @@ def cmd_enum(args: argparse.Namespace) -> int:
 # every number far below int()'s 4300-digit printing limit
 MAX_COUNT_SIZE = 1000
 
-# count --oracle refuses --cap above this; the cap bounds only the
-# oracles that enumerate.  An involutions column ending at the cap walks
-# 2^27 - 1 cores, minutes of work (enum, which streams in bounded
-# memory, keeps an unbounded --cap)
-MAX_ORACLE_CAP = 28
-
 
 def _weight_column(weight: Callable[[Perm], int], sizes: range,
                    cap: int | None) -> Iterator[int]:
@@ -217,13 +211,15 @@ def _weight_column(weight: Callable[[Perm], int], sizes: range,
     grows by the size-m cores' weights; the members 1 + q carry the
     total at m - 1 over.  So the weight must give 1 + q (1 put in front,
     the values of q raised) and q + 1 what it gives q.  The first size
-    is checked against the cap before any is walked, and each one as
-    its walk is made."""
+    is checked against the cap and the kernels' size guard before any
+    is walked, and each one as its walk is made."""
     check_cap(sizes[0], cap)
+    kernels.check_scan_size(sizes[0])
     # sum, not weight((1,)): bool's total stays an int
     total = sum(map(weight, [(1,)]))
     new = 0
     for m in range(1, sizes[-1] + 1):
+        kernels.check_scan_size(m)
         new += sum(map(weight, enumerate_grassmannian(m, cap=cap, core=True)))
         total += new
         if m in sizes:
@@ -276,9 +272,6 @@ def cmd_count(args: argparse.Namespace) -> int:
     if sizes[-1] > MAX_COUNT_SIZE:
         raise ValueError(f"sizes end at {MAX_COUNT_SIZE}, got"
                          f" {shown(args.n.strip())}")
-    if args.oracle and args.cap is not None and args.cap > MAX_ORACLE_CAP:
-        raise ValueError(f"count --oracle takes --cap up to {MAX_ORACLE_CAP},"
-                         f" got {args.cap}")
     formula, oracle = COUNT_FAMILIES[args.family](args)
     # The formula column comes first, up to its first refusal, and the
     # oracle runs only on the sizes before that.  A CSV or b-file row is
@@ -691,8 +684,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default="csv")
     count.add_argument("--cap", type=int, default=None,
                        help="raise the size cap of the oracles that"
-                            " enumerate (default 25, at most"
-                            f" {MAX_ORACLE_CAP})")
+                            " enumerate (default 25; they end at size"
+                            f" {kernels.MAX_SCAN_SIZE})")
     count.set_defaults(run=cmd_count)
 
     verify = sub.add_parser(

@@ -107,8 +107,8 @@ def descent_at(k: int) -> tuple:
 
 
 def avoiding(sigma: tuple[int, ...]) -> tuple:
-    """The members avoiding a pattern sigma, which must have fewer than
-    two descents: every member avoids the others.
+    """The members avoiding a pattern sigma with fewer than two
+    descents; one with more is refused, as every member avoids it.
 
     A one-descent sigma is itself a word over {A, B}, and a member
     contains it exactly when that word is a subsequence of the member's

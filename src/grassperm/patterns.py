@@ -77,11 +77,14 @@ def contains_pattern(p: Sequence[int], sigma: Sequence[int]) -> bool:
 def enumerate_avoiders(n: int, sigma: Sequence[int],
                        *, cap: int | None = None) -> Iterator[Perm]:
     """Members of the size-n one-descent family avoiding sigma, in
-    lexicographic order."""
+    lexicographic order: the whole family for a pattern with two or
+    more descents."""
     sigma = tuple(sigma)
     if not sigma:
         raise ValueError("pattern must be non-empty")
     members = enumerate_grassmannian(n, cap=cap)
+    if len(descent_positions(sigma)) > 1:
+        return members
     return (p for p in members if not contains_pattern(p, sigma))
 
 

@@ -77,12 +77,14 @@ MORE = [
     ["avoiders", "--pattern", "4231", "--n", "5", "--oracle", "--cap", "4"],
     ["avoiders", "--pattern", "4231", "--n", "5", "--oracle", "--cap", "5"],
     ["grassmannian", "--n", "3", "--oracle", "--cap", "26"],
-    # the --cap ceiling of count --oracle, and no ceiling without it
+    # --cap has no ceiling; the scan bound ends the core walk, whatever
+    # the cap
     ["grassmannian", "--n", "40", "--oracle", "--cap", "29"],
     ["odd", "--n", "3", "--oracle", "--cap", "29"],
     ["descent-at", "--k", "1", "--n", "2..3", "--oracle", "--cap", "29"],
     ["involutions", "--n", "3", "--oracle", "--cap", "29"],
     ["grassmannian", "--n", "3", "--cap", "29"],
+    ["involutions", "--n", "27", "--oracle", "--cap", "30"],
     # sizes: the count bound, the scan bound and bad ranges
     ["odd", "--n", "1001"],
     ["odd", "--n", "1..1001", "--oracle"],

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from grassperm import cli, kernels
+from grassperm import cli, kernels, patterns
 from grassperm.dyck import dyck_path_blocks
 from grassperm.grassmann import (
     TAIL_VALUES,
@@ -291,6 +291,17 @@ def test_finite_class_is_the_rising_avoiders_class(capsys, k):
             assert finite[0] == (2 if oracle else 0), (oracle, fmt)
 
 
+def test_finite_class_oracle_cost_is_bounded_in_k(capsys):
+    # no member the column counts has a rising subsequence longer than
+    # the scan bound, so a longer pattern is cut there, not built whole
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "count", "finite-class", "--k", "1000000000",
+                       "--n", "1..5", "--oracle")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out.splitlines()[1:]) == (0, [
+        f"{n},{2 ** n - n},{2 ** n - n},true" for n in range(1, 6)])
+
+
 def test_finite_class_oracle_refuses_beyond_scan_size(capsys):
     n = kernels.MAX_SCAN_SIZE + 1
     code, _, err = run(capsys, "count", "finite-class",
@@ -372,6 +383,30 @@ def test_enum_bigrassmannian_cost_is_bounded(capsys):
     assert out.splitlines()[-1] == ",".join(map(str, [25, *range(1, 25)]))
 
 
+def test_enum_multi_descent_avoiders_cost_is_bounded(capsys):
+    # the whole family avoids a pattern with two or more descents, so it
+    # is listed without a test per member: size 18 took 18 s as a filter
+    start = time.perf_counter()
+    avoiders = run(capsys, "enum", "avoiders", "--pattern", "3142",
+                   "--n", "18")
+    assert time.perf_counter() - start < 3
+    assert avoiders == run(capsys, "enum", "grassmannian", "--n", "18")
+
+
+def test_multi_descent_avoider_oracle_is_independent(capsys, monkeypatch):
+    # the count scan tests each member itself, so it checks the fact that
+    # enumerate_avoiders relies on
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle used enumerate_avoiders")
+    monkeypatch.setattr(patterns, "enumerate_avoiders", refuse)
+    monkeypatch.setattr(cli, "enumerate_avoiders", refuse)
+    code, out, _ = run(capsys, "count", "avoiders", "--pattern", "4231",
+                       "--n", "1..9", "--oracle")
+    assert code == 0
+    assert out.splitlines() == ["n,formula,oracle,agree"] + [
+        f"{n},{2 ** n - n},{2 ** n - n},true" for n in range(1, 10)]
+
+
 def test_verify_oracle_rows_walk_the_cores(capsys, monkeypatch):
     # the oracle rows of thm51 weigh the cores with the weight written
     # at their call, and prop21's count rows weigh the members its 2413
@@ -451,19 +486,33 @@ def test_count_refuses_sizes_above_the_bound(capsys):
     assert out.splitlines()[1] == f"1000,{2 ** 1000 - 1000}"
 
 
-def test_count_oracle_refuses_caps_above_the_ceiling(capsys):
-    cap = str(cli.MAX_ORACLE_CAP + 1)
+def test_count_oracle_caps_end_at_the_scan_bound(capsys, monkeypatch):
+    # the cap bounds only the core walk and the multi-descent scan, and
+    # the scan bound ends both: a larger cap is taken, and changes nothing
     for argv in (["grassmannian", "--n", "40"], ["odd", "--n", "3"],
-                 ["descent-at", "--k", "1", "--n", "2..3"]):
-        code, out, err = run(capsys, "count", *argv, "--oracle", "--cap", cap)
-        assert (code, out) == (2, ""), argv
-        assert err == (f"error: count --oracle takes --cap up to"
-                       f" {cli.MAX_ORACLE_CAP}, got {cap}\n")
-    code, out, _ = run(capsys, "count", "grassmannian", "--n", "3",
-                       "--oracle", "--cap", "26")
-    assert (code, out) == (0, "n,formula,oracle,agree\n3,5,5,true\n")
+                 ["descent-at", "--k", "1", "--n", "2..3"],
+                 ["involutions", "--n", "3"]):
+        code, out, err = run(capsys, "count", *argv, "--oracle", "--cap", "29")
+        assert (code, err) == (0, ""), argv
+        assert all(line.endswith(",true") for line in out.splitlines()[1:])
+    # the core walk refuses a first size above the bound before any walk
+    start = time.perf_counter()
+    assert run(capsys, "count", "involutions", "--n", "27", "--oracle",
+               "--cap", "30") == (2, "", "error: scan size 27 outside 1..26\n")
+    assert time.perf_counter() - start < 0.5
+    # and both enumerating oracles print the rows up to the bound, then
+    # refuse the next size
+    monkeypatch.setattr(kernels, "MAX_SCAN_SIZE", 8)
+    for argv in (["involutions", "--n", "3..12"],
+                 ["avoiders", "--pattern", "4231", "--n", "3..12"]):
+        code, out, err = run(capsys, "count", *argv, "--oracle", "--cap", "30")
+        assert (code, err) == (2, "error: scan size 9 outside 1..8\n"), argv
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == [
+            str(n) for n in range(3, 9)], argv
+        assert all(line.endswith(",true") for line in out.splitlines()[1:])
     # without --oracle the cap is unused; enum streams, so keeps no ceiling
-    code, _, _ = run(capsys, "count", "grassmannian", "--n", "3", "--cap", cap)
+    code, _, _ = run(capsys, "count", "grassmannian", "--n", "3", "--cap",
+                     "29")
     assert code == 0
     code, _, err = run(capsys, "enum", "grassmannian", "--n", "3",
                        "--cap", "40")
@@ -809,15 +858,12 @@ def test_oracle_column_runs_without_fork(capsys, no_fork, monkeypatch):
                "--oracle")[:2] == (0, header + rows)
 
 
-# runs a command on the given number of CPUs, or on all there are if
-# fewer; with SLOW_N14 set, the core-walk weights of count involutions
-# and verify prop21, and the word counts, sleep for a minute at size 14
-PINNED_COMMAND = (
+# runs a command; with SLOW_N14 set, the core-walk weights of count
+# involutions and verify prop21, and the word counts, sleep for a minute
+# at size 14
+SLOWED_COMMAND = (
     "import os, sys, time\n"
     "from grassperm import cli, kernels\n"
-    "cores, argv = int(sys.argv[1]), sys.argv[2:]\n"
-    "if hasattr(os, 'sched_setaffinity'):\n"
-    "    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:cores])\n"
     "def slow(n):\n"
     "    if n == 14 and os.environ.get('SLOW_N14'):\n"
     "        time.sleep(60)\n"
@@ -833,26 +879,17 @@ PINNED_COMMAND = (
     "cli.is_involution = slowed(cli.is_involution)\n"
     "cli.is_bigrassmannian = slowed(cli.is_bigrassmannian)\n"
     "kernels.word_counts = slowed_counts\n"
-    "sys.exit(cli.main(argv))\n")
+    "sys.exit(cli.main(sys.argv[1:]))\n")
 
 
-def pinned_cases(count_argvs, verify_argv):
-    """Cases (argv, CPUs): each count command on one and on two, and
-    the verify command on two; none depends on how many there are."""
-    cases = [(argv, cores) for argv in count_argvs for cores in (1, 2)]
-    return [pytest.param(argv, cores, id=f"{' '.join(argv)}-{cores}")
-            for argv, cores in cases + [(verify_argv, 2)]]
-
-
-def into_a_closed_pipe(options, cores, argv):
+def into_a_closed_pipe(options, argv):
     """Run the command into a pipe whose reader has gone: it must exit 1
     with nothing on stderr, no traceback and no summary."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
-            [sys.executable, *options, "-c", PINNED_COMMAND, str(cores),
-             *argv],
+            [sys.executable, *options, "-c", SLOWED_COMMAND, *argv],
             stdout=write_end, stderr=subprocess.PIPE, text=True,
             timeout=60, env=module_env())
     finally:
@@ -860,35 +897,34 @@ def into_a_closed_pipe(options, cores, argv):
     assert (proc.returncode, proc.stderr) == (1, "")
 
 
-@pytest.mark.parametrize("cores", [2])
-def test_unbuffered_sweep_into_a_closed_pipe(cores):
+def test_unbuffered_sweep_into_a_closed_pipe():
     # unbuffered, so the first row already meets the closed pipe
-    into_a_closed_pipe(["-u"], cores, ["verify", "thm51"])
+    into_a_closed_pipe(["-u"], ["verify", "thm51"])
 
 
-@pytest.mark.parametrize("argv,cores", pinned_cases(
-    [["count", family, "--n", "1..22", "--oracle"]
-     for family in ("grassmannian", "involutions")],
-    ["verify", "thm51"]))
-def test_buffered_output_into_a_closed_pipe(argv, cores):
+@pytest.mark.parametrize("argv", [
+    *(["count", family, "--n", "1..22", "--oracle"]
+      for family in ("grassmannian", "involutions")),
+    ["verify", "thm51"]], ids=" ".join)
+def test_buffered_output_into_a_closed_pipe(argv):
     # buffered, as a user runs it: the flush after the first row or
     # block meets the closed pipe, long before the last row is computed
     start = time.perf_counter()
-    into_a_closed_pipe([], cores, argv)
+    into_a_closed_pipe([], argv)
     assert time.perf_counter() - start < 20
 
 
-@pytest.mark.parametrize("argv,cores", pinned_cases(
-    [["count", family, "--n", "1..14", "--oracle"]
-     for family in ("grassmannian", "involutions")],
-    ["verify", "prop21", "--max-n", "14"]))
-def test_rows_reach_a_pipe_before_the_last_one_ends(capsys, argv, cores):
+@pytest.mark.parametrize("argv", [
+    *(["count", family, "--n", "1..14", "--oracle"]
+      for family in ("grassmannian", "involutions")),
+    ["verify", "prop21", "--max-n", "14"]], ids=" ".join)
+def test_rows_reach_a_pipe_before_the_last_one_ends(capsys, argv):
     # the last row or block, n = 14, sleeps for a minute; the first ones
     # must reach the pipe long before, while the command still runs
     expected = run(capsys, *argv)[1].splitlines(keepends=True)[:2]
     env = dict(module_env(), SLOW_N14="1")
     with subprocess.Popen(
-            [sys.executable, "-c", PINNED_COMMAND, str(cores), *argv],
+            [sys.executable, "-c", SLOWED_COMMAND, *argv],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             env=env) as proc:
         try:

@@ -77,7 +77,7 @@ def test_corpus_covers_every_family_format_and_refusal():
                            and ("--oracle" in argv) == oracle
                            for argv in argvs), (family, fmt, oracle)
     assert len(argvs) >= 100
-    for text in ("exceeds the enumeration cap", "takes --cap up to",
+    for text in ("exceeds the enumeration cap", "scan size",
                  "sizes end at", "needs --pattern", "needs --k"):
         assert any(text in refusal for refusal in refusals("count.tsv")), text
 

@@ -150,6 +150,9 @@ def test_counters_at_guard_edge():
     for k in (2, 13, 27, 40):
         assert kernels.count_grassmannian_avoiding_increasing(n, k) == \
             count_avoiders_closed_form(n, tuple(range(1, k + 1)))
+    # a pattern longer than any member is cut, not built whole
+    assert kernels.count_grassmannian_avoiding_increasing(n, 10 ** 9) == \
+        2 ** n - n
 
 
 def test_two_pattern_count_matches_closed_form():
