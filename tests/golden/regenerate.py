@@ -153,6 +153,20 @@ ENUM_MORE = [
     ["avoiders", "--n", "5", "--format", "json"],
     ["avoiders", "--pattern", "", "--n", "5"],
     ["avoiders", "--pattern", "2213", "--n", "5"],
+    # pattern classes of every shape left: the patterns of size 1 and
+    # 2, a rising one below, at and above its size, the patterns of
+    # prop46 and of prop42 and prop43 at k = 5, and another one-descent
+    # pattern
+    ["avoiders", "--pattern", "1", "--n", "3"],
+    ["avoiders", "--pattern", "21", "--n", "5"],
+    ["avoiders", "--pattern", "1234", "--n", "3"],
+    ["avoiders", "--pattern", "1234", "--n", "4"],
+    ["avoiders", "--pattern", "1234", "--n", "7"],
+    ["avoiders", "--pattern", "35124", "--n", "10"],
+    ["avoiders", "--pattern", "3412", "--n", "10"],
+    ["avoiders", "--pattern", "51234", "--n", "9"],
+    ["avoiders", "--pattern", "23451", "--n", "9"],
+    ["avoiders", "--pattern", "35124", "--n", "9", "--format", "json"],
 ]
 
 # map: every direction on a valid and an invalid value
