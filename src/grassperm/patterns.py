@@ -15,6 +15,10 @@ contains_pattern is the correctness reference.  avoider_counts, the
 oracle column of every pattern, picks by its shape the automaton of
 kernels.avoiding, which shares no code with the formulas and which the
 tests hold to the reference, or a scan with contains_pattern.
+enumerate_avoiders lists a rising or one-descent pattern's class by a
+walk over the live words of the same automaton, so it tests no member
+for the pattern and costs time in proportion to its output; the tests
+hold it to the filter by contains_pattern.
 """
 
 from __future__ import annotations
@@ -26,7 +30,13 @@ from math import comb
 
 from grassperm import kernels
 from grassperm.grassmann import enumerate_grassmannian
-from grassperm.perms import Perm, check_size, descent_positions
+from grassperm.perms import (
+    Perm,
+    check_cap,
+    check_size,
+    descent_positions,
+    identity,
+)
 
 
 def contains_pattern(p: Sequence[int], sigma: Sequence[int]) -> bool:
@@ -77,15 +87,65 @@ def contains_pattern(p: Sequence[int], sigma: Sequence[int]) -> bool:
 def enumerate_avoiders(n: int, sigma: Sequence[int],
                        *, cap: int | None = None) -> Iterator[Perm]:
     """Members of the size-n one-descent family avoiding sigma, in
-    lexicographic order: the whole family for a pattern with two or
-    more descents."""
+    lexicographic order, streamed; n is checked against the cap at the
+    call.  A pattern with two or more descents is avoided by the whole
+    family, which is returned as it is.  Any other pattern's class is
+    walked on the live words of kernels.avoiding(sigma), with no member
+    tested for the pattern, in time proportional to the output.
+
+    The walk is enumerate_grassmannian's, over the rising prefixes S in
+    preorder: last = max S, and the node's member is S, then low (the
+    values below last missing from S), then the values above last.  Its
+    word reads A at each value of S and B at every other, so a node
+    carries the state of its word's first last letters, and its child v
+    reads B^(v-last-1) and then A.  A child whose state dies is cut
+    with its whole subtree, as a dead word stays dead.  A node is
+    emitted when low is non-empty, which spends the descent, or when
+    last = n, the identity, and then only if its state still accepts
+    after B^(n-last).  The identity words all share one fate in
+    avoiding(sigma), so A^n stands for them all.
+
+    >>> list(enumerate_avoiders(4, (1, 2, 3)))
+    [(2, 4, 1, 3), (3, 4, 1, 2)]
+    """
     sigma = tuple(sigma)
     if not sigma:
         raise ValueError("pattern must be non-empty")
-    members = enumerate_grassmannian(n, cap=cap)
     if len(descent_positions(sigma)) > 1:
-        return members
-    return (p for p in members if not contains_pattern(p, sigma))
+        return enumerate_grassmannian(n, cap=cap)
+    check_size(n)
+    check_cap(n, cap)
+    return _class_walk(n, kernels.avoiding(sigma))
+
+
+def _class_walk(n: int, automaton: tuple) -> Iterator[Perm]:
+    start, step, accepts, _ = automaton
+    ident = identity(n)
+    # state -> (the states after B^0, B^1, ..., B^(n-1) up to the first
+    # dead one; (j, the state after B^j A) for each of them that an A
+    # leaves alive, in increasing j)
+    known: dict = {}
+    # a frame is a node and the index of the next child it has to give
+    stack = [((), (), 0, start, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        prefix, low, last, state, i = pop()
+        if state not in known:
+            run = [state]
+            while len(run) < n and (b := step(run[-1], "B")) is not None:
+                run.append(b)
+            known[state] = run, [(j, a) for j, a in enumerate(
+                step(s, "A") for s in run) if a is not None]
+        run, live = known[state]
+        room = n - last
+        if not i and (low or not room):  # the node's first visit
+            if room < len(run) and accepts(run[room]):
+                yield prefix + low + ident[last:]
+        if i < len(live) and live[i][0] < room:
+            j, after = live[i]
+            push((prefix, low, last, state, i + 1))
+            v = last + j + 1
+            push((prefix + (v,), low + ident[last:v - 1], v, after, 0))
 
 
 def avoider_counts(sigma: Sequence[int], sizes: range,

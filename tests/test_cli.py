@@ -393,6 +393,66 @@ def test_enum_multi_descent_avoiders_cost_is_bounded(capsys):
     assert avoiders == run(capsys, "enum", "grassmannian", "--n", "18")
 
 
+def test_enum_multi_descent_avoiders_are_the_family_text(capsys,
+                                                        monkeypatch):
+    # the family's text comes from the grassmannian walk, with no
+    # permutation formatted one at a time
+    def refuse(p):
+        raise AssertionError("enum avoiders formatted a permutation")
+    for fmt in ("lines", "json"):
+        family = run(capsys, "enum", "grassmannian", "--n", "11",
+                     "--format", fmt)
+        monkeypatch.setattr(cli, "format_permutation", refuse)
+        assert run(capsys, "enum", "avoiders", "--pattern", "3142",
+                   "--n", "11", "--format", fmt) == family
+        monkeypatch.undo()
+
+
+def test_enum_avoiders_cost_follows_the_output(capsys):
+    # the class is walked on its automaton's live words: a filter of the
+    # 2^20 - 20 members took 22 s
+    start = time.perf_counter()
+    code, out, err = run(capsys, "enum", "avoiders", "--pattern", "2413",
+                         "--n", "20")
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "count: 1331\n")
+    lines = out.splitlines()
+    assert lines[0] == ",".join(map(str, range(1, 21)))
+    assert lines[-1] == ",".join(map(str, [20, *range(1, 20)]))
+    assert len(set(lines)) == 1331
+
+
+@pytest.mark.parametrize("target", ["prop21", "prop42", "prop43", "prop46"])
+def test_avoider_sweeps_test_no_member_for_the_pattern(capsys, monkeypatch,
+                                                       target):
+    # their avoider sets come from the class walk, not contains_pattern,
+    # wherever it is bound
+    def refuse(p, sigma):
+        raise AssertionError("contains_pattern was called")
+    for module in (patterns, cli):
+        monkeypatch.setattr(module, "contains_pattern", refuse, raising=False)
+    code, out, err = run(capsys, "verify", target)
+    assert (code, err) == (
+        0, f"{target}: {DEFAULT_ROWS[target]} checks, all agree\n")
+
+
+def test_planted_class_walk_fault_fails_prop43(capsys, monkeypatch):
+    # a pattern automaton that reads each letter as the other one walks
+    # another class: the image rows must fail, the count rows not
+    avoiding = kernels.avoiding
+
+    def swapped(sigma):
+        start, step, accepts, surplus = avoiding(sigma)
+        return (start, lambda state, letter: step(
+            state, "B" if letter == "A" else "A"), accepts, surplus)
+    monkeypatch.setattr(kernels, "avoiding", swapped)
+    code, out, _ = run(capsys, "verify", "prop43", "--max-n", "6")
+    assert code == 1
+    failed = [row.split(":")[0] for row in out.splitlines()
+              if row.startswith("FAIL")]
+    assert failed and all(row.endswith(" image") for row in failed)
+
+
 def test_multi_descent_avoider_oracle_is_independent(capsys, monkeypatch):
     # the count scan tests each member itself, so it checks the fact that
     # enumerate_avoiders relies on
