@@ -361,8 +361,8 @@ Row = tuple[str, object, object]
 # verify prop21 and prop41 refuse sizes above this: both walk each
 # size's whole family, about twice the cost of the size before.  prop21
 # tests each member with is_bigrassmannian and walks the 2413 class
-# beside it, 1.5 s for a sweep to 18 on a 2-vCPU VM; prop41's image row
-# holds the family twice and prints it, a peak RSS of 172 MB at 18
+# beside it, about 2 s for a sweep to 18 on a 2-vCPU VM; prop41's image
+# row holds the family twice and prints it, a peak RSS of 172 MB at 18
 MAX_WALKED_SIZE = 18
 
 
