@@ -5,7 +5,10 @@
 count.tsv, enum.tsv, map.tsv, verify.tsv and table.tsv each hold one
 `grassperm` command of that subcommand a line: its argv (shell-quoted),
 the exit code, the sha256 of its stdout and its stderr (as a JSON
-string), tab-separated.
+string), tab-separated.  help.txt holds the --help text of `grassperm`
+and of each subcommand, 80 columns wide, after a first line naming the
+Python version that wrote it, as argparse's layout varies across
+versions.
 tests/test_golden.py runs every line in process and compares.  The
 files are written only when this script is run by hand; a change that
 alters a line says which line and why in CHANGES.md, as for any other
@@ -17,9 +20,12 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import shlex
-from contextlib import redirect_stderr, redirect_stdout
+import sys
+from contextlib import redirect_stderr, redirect_stdout, suppress
 from pathlib import Path
+from unittest import mock
 
 from grassperm import cli
 
@@ -85,6 +91,8 @@ MORE = [
     ["involutions", "--n", "3", "--oracle", "--cap", "29"],
     ["grassmannian", "--n", "3", "--cap", "29"],
     ["involutions", "--n", "27", "--oracle", "--cap", "30"],
+    # the core walk with nodes above its completion tables
+    ["involutions", "--n", "1..16", "--oracle"],
     # sizes: the count bound, the scan bound and bad ranges
     ["odd", "--n", "1001"],
     ["odd", "--n", "1..1001", "--oracle"],
@@ -167,6 +175,13 @@ ENUM_MORE = [
     ["avoiders", "--pattern", "51234", "--n", "9"],
     ["avoiders", "--pattern", "23451", "--n", "9"],
     ["avoiders", "--pattern", "35124", "--n", "9", "--format", "json"],
+    # each pattern shape with nodes of the walk above its completion
+    # tables, and a class that is empty
+    ["avoiders", "--pattern", "2413", "--n", "20"],
+    ["avoiders", "--pattern", "35124", "--n", "16", "--format", "json"],
+    ["avoiders", "--pattern", "1,2,3,4,5,6,7,8,9,10", "--n", "13"],
+    ["avoiders", "--pattern", "4231", "--n", "14"],
+    ["avoiders", "--pattern", "123", "--n", "12"],
 ]
 
 # map: every direction on a valid and an invalid value
@@ -272,12 +287,33 @@ def line(argv: list[str], code: int, out: str, err: str) -> str:
     return "\t".join([shlex.join(argv), str(code), digest, json.dumps(err)])
 
 
+def python_version() -> str:
+    return "python {}.{}".format(*sys.version_info)
+
+
+def help_text() -> str:
+    """help.txt: the Python version, then each --help text after its
+    command line."""
+    out = io.StringIO()
+    out.write(python_version() + "\n")
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+            redirect_stdout(out):
+        for command in ([], ["enum"], ["count"], ["verify"], ["table"],
+                        ["map"]):
+            print(f"$ {shlex.join(['grassperm', *command, '--help'])}")
+            with suppress(SystemExit):
+                cli.main([*command, "--help"])
+    return out.getvalue()
+
+
 def main() -> None:
     for name, argvs in commands().items():
         lines = [line(argv, *run(argv)) for argv in argvs]
         corpus = Path(__file__).with_name(name)
         corpus.write_text("\n".join(lines) + "\n")
         print(f"wrote {len(lines)} lines to {corpus}")
+    Path(__file__).with_name("help.txt").write_text(help_text())
+    print(f"wrote {Path(__file__).with_name('help.txt')}")
 
 
 if __name__ == "__main__":

@@ -2,11 +2,13 @@
 
 tests/golden/count.tsv, enum.tsv, map.tsv, verify.tsv and table.tsv
 hold, for each command, its exit code, the sha256 of its stdout and its
-stderr;
+stderr; help.txt holds the --help texts, compared only on the Python
+version that wrote them;
 tests/golden/regenerate.py rewrites them by hand.
 """
 
 import hashlib
+import importlib.util
 import json
 import shlex
 from pathlib import Path
@@ -16,6 +18,10 @@ import pytest
 from grassperm import cli
 
 GOLDEN = Path(__file__).parent / "golden"
+_spec = importlib.util.spec_from_file_location("regenerate",
+                                               GOLDEN / "regenerate.py")
+regenerate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regenerate)
 
 
 def lines(name):
@@ -60,6 +66,17 @@ def test_verify_output_matches_the_corpus(capsys, argv, code, digest, err):
 @pytest.mark.parametrize("argv, code, digest, err", corpus("table.tsv"))
 def test_table_output_matches_the_corpus(capsys, argv, code, digest, err):
     replay(capsys, argv, code, digest, err)
+
+
+def test_help_matches_the_corpus():
+    # argparse lays --help out differently across Python versions, so
+    # the text is only compared on the version that wrote it
+    stored = (GOLDEN / "help.txt").read_text()
+    written_on = stored.partition("\n")[0]
+    if written_on != regenerate.python_version():
+        pytest.skip(f"help.txt was written on {written_on}, this is"
+                    f" {regenerate.python_version()}")
+    assert regenerate.help_text() == stored
 
 
 def refusals(name):
