@@ -13,14 +13,15 @@ Data goes to stdout; counts and progress notes go to stderr.  Into a
 pipe, count writes each CSV or b-file row and verify each block as
 soon as it is checked, and enum a block of lines per write, in either
 format: a subtree of the walk (at most a few hundred lines) for
-grassmannian, dyck and the avoiders of a pattern with two or more
-descents, which are the whole family; about ENUM_CHUNK_CHARS
-characters for its other families.  The rest write at exit.
+grassmannian, dyck and the avoiders of any pattern, which the
+grassmannian walk lists as text on the pattern's automaton; about
+ENUM_CHUNK_CHARS characters for its other families.  The rest write at
+exit.
 count --oracle builds each column of COUNT_FAMILIES in one pass, in
 this process: grassmannian, bigrassmannian, union-inverse, odd, even and
-descent-at with a kernels word automaton; involutions by the core walk
-of _weight_column; finite-class and avoiders with the pattern's column,
-patterns.avoider_counts.
+descent-at with a kernels word automaton; involutions by the walk of
+the kernels.CORES words in _weight_column; finite-class and avoiders
+with the pattern's column, patterns.avoider_counts.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from grassperm.parity import (
 from grassperm.patterns import (
     avoider_counts,
     catalan,
+    class_automaton,
     count_avoiders_closed_form,
     enumerate_avoiders,
     finite_class_count,
@@ -167,16 +169,6 @@ def _chunked(lines: Iterable[str]) -> Iterator[str]:
         yield "\n".join(chunk) + "\n"
 
 
-def _avoider_blocks(n: int, sigma: Perm, cap: int | None) -> Iterator[str]:
-    """The avoiders of sigma as enum writes them: for a pattern with two
-    or more descents the whole family, as the grassmannian walk's text
-    blocks, else the class walk's members in _chunked lines."""
-    if len(descent_positions(sigma)) > 1:
-        return grassmannian_blocks(n, cap=cap)
-    return _chunked(map(format_permutation,
-                        enumerate_avoiders(n, sigma, cap=cap)))
-
-
 # family -> its output as blocks of text (the walks' subtrees, else
 # _chunked lines), in the order that enum --help lists
 ENUM_FAMILIES: dict[str, Callable[[argparse.Namespace], Iterator[str]]] = {
@@ -185,8 +177,9 @@ ENUM_FAMILIES: dict[str, Callable[[argparse.Namespace], Iterator[str]]] = {
         format_permutation, enumerate_bigrassmannian(args.n, cap=args.cap))),
     "involutions": lambda args: _chunked(map(
         format_permutation, enumerate_involutions(args.n, cap=args.cap))),
-    "avoiders": lambda args: _avoider_blocks(
-        args.n, parse_permutation(_needs(args, "pattern")), args.cap),
+    "avoiders": lambda args: grassmannian_blocks(
+        args.n, cap=args.cap, automaton=class_automaton(
+            parse_permutation(_needs(args, "pattern")))),
     "dyck": lambda args: dyck_path_blocks(
         args.n, grassmannian_only=args.grassmannian_only, cap=args.cap),
     "schroder": lambda args: _chunked(
@@ -228,7 +221,8 @@ def _weight_column(weight: Callable[[Perm], int], sizes: range,
     new = 0
     for m in range(1, sizes[-1] + 1):
         kernels.check_scan_size(m)
-        new += sum(map(weight, enumerate_grassmannian(m, cap=cap, core=True)))
+        new += sum(map(weight, enumerate_grassmannian(
+            m, cap=cap, automaton=kernels.CORES)))
         total += new
         if m in sizes:
             yield total

@@ -4,7 +4,9 @@ The family of size n has exactly 2^n - n members: the identity plus one
 permutation for every subset of 1..n that is not a prefix (the subset
 forms the rising block before the descent).  This module recognizes
 and enumerates the family, its intersection and union with the family
-of inverses, and its involutions.  All counting here is closed-form;
+of inverses, and its involutions; its one walk also lists the members
+that a kernels word automaton accepts, such as a pattern class or the
+cores.  All counting here is closed-form;
 brute-force cross-checks live with the pattern tooling and the tests.
 """
 
@@ -15,6 +17,7 @@ from itertools import chain, islice
 from math import comb
 from operator import add, gt
 
+from grassperm import kernels
 from grassperm.perms import (
     Perm,
     check_cap,
@@ -72,26 +75,28 @@ def sole_descent(p: Sequence[int]) -> int | None:
 TAIL_VALUES = 9
 
 
-def _rising_prefix_walk(n: int, atoms: Sequence,
-                        firsts: Sequence | None = None,
-                        mark: Sequence | None = None) -> Iterator:
-    """Every member of the size-n family, built from atoms[1..n], in
-    lexicographic order; a member's first value v is firsts[v] (atoms[v]
-    by default), so that atoms may carry a separator before their
-    value.  Tuple atoms give the members one at a time.  String atoms
-    give text: the members, each followed by a newline, in one string
-    per subtree below and one per node above it.  With a mark, only the
-    members whose first value is at least 2, the mark put after their
-    first rising block, not in lexicographic order.
+def _rising_prefix_walk(n: int, atoms: Sequence, automaton: tuple,
+                        firsts: Sequence | None = None) -> Iterator:
+    """The members of the size-n family whose words the automaton
+    accepts (see kernels), built from atoms[1..n], in lexicographic
+    order; a member's first value v is firsts[v] (atoms[v] by default),
+    so that atoms may carry a separator before their value.  Tuple
+    atoms give the members one at a time.  String atoms give text: the
+    members, each followed by a newline, in one string per subtree
+    below and one per node above it, and no empty string.
 
     Each node of the walk is a rising prefix S, with last = max S: the
     member whose first rising block is S is the prefix, then low (the
     values below last missing from S, carried down the tree), then
-    every value above last.  A node is emitted when low is non-empty,
-    which spends the descent, or when last = n, which gives the
-    identity; the prefixes 1..j with j < n would repeat the identity.
-    A mark starts every low, so it stands right after the prefix.
-    Children, one per value above last, come in increasing order after
+    every value above last.  Its word reads A at each value of S and B
+    at every other, so a node carries the state of its word's first
+    last letters, and its child v, one per value above last, reads
+    B^(v-last-1) and then A.  A child whose state dies is cut with its
+    whole subtree, as a dead word stays dead.  A node is emitted when
+    low is non-empty, which spends the descent, or when last = n, the
+    identity, and then only if its state accepts after B^(n-last); the
+    prefixes 1..j with j < n would repeat the identity, so A^n stands
+    for every identity word.  Children come in increasing order after
     their parent: the members come in preorder, which is lexicographic.
 
     Every run of values is a slice of run = atoms[1] + ... + atoms[n]:
@@ -99,30 +104,35 @@ def _rising_prefix_walk(n: int, atoms: Sequence,
     tail(a) = run[at[a+1]:], and those strictly between a and v are
     gap(a, v) = run[at[a+1]:at[v]].
 
-    Below a node (P, L, last) with L non-empty every node is emitted,
-    and its subtree is P + Q + L + C for every Q within (last, n] in
-    preorder, C being the rest of (last, n] in increasing order.  With
-    empty = atoms[0], two tables list those Q and C in step,
+    Below a node (P, L, last) with L non-empty and state s, the members
+    are P + Q + L + C for every Q within (last, n] in preorder whose
+    node is emitted, C being the rest of (last, n] in increasing order.
+    With empty = atoms[0], two tables list those Q and C in step,
 
-        heads[last] = [empty] + [atoms[v] + q   for v > last, q in heads[v]]
-        rests[last] = [tail(last)]
-                      + [gap(last, v) + c  for v > last, c in rests[v]]
+        heads[last, s] = [empty if s accepts after B^(n-last)]
+            + [atoms[v] + q    for each live child v, in state t,
+                               q in heads[v, t]]
+        rests[last, s] = [tail(last) if s accepts after B^(n-last)]
+            + [gap(last, v) + c  for the same v and t, c in rests[v, t]]
 
-    built once per call for last >= n - TAIL_VALUES only, so each has
-    at most 2^TAIL_VALUES entries whatever n is.  Member by member,
-    such a subtree is emitted by map, three concatenations in C per
-    member.  As text, lines[last] holds "" and then Q + "\0" + C + a
-    newline for every pair, and the subtree is P joined by lines[last]
-    with L put in place of each "\0", which no atom holds: one join
+    built once per call and state for last >= n - TAIL_VALUES only, so
+    each has at most 2^TAIL_VALUES entries whatever n is; with
+    kernels.ONE_DESCENT's one state they are all the family's.  Member
+    by member, such a subtree is emitted by map, three concatenations
+    in C per member.  As text, lines[last, s] holds "" and then Q +
+    "\0" + C + a newline for every pair, and the subtree is P joined by
+    it with L put in place of each "\0", which no atom holds: one join
     and one replace in C, and no call or string per member.
 
     Only the nodes above those tails are visited one at a time, depth
-    first.  A stack frame is a node and the next child it has to give:
-    a pop emits the node on its first visit, then pushes the frame back
-    for the child after and that one child on top.  The stack holds at
-    most one frame per level, each with a prefix and a low of at most n
-    values, so memory grows with n^2 and not with the members.
+    first, each one as it is reached.  A stack frame is a node with a
+    child left to give and the index of that child: a pop gives the
+    child and pushes the frame back if another one follows, and a node
+    with children pushes its frame.  The stack holds at most one frame
+    per level, each with a prefix and a low of at most n values, so
+    memory grows with n^2 and not with the members.
     """
+    start, step, accepts, _ = automaton
     empty = atoms[0]
     text = isinstance(empty, str)
     run = empty
@@ -130,83 +140,107 @@ def _rising_prefix_walk(n: int, atoms: Sequence,
     for atom in atoms[1:]:
         run += atom
         at.append(len(run))
+    # state -> (for r = 0..n, whether it accepts after B^r; (d, the
+    # state after B^(d-1) A) for each d <= n that leaves it alive; by
+    # last, its table's heads, rests and, as text, lines, once built)
+    known: dict = {}
+
+    def moves(state: object) -> tuple[list, list, list]:
+        states = [state]
+        while len(states) < n and (b := step(states[-1], "B")) is not None:
+            states.append(b)
+        known[state] = ([accepts(s) for s in states]
+                        + [False] * (n + 1 - len(states)),
+                        [(d, a) for d, s in enumerate(states, 1)
+                         if (a := step(s, "A")) is not None],
+                        [None] * (n + 1))
+        return known[state]
+
+    def table(last: int, state: object) -> tuple:
+        ok, live, tabled = known.get(state) or moves(state)
+        if not tabled[last]:
+            heads, rests = ([empty], [run[at[last + 1]:]]) if ok[n - last] \
+                else ([], [])
+            for d, after in live:
+                if last + d > n:
+                    break
+                below, rested, _ = table(last + d, after)
+                heads += [atoms[last + d] + q for q in below]
+                rests += [run[at[last + 1]:at[last + d]] + c for c in rested]
+            tabled[last] = heads, rests, [""] + [
+                q + "\0" + c + "\n" for q, c in zip(heads, rests)] \
+                if text else None
+        return tabled[last]
+
     base = max(n - TAIL_VALUES, 0)
-    heads: list[list] = [[]] * (n + 1)
-    rests: list[list] = [[]] * (n + 1)
-    for last in range(n, base - 1, -1):
-        start = at[last + 1]
-        heads[last] = [empty] + [atoms[v] + q for v in range(last + 1, n + 1)
-                                 for q in heads[v]]
-        rests[last] = [run[start:]] + [run[start:at[v]] + c
-                                       for v in range(last + 1, n + 1)
-                                       for c in rests[v]]
-    lines = [[""] + [q + "\0" + c + "\n" for q, c in zip(h, r)]
-             for h, r in zip(heads, rests)] if text else []
     end = "\n" if text else empty
     firsts = atoms if firsts is None else firsts
-    mark = empty if mark is None else mark
     stack: list[tuple] = []
     pop, push = stack.pop, stack.append
     # the root, the empty prefix, has only its children to give
-    for first in range(2 if mark else 1, n + 1):
-        push((firsts[first], mark + run[:at[first]], first, first + 1))
-        while stack:
-            prefix, low, last, v = pop()
-            if v == last + 1:  # the node's first visit
-                if low and last >= base:
-                    if text:
-                        yield prefix.join(lines[last]).replace("\0", low)
-                    else:
-                        yield from map(add, map(prefix.__add__, heads[last]),
-                                       map(low.__add__, rests[last]))
-                    continue
-                if low or last == n:
+    for last, state in moves(start)[1]:
+        prefix, low = firsts[last], run[:at[last]]
+        while True:  # the node's first visit
+            ok, live, tabled = known.get(state) or moves(state)
+            room = n - last
+            if low and last >= base:
+                heads, rests, lines = tabled[last] or table(last, state)
+                if not text:
+                    yield from map(add, map(prefix.__add__, heads),
+                                   map(low.__add__, rests))
+                elif heads:
+                    yield prefix.join(lines).replace("\0", low)
+            else:
+                if (low or not room) and ok[room]:
                     yield prefix + low + run[at[last + 1]:] + end
-            if v <= n:
-                push((prefix, low, last, v + 1))
-                push((prefix + atoms[v], low + run[at[last + 1]:at[v]], v,
-                      v + 1))
+                if live and live[0][0] <= room:
+                    push((prefix, low, last, live, 0))
+            if not stack:
+                break
+            prefix, low, last, live, i = pop()
+            d, state = live[i]
+            if i + 1 < len(live) and live[i + 1][0] <= n - last:
+                push((prefix, low, last, live, i + 1))
+            prefix += atoms[last + d]
+            low += run[at[last + 1]:at[last + d]]
+            last += d
 
 
 def enumerate_grassmannian(n: int, *, cap: int | None = None,
-                           core: bool = False) -> Iterator[Perm]:
-    """All permutations of size n with at most one descent, in
-    lexicographic order, streamed; with core, only the cores, the
-    members p with p(1) != 1 and p(n) != n, not in lexicographic order.
+                           automaton: tuple = kernels.ONE_DESCENT
+                           ) -> Iterator[Perm]:
+    """All permutations of size n with at most one descent whose words
+    the automaton accepts, by default every one, in lexicographic
+    order, streamed.
 
     Values are placed left to right while the prefix rises; dropping to
     the smallest unplaced value spends the one allowed descent and
     forces the rest, so every member appears exactly once and no
     filtering or deduplication is involved.  The walk visits the rising
-    prefixes in preorder and emits each subtree within the last
-    TAIL_VALUES values from two fixed-size completion tables; see
-    _rising_prefix_walk.
-
-    A core is T within 2..n-1, then n, then the rest increasing: one of
-    the size-(n-1) members whose first value is at least 2 with n put
-    after its first rising block, or (n, 1, ..., n-1).
+    prefixes in preorder, cuts each one whose word is dead, and emits
+    each subtree within the last TAIL_VALUES values from two fixed-size
+    completion tables; see _rising_prefix_walk.  kernels.CORES keeps
+    the cores, the members p with p(1) != 1 and p(n) != n.
 
     >>> [p for p in enumerate_grassmannian(3)]
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2)]
-    >>> [p for p in enumerate_grassmannian(4, core=True)]
-    [(2, 4, 1, 3), (2, 3, 4, 1), (3, 4, 1, 2), (4, 1, 2, 3)]
+    >>> [p for p in enumerate_grassmannian(4, automaton=kernels.CORES)]
+    [(2, 3, 4, 1), (2, 4, 1, 3), (3, 4, 1, 2), (4, 1, 2, 3)]
     """
     check_size(n)
     check_cap(n, cap)
-    atoms = [()] + [(v,) for v in range(1, n + 1)]
-    if not core:
-        return _rising_prefix_walk(n, atoms)
-    rotated = [atoms[n] + identity(n - 1)] if n > 1 else []
-    return chain(_rising_prefix_walk(n - 1, atoms[:n], mark=atoms[n]),
-                 rotated)
+    return _rising_prefix_walk(
+        n, [()] + [(v,) for v in range(1, n + 1)], automaton)
 
 
-def grassmannian_blocks(n: int, *, cap: int | None = None) -> Iterator[str]:
-    """The members of enumerate_grassmannian(n) as format_permutation
-    prints them, each followed by a newline, built as text by the same
-    walk: one string per completion-table subtree, of at most
-    2^TAIL_VALUES lines made by one join and one replace, and one per
-    node above the tables.
+def grassmannian_blocks(n: int, *, cap: int | None = None,
+                        automaton: tuple = kernels.ONE_DESCENT
+                        ) -> Iterator[str]:
+    """The members of enumerate_grassmannian(n, automaton=automaton) as
+    format_permutation prints them, each followed by a newline, built
+    as text by the same walk: one string per completion-table subtree,
+    of at most 2^TAIL_VALUES lines made by one join and one replace,
+    and one per node above the tables; no string is empty.
 
     >>> list(grassmannian_blocks(3))
     ['123\\n', '132\\n', '213\\n231\\n', '312\\n']
@@ -217,10 +251,10 @@ def grassmannian_blocks(n: int, *, cap: int | None = None) -> Iterator[str]:
     check_cap(n, cap)
     digits = [""] + [str(v) for v in range(1, n + 1)]
     if n <= 9:
-        return _rising_prefix_walk(n, digits)
+        return _rising_prefix_walk(n, digits, automaton)
     # a comma goes before every value but the first
     return _rising_prefix_walk(n, [""] + [f",{v}" for v in range(1, n + 1)],
-                               digits)
+                               automaton, digits)
 
 
 def count_grassmannian(n: int) -> int:

@@ -8,6 +8,8 @@ words A^j B^(n-j) all give the identity, every other word gives one
 member of its own.  Each one-descent count here counts words with an
 automaton (the transfer-matrix method), and one stepper runs them all;
 avoiding(sigma) builds the one automaton of each pattern class.  The
+family's walk, grassmann.enumerate_grassmannian, lists the members
+whose words an automaton accepts, cutting each dead prefix.  The
 two-pattern count over the whole symmetric group shares nothing with
 this encoding: it grows permutations one value at a time and memoises
 on a signature of the prefix.
@@ -22,8 +24,9 @@ from grassperm.perms import descent_positions
 # Size guard of the counters below.  They are polynomial, so it bounds
 # the cost of the sizes a user can type: count rows, verify weiner and
 # prop31 --kmax, verify prop22 and theorem34 --max-n.  It also bounds
-# the two oracles that enumerate, count involutions' core walk and the
-# avoider scan of a pattern with two or more descents, whatever --cap.
+# the two oracles that enumerate, count involutions' walk of the CORES
+# words and the avoider scan of a pattern with two or more descents,
+# whatever --cap.
 MAX_SCAN_SIZE = 26
 
 
@@ -84,6 +87,13 @@ def _one_ba_step(state: tuple[str, bool], letter: str) -> tuple | None:
 
 # the biGrassmannian members: the words with at most one BA factor
 ONE_BA = (("", False), _one_ba_step, lambda state: True, lambda n: n)
+
+# the cores, the members p with p(1) != 1 and p(n) != n: the words that
+# run from B to A, as 1 is outside the first rising block exactly when
+# p(1) != 1 and n inside it exactly when p(n) != n.  The state is the
+# last letter read, "" before the first; no identity word is accepted
+CORES = ("", lambda last, letter: letter if last or letter == "B" else None,
+         lambda last: last == "A", lambda n: 0)
 
 
 def _parity_step(state: tuple[int, int], letter: str) -> tuple[int, int]:

@@ -15,10 +15,11 @@ contains_pattern is the correctness reference.  avoider_counts, the
 oracle column of every pattern, picks by its shape the automaton of
 kernels.avoiding, which shares no code with the formulas and which the
 tests hold to the reference, or a scan with contains_pattern.
-enumerate_avoiders lists a rising or one-descent pattern's class by a
-walk over the live words of the same automaton, so it tests no member
-for the pattern and costs time in proportion to its output; the tests
-hold it to the filter by contains_pattern.
+enumerate_avoiders lists any pattern's class by the family's walk on
+class_automaton(sigma), the same automaton or, past one descent, the
+whole family's, so it tests no member for the pattern and costs time
+in proportion to its output; the tests hold it to the filter by
+contains_pattern.
 """
 
 from __future__ import annotations
@@ -30,13 +31,7 @@ from math import comb
 
 from grassperm import kernels
 from grassperm.grassmann import enumerate_grassmannian
-from grassperm.perms import (
-    Perm,
-    check_cap,
-    check_size,
-    descent_positions,
-    identity,
-)
+from grassperm.perms import Perm, check_size, descent_positions
 
 
 def contains_pattern(p: Sequence[int], sigma: Sequence[int]) -> bool:
@@ -84,68 +79,28 @@ def contains_pattern(p: Sequence[int], sigma: Sequence[int]) -> bool:
     return extend(0, 0)
 
 
+def class_automaton(sigma: Sequence[int]) -> tuple:
+    """The automaton of sigma's class in the one-descent family:
+    kernels.avoiding(sigma), or kernels.ONE_DESCENT for a pattern with
+    two or more descents, which the whole family avoids."""
+    sigma = tuple(sigma)
+    if len(descent_positions(sigma)) > 1:
+        return kernels.ONE_DESCENT
+    return kernels.avoiding(sigma)
+
+
 def enumerate_avoiders(n: int, sigma: Sequence[int],
                        *, cap: int | None = None) -> Iterator[Perm]:
     """Members of the size-n one-descent family avoiding sigma, in
     lexicographic order, streamed; n is checked against the cap at the
-    call.  A pattern with two or more descents is avoided by the whole
-    family, which is returned as it is.  Any other pattern's class is
-    walked on the live words of kernels.avoiding(sigma), with no member
-    tested for the pattern, in time proportional to the output.
-
-    The walk is enumerate_grassmannian's, over the rising prefixes S in
-    preorder: last = max S, and the node's member is S, then low (the
-    values below last missing from S), then the values above last.  Its
-    word reads A at each value of S and B at every other, so a node
-    carries the state of its word's first last letters, and its child v
-    reads B^(v-last-1) and then A.  A child whose state dies is cut
-    with its whole subtree, as a dead word stays dead.  A node is
-    emitted when low is non-empty, which spends the descent, or when
-    last = n, the identity, and then only if its state still accepts
-    after B^(n-last).  The identity words all share one fate in
-    avoiding(sigma), so A^n stands for them all.
+    call.  The family's walk runs on class_automaton(sigma) and cuts
+    every prefix whose word is dead, so no member is tested for the
+    pattern, and the time is proportional to the output.
 
     >>> list(enumerate_avoiders(4, (1, 2, 3)))
     [(2, 4, 1, 3), (3, 4, 1, 2)]
     """
-    sigma = tuple(sigma)
-    if not sigma:
-        raise ValueError("pattern must be non-empty")
-    if len(descent_positions(sigma)) > 1:
-        return enumerate_grassmannian(n, cap=cap)
-    check_size(n)
-    check_cap(n, cap)
-    return _class_walk(n, kernels.avoiding(sigma))
-
-
-def _class_walk(n: int, automaton: tuple) -> Iterator[Perm]:
-    start, step, accepts, _ = automaton
-    ident = identity(n)
-    # state -> (the states after B^0, B^1, ..., B^(n-1) up to the first
-    # dead one; (j, the state after B^j A) for each of them that an A
-    # leaves alive, in increasing j)
-    known: dict = {}
-    # a frame is a node and the index of the next child it has to give
-    stack = [((), (), 0, start, 0)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        prefix, low, last, state, i = pop()
-        if state not in known:
-            run = [state]
-            while len(run) < n and (b := step(run[-1], "B")) is not None:
-                run.append(b)
-            known[state] = run, [(j, a) for j, a in enumerate(
-                step(s, "A") for s in run) if a is not None]
-        run, live = known[state]
-        room = n - last
-        if not i and (low or not room):  # the node's first visit
-            if room < len(run) and accepts(run[room]):
-                yield prefix + low + ident[last:]
-        if i < len(live) and live[i][0] < room:
-            j, after = live[i]
-            push((prefix, low, last, state, i + 1))
-            v = last + j + 1
-            push((prefix + (v,), low + ident[last:v - 1], v, after, 0))
+    return enumerate_grassmannian(n, cap=cap, automaton=class_automaton(sigma))
 
 
 def avoider_counts(sigma: Sequence[int], sizes: range,

@@ -32,6 +32,7 @@ from grassperm.grassmann import (
 from grassperm.parity import odd_count
 from grassperm.patterns import (
     contains_pattern,
+    enumerate_avoiders,
     finite_class_count,
     finite_class_formula,
     one_descent_patterns,
@@ -329,9 +330,10 @@ def test_involution_oracle_flags_a_repeated_core(capsys, monkeypatch):
     # yields a core twice miscounts rather than being hidden: the first
     # core of each size comes twice, and the size-2 one, (2, 1), is an
     # involution
-    def repeating(n, *, cap=None, core=False):
-        assert core
-        members = list(enumerate_grassmannian(n, cap=cap, core=core))
+    def repeating(n, *, cap=None, automaton=kernels.ONE_DESCENT):
+        assert automaton is kernels.CORES
+        members = list(enumerate_grassmannian(n, cap=cap,
+                                              automaton=automaton))
         return iter(members[:1] + members)
     monkeypatch.setattr(cli, "enumerate_grassmannian", repeating)
     code, out, _ = run(capsys, "count", "involutions", "--n", "4",
@@ -395,16 +397,27 @@ def test_enum_multi_descent_avoiders_cost_is_bounded(capsys):
 
 def test_enum_multi_descent_avoiders_are_the_family_text(capsys,
                                                         monkeypatch):
-    # the family's text comes from the grassmannian walk, with no
-    # permutation formatted one at a time
+    # every class's text comes from the grassmannian walk, with no
+    # permutation formatted one at a time: a pattern with two or more
+    # descents gives the family, the others their class, 123's empty
     def refuse(p):
         raise AssertionError("enum avoiders formatted a permutation")
-    for fmt in ("lines", "json"):
-        family = run(capsys, "enum", "grassmannian", "--n", "11",
-                     "--format", fmt)
+    family = run(capsys, "enum", "grassmannian", "--n", "11")
+    monkeypatch.setattr(cli, "format_permutation", refuse)
+    assert run(capsys, "enum", "avoiders", "--pattern", "3142",
+               "--n", "11") == family
+    monkeypatch.undo()
+    for pattern in ("2413", "123", "35124", "3142"):
+        lines = [format_permutation(p) for p in enumerate_avoiders(
+            12, parse_permutation(pattern))]
+        count = f"count: {len(lines)}\n"
         monkeypatch.setattr(cli, "format_permutation", refuse)
-        assert run(capsys, "enum", "avoiders", "--pattern", "3142",
-                   "--n", "11", "--format", fmt) == family
+        assert run(capsys, "enum", "avoiders", "--pattern", pattern,
+                   "--n", "12") == (0, "".join(f"{line}\n" for line in lines),
+                                    count)
+        assert run(capsys, "enum", "avoiders", "--pattern", pattern,
+                   "--n", "12", "--format", "json") == (
+            0, json.dumps(lines) + "\n", count)
         monkeypatch.undo()
 
 
@@ -794,7 +807,7 @@ def test_patched_oracles_fail_in_the_column(capsys, monkeypatch):
     # an enumerator that repeats a core of each size: every row from
     # that size on counts it twice
     def repeating(n, **kwargs):
-        assert kwargs.get("core")
+        assert kwargs.get("automaton") is kernels.CORES
         members = list(enumerate_grassmannian(n, **kwargs))
         return iter(members[:1] + members)
     monkeypatch.setattr(cli, "enumerate_grassmannian", repeating)

@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from grassperm import kernels
 from grassperm.grassmann import (
     TAIL_VALUES,
     count_bigrassmannian,
@@ -109,7 +110,8 @@ def test_enumeration_from_a_first_value():
     for n in range(1, 11):
         members = list(enumerate_grassmannian(n))
         padded = [direct_sum(r, identity(n - m)) for m in range(1, n + 1)
-                  for r in enumerate_grassmannian(m, core=True)]
+                  for r in enumerate_grassmannian(m,
+                                                  automaton=kernels.CORES)]
         assert sorted(padded) == [p for p in members if p[0] >= 2], n
         grown = [direct_sum((1,), q) for q in
                  (enumerate_grassmannian(n - 1) if n > 1 else [()])]
@@ -120,7 +122,7 @@ def test_core_walk():
     # the cores, p(1) != 1 and p(m) != m, each once, 2^(m-2) of them;
     # from m = 12 on the walk has nodes above its completion tables
     for m in range(1, 13):
-        cores = list(enumerate_grassmannian(m, core=True))
+        cores = list(enumerate_grassmannian(m, automaton=kernels.CORES))
         assert sorted(cores) == [p for p in enumerate_grassmannian(m)
                                  if p[0] != 1 and p[-1] != m], m
         assert len(cores) == (2 ** (m - 2) if m > 1 else 0), m

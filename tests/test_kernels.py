@@ -212,6 +212,11 @@ def test_automata_read_each_members_word():
                 inverse_is_grassmannian(p), p
             assert letters.count("A") == (sole_descent(p) or 0), p
             assert read(kernels.ODD, letters)[1] == inversion_count(p) % 2, p
+            # a core's word runs from B to A
+            _, _, accepts, _ = kernels.CORES
+            state = read(kernels.CORES, letters)
+            assert (state is not None and accepts(state)) == (
+                p[0] != 1 and p[-1] != n), p
             # descent_at(k) accepts at k = the descent, and nowhere near
             d = sole_descent(p) or 0
             for k in range(max(d - 1, 1), d + 2):

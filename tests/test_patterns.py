@@ -2,12 +2,13 @@
 
 import itertools
 import tracemalloc
-from itertools import islice
+from itertools import chain, islice
 from math import comb
 
 import pytest
 
-from grassperm.grassmann import enumerate_grassmannian
+from grassperm import kernels
+from grassperm.grassmann import enumerate_grassmannian, grassmannian_blocks
 from grassperm.patterns import (
     catalan,
     contains_pattern,
@@ -223,6 +224,21 @@ def test_class_walk_streams_in_bounded_memory():
     try:
         items = islice(enumerate_avoiders(100, (2, 4, 1, 3), cap=100), 10_000)
         count = sum(len(p) == 100 for p in items)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 10_000
+    assert peak < 1 << 18, peak
+
+
+def test_class_text_walk_streams_in_bounded_memory():
+    # the text walk of the same class keeps the same stack, and its
+    # completion tables hold at most 2^TAIL_VALUES lines per state
+    tracemalloc.start()
+    try:
+        lines = chain.from_iterable(map(str.splitlines, grassmannian_blocks(
+            100, cap=100, automaton=kernels.avoiding((2, 4, 1, 3)))))
+        count = sum(line.count(",") == 99 for line in islice(lines, 10_000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
