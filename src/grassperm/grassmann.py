@@ -12,7 +12,7 @@ brute-force cross-checks live with the pattern tooling and the tests.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from itertools import chain, islice
 from math import comb
 from operator import add, gt
@@ -156,7 +156,10 @@ def _rising_prefix_walk(n: int, atoms: Sequence, automaton: tuple,
                         [None] * (n + 1))
         return known[state]
 
-    def table(last: int, state: object) -> tuple:
+    # table is handed itself: a function that named itself would be a
+    # reference cycle, keeping known and every table alive after the
+    # walk until the cyclic collector runs
+    def table(last: int, state: object, table: Callable) -> tuple:
         ok, live, tabled = known.get(state) or moves(state)
         if not tabled[last]:
             heads, rests = ([empty], [run[at[last + 1]:]]) if ok[n - last] \
@@ -164,7 +167,7 @@ def _rising_prefix_walk(n: int, atoms: Sequence, automaton: tuple,
             for d, after in live:
                 if last + d > n:
                     break
-                below, rested, _ = table(last + d, after)
+                below, rested, _ = table(last + d, after, table)
                 heads += [atoms[last + d] + q for q in below]
                 rests += [run[at[last + 1]:at[last + d]] + c for c in rested]
             tabled[last] = heads, rests, [""] + [
@@ -184,7 +187,8 @@ def _rising_prefix_walk(n: int, atoms: Sequence, automaton: tuple,
             ok, live, tabled = known.get(state) or moves(state)
             room = n - last
             if low and last >= base:
-                heads, rests, lines = tabled[last] or table(last, state)
+                heads, rests, lines = tabled[last] or table(last, state,
+                                                            table)
                 if not text:
                     yield from map(add, map(prefix.__add__, heads),
                                    map(low.__add__, rests))

@@ -1,5 +1,6 @@
 """The one-descent family: enumeration, counting, substructures."""
 
+import gc
 import itertools
 import tracemalloc
 from math import comb
@@ -190,6 +191,27 @@ def test_walk_memory_is_bounded_at_every_size():
         finally:
             tracemalloc.stop()
         assert peak < 768 * 1024, (n, peak)
+
+
+def test_walk_frees_its_tables_when_it_ends():
+    # with the cyclic collector off, a finished or abandoned walk must
+    # leave nothing behind: count --oracle and verify thm51 walk size
+    # after size, and tables kept for the next full collection pile up
+    def walks():
+        for automaton in (kernels.ONE_DESCENT, kernels.CORES):
+            for _ in enumerate_grassmannian(16, automaton=automaton):
+                pass
+            next(grassmannian_blocks(16, automaton=automaton))
+    walks()  # first calls allocate lasting caches of their own
+    gc.disable()
+    tracemalloc.start()
+    try:
+        walks()
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert left < 16 * 1024, left
 
 
 def test_blocks_are_the_lines_joined():
