@@ -89,15 +89,16 @@ def _rising_prefix_walk(n: int, atoms: Sequence, automaton: tuple,
     member whose first rising block is S is the prefix, then low (the
     values below last missing from S, carried down the tree), then
     every value above last.  Its word reads A at each value of S and B
-    at every other, so a node carries the state of its word's first
-    last letters, and its child v, one per value above last, reads
-    B^(v-last-1) and then A.  A child whose state dies is cut with its
-    whole subtree, as a dead word stays dead.  A node is emitted when
-    low is non-empty, which spends the descent, or when last = n, the
-    identity, and then only if its state accepts after B^(n-last); the
-    prefixes 1..j with j < n would repeat the identity, so A^n stands
-    for every identity word.  Children come in increasing order after
-    their parent: the members come in preorder, which is lexicographic.
+    at every other, so a node carries the state of its first last
+    letters, and its child v, one per value above last, reads
+    B^(v-last-1) A; a dead child is cut with its subtree.  A node is
+    emitted when low is non-empty, which spends the descent, or when
+    last = n, the identity, and then only if its state accepts after
+    B^(n-last).  The prefixes 1..j with j < n would repeat the
+    identity, so A^n stands for every identity word, which the
+    automaton must treat alike, as ONE_DESCENT, CORES and avoiding(sigma)
+    do.  Children come after their parent in increasing order, so the
+    members come in preorder, which is lexicographic.
 
     Every run of values is a slice of run = atoms[1] + ... + atoms[n]:
     with at[v] where atoms[v] starts in it, the values above a are
@@ -116,21 +117,20 @@ def _rising_prefix_walk(n: int, atoms: Sequence, automaton: tuple,
             + [gap(last, v) + c  for the same v and t, c in rests[v, t]]
 
     built once per call and state for last >= n - TAIL_VALUES only, so
-    each has at most 2^TAIL_VALUES entries whatever n is; with
-    kernels.ONE_DESCENT's one state they are all the family's.  Member
-    by member, such a subtree is emitted by map, three concatenations
-    in C per member.  As text, lines[last, s] holds "" and then Q +
+    each has at most 2^TAIL_VALUES entries whatever n is.  Member by
+    member, such a subtree is emitted by map, three concatenations in C
+    per member.  As text, lines[last, s] holds "" and then Q +
     "\0" + C + a newline for every pair, and the subtree is P joined by
     it with L put in place of each "\0", which no atom holds: one join
     and one replace in C, and no call or string per member.
 
     Only the nodes above those tails are visited one at a time, depth
-    first, each one as it is reached.  A stack frame is a node with a
-    child left to give and the index of that child: a pop gives the
-    child and pushes the frame back if another one follows, and a node
-    with children pushes its frame.  The stack holds at most one frame
-    per level, each with a prefix and a low of at most n values, so
-    memory grows with n^2 and not with the members.
+    first.  A stack frame is a node and the index of its next live
+    child: a pop gives that child, pushing the frame back if another
+    follows, and a child with children of its own pushes its frame.
+    The stack holds at most one frame per level, each with a prefix and
+    a low of at most n values, so memory grows with n^2 and not with
+    the members.
     """
     start, step, accepts, _ = automaton
     empty = atoms[0]
@@ -156,9 +156,8 @@ def _rising_prefix_walk(n: int, atoms: Sequence, automaton: tuple,
                         [None] * (n + 1))
         return known[state]
 
-    # table is handed itself: a function that named itself would be a
-    # reference cycle, keeping known and every table alive after the
-    # walk until the cyclic collector runs
+    # table is handed itself: naming itself would make a reference
+    # cycle that keeps every table alive until the cyclic collector runs
     def table(last: int, state: object, table: Callable) -> tuple:
         ok, live, tabled = known.get(state) or moves(state)
         if not tabled[last]:
