@@ -125,12 +125,12 @@ def _rising_prefix_walk(n: int, atoms: Sequence, automaton: tuple,
     and one replace in C, and no call or string per member.
 
     Only the nodes above those tails are visited one at a time, depth
-    first.  A stack frame is a node and the index of its next live
-    child: a pop gives that child, pushing the frame back if another
-    follows, and a child with children of its own pushes its frame.
-    The stack holds at most one frame per level, each with a prefix and
-    a low of at most n values, so memory grows with n^2 and not with
-    the members.
+    first.  A stack frame is a node, its live children and the index of
+    the next one: a pop visits its children in turn, and one with
+    children of its own pushes the frame back, then its own frame on
+    top.  The stack holds at most one frame per level, each with a
+    prefix and a low of at most n values, so memory grows with n^2 and
+    not with the members.
     """
     start, step, accepts, _ = automaton
     empty = atoms[0]
@@ -161,14 +161,14 @@ def _rising_prefix_walk(n: int, atoms: Sequence, automaton: tuple,
     def table(last: int, state: object, table: Callable) -> tuple:
         ok, live, tabled = known.get(state) or moves(state)
         if not tabled[last]:
-            heads, rests = ([empty], [run[at[last + 1]:]]) if ok[n - last] \
+            start = at[last + 1]
+            heads, rests = ([empty], [run[start:]]) if ok[n - last] \
                 else ([], [])
-            for d, after in live:
-                if last + d > n:
-                    break
-                below, rested, _ = table(last + d, after, table)
-                heads += [atoms[last + d] + q for q in below]
-                rests += [run[at[last + 1]:at[last + d]] + c for c in rested]
+            # each live child's atom, gap and table
+            below = [(atoms[v], run[start:at[v]], table(v, after, table))
+                     for d, after in live if (v := last + d) <= n]
+            heads += [atom + q for atom, _, t in below for q in t[0]]
+            rests += [gap + c for _, gap, t in below for c in t[1]]
             tabled[last] = heads, rests, [""] + [
                 q + "\0" + c + "\n" for q, c in zip(heads, rests)] \
                 if text else None
@@ -177,36 +177,34 @@ def _rising_prefix_walk(n: int, atoms: Sequence, automaton: tuple,
     base = max(n - TAIL_VALUES, 0)
     end = "\n" if text else empty
     firsts = atoms if firsts is None else firsts
-    stack: list[tuple] = []
+    # the root, the empty prefix, gives its children firsts[v]
+    stack = [(empty, empty, 0, moves(start)[1], 0)]
     pop, push = stack.pop, stack.append
-    # the root, the empty prefix, has only its children to give
-    for last, state in moves(start)[1]:
-        prefix, low = firsts[last], run[:at[last]]
-        while True:  # the node's first visit
-            ok, live, tabled = known.get(state) or moves(state)
-            room = n - last
-            if low and last >= base:
-                heads, rests, lines = tabled[last] or table(last, state,
-                                                            table)
-                if not text:
-                    yield from map(add, map(prefix.__add__, heads),
-                                   map(low.__add__, rests))
-                elif heads:
-                    yield prefix.join(lines).replace("\0", low)
-            else:
-                if (low or not room) and ok[room]:
-                    yield prefix + low + run[at[last + 1]:] + end
-                if live and live[0][0] <= room:
-                    push((prefix, low, last, live, 0))
-            if not stack:
-                break
-            prefix, low, last, live, i = pop()
+    while stack:
+        prefix, low, last, live, i = pop()
+        grow = atoms if last else firsts
+        for i in range(i, len(live)):  # the first visit of each child v
             d, state = live[i]
-            if i + 1 < len(live) and live[i + 1][0] <= n - last:
+            v = last + d
+            if v > n:
+                break
+            ok, below, tabled = known.get(state) or moves(state)
+            prefix_v, low_v = prefix + grow[v], low + run[at[last + 1]:at[v]]
+            if low_v and v >= base:
+                heads, rests, lines = tabled[v] or table(v, state, table)
+                if not text:
+                    yield from map(add, map(prefix_v.__add__, heads),
+                                   map(low_v.__add__, rests))
+                elif heads:
+                    yield prefix_v.join(lines).replace("\0", low_v)
+                continue
+            room = n - v
+            if (low_v or not room) and ok[room]:
+                yield prefix_v + low_v + run[at[v + 1]:] + end
+            if below and below[0][0] <= room:
                 push((prefix, low, last, live, i + 1))
-            prefix += atoms[last + d]
-            low += run[at[last + 1]:at[last + d]]
-            last += d
+                push((prefix_v, low_v, v, below, 0))
+                break
 
 
 def enumerate_grassmannian(n: int, *, cap: int | None = None,
