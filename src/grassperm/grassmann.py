@@ -161,11 +161,11 @@ def _rising_prefix_walk(n: int, atoms: Sequence, automaton: tuple,
     def table(last: int, state: object, table: Callable) -> tuple:
         ok, live, tabled = known.get(state) or moves(state)
         if not tabled[last]:
-            start = at[last + 1]
-            heads, rests = ([empty], [run[start:]]) if ok[n - last] \
+            above = at[last + 1]  # where the values above last start
+            heads, rests = ([empty], [run[above:]]) if ok[n - last] \
                 else ([], [])
             # each live child's atom, gap and table
-            below = [(atoms[v], run[start:at[v]], table(v, after, table))
+            below = [(atoms[v], run[above:at[v]], table(v, after, table))
                      for d, after in live if (v := last + d) <= n]
             heads += [atom + q for atom, _, t in below for q in t[0]]
             rests += [gap + c for _, gap, t in below for c in t[1]]
@@ -188,7 +188,7 @@ def _rising_prefix_walk(n: int, atoms: Sequence, automaton: tuple,
             v = last + d
             if v > n:
                 break
-            ok, below, tabled = known.get(state) or moves(state)
+            ok, kids, tabled = known.get(state) or moves(state)
             prefix_v, low_v = prefix + grow[v], low + run[at[last + 1]:at[v]]
             if low_v and v >= base:
                 heads, rests, lines = tabled[v] or table(v, state, table)
@@ -201,9 +201,9 @@ def _rising_prefix_walk(n: int, atoms: Sequence, automaton: tuple,
             room = n - v
             if (low_v or not room) and ok[room]:
                 yield prefix_v + low_v + run[at[v + 1]:] + end
-            if below and below[0][0] <= room:
+            if kids and kids[0][0] <= room:
                 push((prefix, low, last, live, i + 1))
-                push((prefix_v, low_v, v, below, 0))
+                push((prefix_v, low_v, v, kids, 0))
                 break
 
 
