@@ -182,6 +182,11 @@ ENUM_MORE = [
     ["avoiders", "--pattern", "1,2,3,4,5,6,7,8,9,10", "--n", "13"],
     ["avoiders", "--pattern", "4231", "--n", "14"],
     ["avoiders", "--pattern", "123", "--n", "12"],
+    # the biGrassmannian family and its pattern class, 2413, with nodes
+    # above the completion tables, in the comma format
+    ["bigrassmannian", "--n", "30", "--cap", "30"],
+    ["bigrassmannian", "--n", "40", "--cap", "40", "--format", "json"],
+    ["avoiders", "--pattern", "2413", "--n", "30", "--cap", "30"],
 ]
 
 # map: every direction on a valid and an invalid value
