@@ -47,19 +47,14 @@ def word_semilength(word: str) -> int:
 
 def is_uudd_avoiding(word: str) -> bool:
     """True iff no subsequence U..U..D..D occurs: the running level
-    never passes one and at most two letters are U."""
+    never passes one and at most two letters are U, so that without
+    its H's the word is empty, UD or UDUD.
+
+    >>> is_uudd_avoiding("HUHDUD"), is_uudd_avoiding("UHUDD")
+    (True, False)
+    """
     validate_word(word)
-    if word.count("U") > 2:
-        return False
-    level = 0
-    for step in word:
-        if step == "U":
-            level += 1
-            if level > 1:
-                return False
-        elif step == "D":
-            level -= 1
-    return True
+    return word.replace("H", "") in ("", "UD", "UDUD")
 
 
 def prefix_values(word: str) -> tuple[int, ...]:
