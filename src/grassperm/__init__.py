@@ -30,7 +30,6 @@ from grassperm.grassmann import (
     count_grassmannian,
     count_involutions,
     count_union_with_inverse,
-    enumerate_bigrassmannian,
     enumerate_grassmannian,
     enumerate_involutions,
     grassmannian_blocks,

@@ -13,9 +13,10 @@ Data goes to stdout; counts and progress notes go to stderr.  Into a
 pipe, count writes each CSV or b-file row and verify each block as
 soon as it is checked, and enum a block of lines per write, in either
 format: a subtree of the walk (at most a few hundred lines) for
-grassmannian, dyck and the avoiders of any pattern, which the
-grassmannian walk lists as text on the pattern's automaton; about
-ENUM_CHUNK_CHARS characters for its other families.  The rest write at
+grassmannian, bigrassmannian, dyck and the avoiders of any pattern,
+which the grassmannian walk lists as text on the kernels.ONE_BA
+automaton and the pattern's; about ENUM_CHUNK_CHARS characters for
+involutions and schroder.  The rest write at
 exit.
 count --oracle builds each column of COUNT_FAMILIES in one pass, in
 this process: grassmannian, bigrassmannian, union-inverse, odd, even and
@@ -50,7 +51,6 @@ from grassperm.grassmann import (
     count_grassmannian,
     count_involutions,
     count_union_with_inverse,
-    enumerate_bigrassmannian,
     enumerate_grassmannian,
     enumerate_involutions,
     grassmannian_blocks,
@@ -173,8 +173,8 @@ def _chunked(lines: Iterable[str]) -> Iterator[str]:
 # _chunked lines), in the order that enum --help lists
 ENUM_FAMILIES: dict[str, Callable[[argparse.Namespace], Iterator[str]]] = {
     "grassmannian": lambda args: grassmannian_blocks(args.n, cap=args.cap),
-    "bigrassmannian": lambda args: _chunked(map(
-        format_permutation, enumerate_bigrassmannian(args.n, cap=args.cap))),
+    "bigrassmannian": lambda args: grassmannian_blocks(
+        args.n, cap=args.cap, automaton=kernels.ONE_BA),
     "involutions": lambda args: _chunked(map(
         format_permutation, enumerate_involutions(args.n, cap=args.cap))),
     "avoiders": lambda args: grassmannian_blocks(

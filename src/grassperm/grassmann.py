@@ -3,10 +3,11 @@
 The family of size n has exactly 2^n - n members: the identity plus one
 permutation for every subset of 1..n that is not a prefix (the subset
 forms the rising block before the descent).  This module recognizes
-and enumerates the family, its intersection and union with the family
-of inverses, and its involutions; its one walk also lists the members
-that a kernels word automaton accepts, such as a pattern class or the
-cores.  All counting here is closed-form;
+the family and its intersection with the family of inverses, counts
+both, their union and the involutions, and enumerates the involutions
+by shape.  Its one walk lists the members whose words a kernels
+automaton accepts: every member, the biGrassmannian ones (ONE_BA), a
+pattern class or the cores.  All counting here is closed-form;
 brute-force cross-checks live with the pattern tooling and the tests.
 """
 
@@ -96,8 +97,8 @@ def _rising_prefix_walk(n: int, atoms: Sequence, automaton: tuple,
     last = n, the identity, and then only if its state accepts after
     B^(n-last).  The prefixes 1..j with j < n would repeat the
     identity, so A^n stands for every identity word, which the
-    automaton must treat alike, as ONE_DESCENT, CORES and avoiding(sigma)
-    do.  Children come after their parent in increasing order, so the
+    automaton must treat alike, as ONE_DESCENT, ONE_BA, CORES and
+    avoiding(sigma) do.  Children come after their parent in increasing order, so the
     members come in preorder, which is lexicographic.
 
     Every run of values is a slice of run = atoms[1] + ... + atoms[n]:
@@ -125,12 +126,17 @@ def _rising_prefix_walk(n: int, atoms: Sequence, automaton: tuple,
     and one replace in C, and no call or string per member.
 
     Only the nodes above those tails are visited one at a time, depth
-    first.  A stack frame is a node, its live children and the index of
-    the next one: a pop visits its children in turn, and one with
-    children of its own pushes the frame back, then its own frame on
-    top.  The stack holds at most one frame per level, each with a
-    prefix and a low of at most n values, so memory grows with n^2 and
-    not with the members.
+    first.  A stack frame is a node's last, its live children, the
+    index of the next one and the lengths of its prefix and low: a pop
+    visits its children in turn, and one with children of its own
+    pushes the frame back, then its own frame on top.  The walk keeps
+    the prefix and low of the node pushed last, and every frame on the
+    stack is an ancestor of that node, so a popped frame's prefix and
+    low are the current ones cut to its lengths.  The stack holds at
+    most one frame per level, of five values, beside one prefix and one
+    low of at most n values, so memory grows with n, as do the
+    automaton's moves from each state it reaches, and not with the
+    members.
     """
     start, step, accepts, _ = automaton
     empty = atoms[0]
@@ -178,10 +184,14 @@ def _rising_prefix_walk(n: int, atoms: Sequence, automaton: tuple,
     end = "\n" if text else empty
     firsts = atoms if firsts is None else firsts
     # the root, the empty prefix, gives its children firsts[v]
-    stack = [(empty, empty, 0, moves(start)[1], 0)]
+    stack = [(0, 0, 0, moves(start)[1], 0)]
     pop, push = stack.pop, stack.append
+    prefix = low = empty  # those of the node pushed last
     while stack:
-        prefix, low, last, live, i = pop()
+        plen, llen, last, live, i = pop()
+        # an ancestor of the node pushed last, so its prefix and low
+        # begin the current ones
+        prefix, low = prefix[:plen], low[:llen]
         grow = atoms if last else firsts
         for i in range(i, len(live)):  # the first visit of each child v
             d, state = live[i]
@@ -202,8 +212,9 @@ def _rising_prefix_walk(n: int, atoms: Sequence, automaton: tuple,
             if (low_v or not room) and ok[room]:
                 yield prefix_v + low_v + run[at[v + 1]:] + end
             if kids and kids[0][0] <= room:
-                push((prefix, low, last, live, i + 1))
-                push((prefix_v, low_v, v, kids, 0))
+                push((plen, llen, last, live, i + 1))
+                push((len(prefix_v), len(low_v), v, kids, 0))
+                prefix, low = prefix_v, low_v
                 break
 
 
@@ -220,11 +231,15 @@ def enumerate_grassmannian(n: int, *, cap: int | None = None,
     filtering or deduplication is involved.  The walk visits the rising
     prefixes in preorder, cuts each one whose word is dead, and emits
     each subtree within the last TAIL_VALUES values from two fixed-size
-    completion tables; see _rising_prefix_walk.  kernels.CORES keeps
-    the cores, the members p with p(1) != 1 and p(n) != n.
+    completion tables; see _rising_prefix_walk.  kernels.ONE_BA keeps
+    the biGrassmannian members, whose inverses are members too, and
+    kernels.CORES the cores, the members p with p(1) != 1 and
+    p(n) != n.
 
     >>> [p for p in enumerate_grassmannian(3)]
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2)]
+    >>> len(list(enumerate_grassmannian(4, automaton=kernels.ONE_BA)))
+    11
     >>> [p for p in enumerate_grassmannian(4, automaton=kernels.CORES)]
     [(2, 3, 4, 1), (2, 4, 1, 3), (3, 4, 1, 2), (4, 1, 2, 3)]
     """
@@ -251,11 +266,10 @@ def grassmannian_blocks(n: int, *, cap: int | None = None,
     check_size(n)
     check_cap(n, cap)
     digits = [""] + [str(v) for v in range(1, n + 1)]
-    if n <= 9:
-        return _rising_prefix_walk(n, digits, automaton)
-    # a comma goes before every value but the first
-    return _rising_prefix_walk(n, [""] + [f",{v}" for v in range(1, n + 1)],
-                               automaton, digits)
+    # above size 9, a comma goes before every value but the first
+    comma = "," if n > 9 else ""
+    return _rising_prefix_walk(
+        n, [""] + [comma + digit for digit in digits[1:]], automaton, digits)
 
 
 def count_grassmannian(n: int) -> int:
@@ -290,29 +304,6 @@ def is_bigrassmannian(p: Sequence[int]) -> bool:
     test, which goes first, refuses it.
     """
     return inverse_is_grassmannian(p) and is_grassmannian(p)
-
-
-def enumerate_bigrassmannian(n: int, *,
-                             cap: int | None = None) -> Iterator[Perm]:
-    """Members of the size-n family whose inverses are members too, in
-    lexicographic order, streamed.
-
-    Each but the identity is id_a, then the c values above a + b, then
-    the b values above a, then the rest, for the C(n+1, 3) cuts 0 <= a
-    < a + b < a + b + c <= n; it descends after a + c and its inverse
-    after a + b.
-
-    >>> list(enumerate_bigrassmannian(3))
-    [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2)]
-    """
-    check_size(n)
-    check_cap(n, cap)
-    ident = identity(n)
-    swapped = (ident[:a] + ident[a + b:a + b + c] + ident[a:a + b]
-               + ident[a + b + c:]
-               for a in range(n - 2, -1, -1) for b in range(1, n - a)
-               for c in range(1, n - a - b + 1))
-    return chain((ident,), swapped)
 
 
 def count_bigrassmannian(n: int) -> int:

@@ -15,7 +15,6 @@ from grassperm.grassmann import (
     count_grassmannian,
     count_involutions,
     count_union_with_inverse,
-    enumerate_bigrassmannian,
     enumerate_grassmannian,
     enumerate_involutions,
     grassmannian_blocks,
@@ -198,7 +197,8 @@ def test_walk_frees_its_tables_when_it_ends():
     # leave nothing behind: count --oracle and verify thm51 walk size
     # after size, and tables kept for the next full collection pile up
     def walks():
-        for automaton in (kernels.ONE_DESCENT, kernels.CORES):
+        for automaton in (kernels.ONE_DESCENT, kernels.ONE_BA,
+                          kernels.CORES):
             for _ in enumerate_grassmannian(16, automaton=automaton):
                 pass
             next(grassmannian_blocks(16, automaton=automaton))
@@ -247,11 +247,12 @@ def test_block_walk_memory_is_bounded():
 
 
 @pytest.mark.parametrize("n", [300, 1000])
-def test_first_member_memory_grows_with_the_square_of_n(n):
-    # one stack frame per level and one run of the values, sliced: a
-    # walk that kept every gap between two values, or pushed every
-    # child of a node at once, held of order n^3 values before its
-    # first member, 38 MiB at n = 300
+def test_first_member_memory_grows_with_n(n):
+    # one frame of lengths per level, one prefix and one low, and one
+    # run of the values, sliced: a walk whose frames each kept their
+    # own prefix and low held of order n^2 values before its first
+    # member, 4 MiB at n = 1000, and one that kept every gap between
+    # two values held of order n^3, 38 MiB at n = 300
     for walk in (grassmannian_blocks, enumerate_grassmannian):
         tracemalloc.start()
         try:
@@ -259,7 +260,7 @@ def test_first_member_memory_grows_with_the_square_of_n(n):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2 ** 20, (walk.__name__, n, peak)
+        assert peak < 2 ** 20, (walk.__name__, n, peak)
         assert first[:3] in ((1, 2, 3), "1,2")
 
 
@@ -308,32 +309,37 @@ def test_count_descent_at():
 
 
 def test_bigrassmannian_goldens():
-    assert [p for p in enumerate_grassmannian(4) if is_bigrassmannian(p)] == [
+    golden = [
         (1, 2, 3, 4), (1, 2, 4, 3), (1, 3, 2, 4), (1, 3, 4, 2),
         (1, 4, 2, 3), (2, 1, 3, 4), (2, 3, 1, 4), (2, 3, 4, 1),
         (3, 1, 2, 4), (3, 4, 1, 2), (4, 1, 2, 3)]
+    assert [p for p in enumerate_grassmannian(4)
+            if is_bigrassmannian(p)] == golden
+    assert list(enumerate_grassmannian(4, automaton=kernels.ONE_BA)) == \
+        golden
 
 
 def test_bigrassmannian_enumeration_matches_the_filter():
-    # the shapes A^a B^b A^c B^d, listed, against the definition applied
-    # to the whole family, in order and count
+    # the words with at most one BA factor, walked, against the
+    # definition applied to the whole family, in order and count
     for n in range(1, 13):
-        listed = list(enumerate_bigrassmannian(n))
+        listed = list(enumerate_grassmannian(n, automaton=kernels.ONE_BA))
         assert listed == list(filter(is_bigrassmannian,
                                      enumerate_grassmannian(n))), n
         assert len(listed) == count_bigrassmannian(n)
-    assert list(enumerate_bigrassmannian(25))[-1] == (25,) + identity(24)
+    assert list(enumerate_grassmannian(25, automaton=kernels.ONE_BA))[-1] \
+        == (25,) + identity(24)
     with pytest.raises(ValueError):
-        enumerate_bigrassmannian(0)
+        enumerate_grassmannian(0, automaton=kernels.ONE_BA)
     with pytest.raises(ValueError):
-        enumerate_bigrassmannian(26)
+        enumerate_grassmannian(26, automaton=kernels.ONE_BA)
 
 
 def test_bigrassmannian_enumeration_streams():
     tracemalloc.start()
     try:
-        first = list(itertools.islice(
-            enumerate_bigrassmannian(300, cap=300), 3))
+        first = list(itertools.islice(enumerate_grassmannian(
+            300, cap=300, automaton=kernels.ONE_BA), 3))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
