@@ -98,8 +98,8 @@ def _rising_prefix_walk(n: int, atoms: Sequence, automaton: tuple,
     B^(n-last).  The prefixes 1..j with j < n would repeat the
     identity, so A^n stands for every identity word, which the
     automaton must treat alike, as ONE_DESCENT, ONE_BA, CORES and
-    avoiding(sigma) do.  Children come after their parent in increasing order, so the
-    members come in preorder, which is lexicographic.
+    avoiding(sigma) do.  Children come after their parent in increasing
+    order, so the members come in preorder, which is lexicographic.
 
     Every run of values is a slice of run = atoms[1] + ... + atoms[n]:
     with at[v] where atoms[v] starts in it, the values above a are
