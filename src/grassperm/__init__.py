@@ -42,7 +42,6 @@ from grassperm.patterns import (
     avoider_counts,
     catalan,
     contains_pattern,
-    count_avoiders_by_scan,
     count_avoiders_closed_form,
     enumerate_avoiders,
     finite_class_count,

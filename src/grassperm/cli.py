@@ -65,7 +65,6 @@ from grassperm.parity import (
 from grassperm.patterns import (
     avoider_counts,
     catalan,
-    class_automaton,
     count_avoiders_closed_form,
     enumerate_avoiders,
     finite_class_count,
@@ -74,6 +73,7 @@ from grassperm.patterns import (
     weiner_formula,
 )
 from grassperm.perms import (
+    DEFAULT_ENUMERATION_CAP,
     Perm,
     check_cap,
     descent_positions,
@@ -178,7 +178,7 @@ ENUM_FAMILIES: dict[str, Callable[[argparse.Namespace], Iterator[str]]] = {
     "involutions": lambda args: _chunked(map(
         format_permutation, enumerate_involutions(args.n, cap=args.cap))),
     "avoiders": lambda args: grassmannian_blocks(
-        args.n, cap=args.cap, automaton=class_automaton(
+        args.n, cap=args.cap, automaton=kernels.avoiding(
             parse_permutation(_needs(args, "pattern")))),
     "dyck": lambda args: dyck_path_blocks(
         args.n, grassmannian_only=args.grassmannian_only, cap=args.cap),
@@ -199,8 +199,9 @@ def cmd_enum(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- count
 
-# count refuses sizes above this: every column stays within seconds and
-# every number far below int()'s 4300-digit printing limit
+# count and verify thm51 refuse sizes above this: every column stays
+# within seconds and every number far below int()'s 4300-digit printing
+# limit
 MAX_COUNT_SIZE = 1000
 
 
@@ -352,12 +353,17 @@ class Sweep:
 # reaches a pipe once checked.
 Row = tuple[str, object, object]
 
-# verify prop21 and prop41 refuse sizes above this: both walk each
-# size's whole family, about twice the cost of the size before.  prop21
-# tests each member with is_bigrassmannian and walks the 2413 class
-# beside it, about 2 s for a sweep to 18 on a 2-vCPU VM; prop41's image
-# row holds the family twice and prints it, a peak RSS of 172 MB at 18
+# the largest --max-n of verify prop21 and prop41: both walk each size's
+# whole family, about twice the cost of the size before.  prop21 tests
+# each member with is_bigrassmannian and walks the 2413 class beside it,
+# about 2 s for a sweep to 18 on a 2-vCPU VM; prop41's image row holds
+# the family twice and prints it, a peak RSS of 172 MB at 18
 MAX_WALKED_SIZE = 18
+
+# the largest rising pattern 12...k of verify weiner and prop31 --kmax
+# and table table1: its finite class runs to size 2k - 2, which the
+# scan counts up to kernels.MAX_SCAN_SIZE
+MAX_RISING_SIZE = (kernels.MAX_SCAN_SIZE + 2) // 2
 
 
 def verify_weiner(args: argparse.Namespace) -> Iterator[Iterator[Row]]:
@@ -378,21 +384,12 @@ def verify_theorem34(args: argparse.Namespace) -> Iterator[Iterator[Row]]:
         for n, got in zip(sizes, column):
             yield (f"sigma={name} n={n}",
                    count_avoiders_closed_form(n, sigma), got)
-    # one pattern at a time, from walks all made here, so that a size
-    # above the cap or the scan's is refused before any row
-    walks = [one_descent_patterns(size)
-             for size in range(3, args.max_size + 1)]
-    if sizes:
-        kernels.check_scan_size(sizes[-1])
-    return (rows(sigma) for walk in walks for sigma in walk)
+    # one pattern at a time, each size's walk made as the sweep reaches it
+    return (rows(sigma) for size in range(3, args.max_size + 1)
+            for sigma in one_descent_patterns(size))
 
 
 def verify_prop21(args: argparse.Namespace) -> Iterator[Iterator[Row]]:
-    if args.max_n > MAX_WALKED_SIZE:
-        raise ValueError("verify prop21 walks each size's family, so its"
-                         f" sizes end at {MAX_WALKED_SIZE},"
-                         f" got {MAX_WALKED_SIZE + 1}")
-
     def rows(n: int) -> Iterator[Row]:
         # the members that pass, from one walk of the family, in the
         # lexicographic order that the 2413 class is walked in
@@ -430,11 +427,6 @@ def verify_prop31(args: argparse.Namespace) -> Iterator[Iterator[Row]]:
 
 
 def verify_prop41(args: argparse.Namespace) -> Iterator[Iterator[Row]]:
-    if args.max_n > MAX_WALKED_SIZE:
-        raise ValueError("verify prop41 holds each size's family in memory,"
-                         f" so its sizes end at {MAX_WALKED_SIZE},"
-                         f" got {MAX_WALKED_SIZE + 1}")
-
     def rows(n: int) -> Iterator[Row]:
         image = sorted(map(path_to_permutation,
                            enumerate_grassmannian_paths(n)))
@@ -491,11 +483,6 @@ def verify_prop46(args: argparse.Namespace) -> Iterator[Iterator[Row]]:
 
 
 def verify_thm51(args: argparse.Namespace) -> Iterator[Iterator[Row]]:
-    # as in count: every row within seconds, every number far below
-    # int()'s 4300-digit printing limit
-    if args.max_n > MAX_COUNT_SIZE:
-        raise ValueError(f"verify thm51 sizes end at {MAX_COUNT_SIZE},"
-                         f" got {MAX_COUNT_SIZE + 1}")
     # the word counts of the odd members, and the core walk for the sizes
     # up to 14: one column each, a row per block
     words = kernels.word_counts(kernels.ODD, range(1, args.max_n + 1))
@@ -548,56 +535,65 @@ def verify_prop53(args: argparse.Namespace) -> Iterator[Iterator[Row]]:
     return (rows(n) for n in range(1, args.max_n + 1))
 
 
-# target -> (blocks, one-line description, defaults of unset flags)
+# target -> (blocks, one-line description, flag -> (its default, the
+# largest value the sweep takes)).  The largest is the last value that
+# the sweep's walks and counters reach; cmd_verify refuses a larger one
+# before the sweep starts, so that a sweep refuses at once or runs to
+# its end.
 VERIFY_TARGETS: dict[str, tuple[Callable[[argparse.Namespace],
                                          Iterable[Iterator[Row]]], str,
-                                dict[str, int]]] = {
+                                dict[str, tuple[int, int]]]] = {
     "weiner": (verify_weiner,
                "finite-class walk counts equal the alternating-sum formula",
-               {"kmax": 10}),
+               {"kmax": (10, MAX_RISING_SIZE)}),
     "theorem34": (verify_theorem34,
                   "one-descent pattern classes follow 1 + sum C(n,j-1)",
-                  {"max_n": 10, "max_size": 5}),
+                  {"max_n": (10, kernels.MAX_SCAN_SIZE),
+                   "max_size": (5, DEFAULT_ENUMERATION_CAP)}),
     "prop21": (verify_prop21,
                "doubly one-descent members are the 2413-avoiders,"
                " 1 + C(n+1,3) many",
-               {"max_n": 10}),
+               {"max_n": (10, MAX_WALKED_SIZE)}),
     "prop22": (verify_prop22,
                "family-plus-inverses count equals the two-pattern class",
-               {"max_n": 10}),
+               {"max_n": (10, kernels.MAX_SCAN_SIZE)}),
     "prop23": (verify_prop23,
                "self-inverse members match the quadratic count",
-               {"max_n": 10}),
+               {"max_n": (10, DEFAULT_ENUMERATION_CAP)}),
     "prop31": (verify_prop31,
                "finite classes end in Catalan and twice-Catalan counts",
-               {"kmax": 9}),
+               {"kmax": (9, MAX_RISING_SIZE)}),
     "prop41": (verify_prop41,
                "single-long-ascent paths map onto the whole family",
-               {"max_n": 9}),
+               {"max_n": (9, MAX_WALKED_SIZE)}),
     "prop42": (verify_prop42,
                "few-high-peak paths map onto k12...(k-1) avoiders",
-               {"max_n": 9}),
+               {"max_n": (9, DEFAULT_ENUMERATION_CAP)}),
     "prop43": (verify_prop43,
                "bounded-height paths map onto 23...k1 avoiders",
-               {"max_n": 9}),
+               {"max_n": (9, DEFAULT_ENUMERATION_CAP)}),
     "prop46": (verify_prop46,
                "flat-step words map onto 35124 avoiders via Lehmer codes",
-               {"max_n": 9}),
+               # the 35124 class is walked at size n + 1
+               {"max_n": (9, DEFAULT_ENUMERATION_CAP - 1)}),
     "thm51": (verify_thm51,
               "odd-count recurrence, closed form, oracle, and both"
               " size-raising maps",
-              {"max_n": 40}),
+              {"max_n": (40, MAX_COUNT_SIZE)}),
     "prop53": (verify_prop53,
                "inversion parity equals even-height peak parity",
-               {"max_n": 10}),
+               {"max_n": (10, DEFAULT_ENUMERATION_CAP)}),
 }
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    blocks, _, defaults = VERIFY_TARGETS[args.target]
-    for flag, value in defaults.items():
+    blocks, _, flags = VERIFY_TARGETS[args.target]
+    for flag, (default, largest) in flags.items():
         if getattr(args, flag) is None:
-            setattr(args, flag, value)
+            setattr(args, flag, default)
+        if getattr(args, flag) > largest:
+            raise ValueError(f"verify {args.target} --{flag.replace('_', '-')}"
+                             f" ends at {largest}, got {largest + 1}")
     sweep = Sweep()
     for block in blocks(args):
         for row in block:
@@ -613,8 +609,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     if args.which == "table1":
-        if not 2 <= args.kmax <= 14:
-            raise ValueError("table1 supports --kmax 2..14")
+        if not 2 <= args.kmax <= MAX_RISING_SIZE:
+            raise ValueError(f"table1 supports --kmax 2..{MAX_RISING_SIZE}")
         for k in range(2, args.kmax + 1):
             row = [finite_class_count(m, k) for m in range(k, 2 * k - 1)]
             print(",".join([str(k)] + [str(v) for v in row]))
@@ -697,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
     for flag, what in (("kmax", "largest rising-pattern size"),
                        ("max_n", "largest size swept"),
                        ("max_size", "largest pattern size")):
-        defaults = ", ".join(f"{name} default {values[flag]}"
+        defaults = ", ".join(f"{name} default {values[flag][0]}"
                              for name, (_, _, values) in VERIFY_TARGETS.items()
                              if flag in values)
         verify.add_argument("--" + flag.replace("_", "-"), type=int,
@@ -708,8 +704,8 @@ def build_parser() -> argparse.ArgumentParser:
         "table", help="reproduce the two summary tables as CSV")
     table.add_argument("which", choices=["table1", "table2"])
     table.add_argument("--kmax", type=int, default=10,
-                       help="table1: last rising-pattern size, 2..14"
-                            " (default 10)")
+                       help="table1: last rising-pattern size,"
+                            f" 2..{MAX_RISING_SIZE} (default 10)")
     table.set_defaults(run=cmd_table)
 
     mapper = sub.add_parser(

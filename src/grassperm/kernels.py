@@ -17,7 +17,7 @@ on a signature of the prefix.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 from grassperm.perms import descent_positions
 
@@ -67,11 +67,6 @@ def word_counts(automaton: tuple, sizes: range) -> Iterator[int]:
                       if accepts(state)) - surplus(n)
 
 
-def count_words(automaton: tuple, n: int) -> int:
-    """The automaton's count at the one size n."""
-    return next(word_counts(automaton, range(n, n + 1)))
-
-
 # every word: 2^n - n members
 ONE_DESCENT = (0, lambda state, letter: 0, lambda state: True, lambda n: n)
 
@@ -116,9 +111,9 @@ def descent_at(k: int) -> tuple:
     return 0, step, lambda a: a == k, lambda n: n >= k
 
 
-def avoiding(sigma: tuple[int, ...]) -> tuple:
-    """The members avoiding a pattern sigma with fewer than two
-    descents; one with more is refused, as every member avoids it.
+def avoiding(sigma: Sequence[int]) -> tuple:
+    """The members avoiding a pattern sigma: ONE_DESCENT, every word,
+    for a pattern with two or more descents, which every member avoids.
 
     A one-descent sigma is itself a word over {A, B}, and a member
     contains it exactly when that word is a subsequence of the member's
@@ -137,7 +132,7 @@ def avoiding(sigma: tuple[int, ...]) -> tuple:
         raise ValueError("pattern must be non-empty")
     descents = descent_positions(sigma)
     if len(descents) > 1:
-        raise ValueError("pattern has two or more descents")
+        return ONE_DESCENT
     if not descents:
         def rise(state: tuple[int, int], letter: str) -> tuple | None:
             d, lis = state
@@ -165,18 +160,22 @@ def count_grassmannian_avoiding_increasing(m: int, k: int) -> int:
     check_scan_size(m)
     if k < 1:
         raise ValueError(f"pattern length {k} must be at least 1")
-    return count_words(avoiding(tuple(range(1, min(k, m + 1) + 1))), m)
+    return next(word_counts(avoiding(tuple(range(1, min(k, m + 1) + 1))),
+                            range(m, m + 1)))
 
 
 def count_grassmannian_avoiders(n: int, sigma: tuple[int, ...]) -> int:
     """Count one-descent permutations of size n containing no
-    occurrence of the pattern sigma: avoiding(sigma) at size n.
+    occurrence of the pattern sigma: avoiding(sigma) at size n, so
+    2^n - n for a pattern with two or more descents.
 
     >>> count_grassmannian_avoiders(6, (1, 3, 2))
     16
+    >>> count_grassmannian_avoiders(6, (3, 2, 1))
+    58
     """
     check_scan_size(n)
-    return count_words(avoiding(sigma), n)
+    return next(word_counts(avoiding(sigma), range(n, n + 1)))
 
 
 def count_sn_avoiding_321_2143(n: int) -> int:

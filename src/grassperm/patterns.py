@@ -16,9 +16,9 @@ oracle column of every pattern, picks by its shape the automaton of
 kernels.avoiding, which shares no code with the formulas and which the
 tests hold to the reference, or a scan with contains_pattern.
 enumerate_avoiders lists any pattern's class by the family's walk on
-class_automaton(sigma), the same automaton or, past one descent, the
-whole family's, so it tests no member for the pattern and costs time
-in proportion to its output; the tests hold it to the filter by
+kernels.avoiding(sigma), past one descent the whole family's
+automaton, so it tests no member for the pattern and costs time in
+proportion to its output; the tests hold it to the filter by
 contains_pattern.
 """
 
@@ -79,28 +79,19 @@ def contains_pattern(p: Sequence[int], sigma: Sequence[int]) -> bool:
     return extend(0, 0)
 
 
-def class_automaton(sigma: Sequence[int]) -> tuple:
-    """The automaton of sigma's class in the one-descent family:
-    kernels.avoiding(sigma), or kernels.ONE_DESCENT for a pattern with
-    two or more descents, which the whole family avoids."""
-    sigma = tuple(sigma)
-    if len(descent_positions(sigma)) > 1:
-        return kernels.ONE_DESCENT
-    return kernels.avoiding(sigma)
-
-
 def enumerate_avoiders(n: int, sigma: Sequence[int],
                        *, cap: int | None = None) -> Iterator[Perm]:
     """Members of the size-n one-descent family avoiding sigma, in
     lexicographic order, streamed; n is checked against the cap at the
-    call.  The family's walk runs on class_automaton(sigma) and cuts
+    call.  The family's walk runs on kernels.avoiding(sigma) and cuts
     every prefix whose word is dead, so no member is tested for the
     pattern, and the time is proportional to the output.
 
     >>> list(enumerate_avoiders(4, (1, 2, 3)))
     [(2, 4, 1, 3), (3, 4, 1, 2)]
     """
-    return enumerate_grassmannian(n, cap=cap, automaton=class_automaton(sigma))
+    return enumerate_grassmannian(n, cap=cap,
+                                  automaton=kernels.avoiding(sigma))
 
 
 def avoider_counts(sigma: Sequence[int], sizes: range,
@@ -119,12 +110,6 @@ def avoider_counts(sigma: Sequence[int], sizes: range,
     for n in sizes:
         kernels.check_scan_size(n)
         yield next(counts)
-
-
-def count_avoiders_by_scan(n: int, sigma: Sequence[int],
-                           *, cap: int | None = None) -> int:
-    """avoider_counts at the one size n."""
-    return next(avoider_counts(sigma, range(n, n + 1), cap=cap))
 
 
 def count_avoiders_closed_form(n: int, sigma: Sequence[int]) -> int:

@@ -113,6 +113,11 @@ MORE = [
     ["descent-at", "--n", "6", "--oracle"],
     ["finite-class", "--n", "3..5"],
     ["finite-class", "--n", "3..5", "--oracle"],
+    # more oracle columns on small ranges
+    ["grassmannian", "--n", "1..6", "--oracle"],
+    ["grassmannian", "--n", "6", "--oracle"],
+    ["descent-at", "--k", "3", "--n", "4..12", "--oracle"],
+    ["avoiders", "--pattern", "4231", "--n", "1..9", "--oracle"],
 ]
 
 
@@ -213,7 +218,8 @@ MAP_VALUES = [
 
 
 # verify: every target at its defaults (made in commands from
-# cli.VERIFY_TARGETS), then at a few bounds and at each refusal
+# cli.VERIFY_TARGETS), then at a few bounds and at each refusal; a test
+# holds the bound + 1 lines to cli.VERIFY_TARGETS
 VERIFY_MORE = [
     ["weiner", "--kmax", "2"],
     ["weiner", "--kmax", "14"],
@@ -221,6 +227,7 @@ VERIFY_MORE = [
     ["theorem34", "--max-n", "12", "--max-size", "6"],
     ["prop21", "--max-n", "1"],
     ["prop21", "--max-n", "12"],
+    ["prop22", "--max-n", "2"],
     ["prop22", "--max-n", "14"],
     ["prop23", "--max-n", "14"],
     ["prop31", "--kmax", "2"],
@@ -232,6 +239,7 @@ VERIFY_MORE = [
     ["thm51", "--max-n", "0"],  # the map rows only
     ["thm51", "--max-n", "14"],  # the last oracle row
     ["thm51", "--max-n", "1000"],
+    ["prop53", "--max-n", "8"],
     ["prop53", "--max-n", "11"],
     # an empty range
     ["weiner", "--kmax", "1"],
@@ -239,7 +247,7 @@ VERIFY_MORE = [
     ["theorem34", "--max-n", "0"],
     ["prop21", "--max-n", "0"],
     ["prop22", "--max-n", "-1"],
-    # the walked sizes, the count sizes and the scan bound
+    # each flag's bound + 1
     ["prop21", "--max-n", "19"],
     ["prop21", "--max-n", "100000000"],
     ["prop41", "--max-n", "19"],
@@ -247,6 +255,13 @@ VERIFY_MORE = [
     ["weiner", "--kmax", "15"],
     ["theorem34", "--max-n", "27"],
     ["prop31", "--kmax", "15"],
+    ["prop22", "--max-n", "27"],
+    ["prop23", "--max-n", "26"],
+    ["prop42", "--max-n", "26"],
+    ["prop43", "--max-n", "26"],
+    ["prop46", "--max-n", "25"],
+    ["prop53", "--max-n", "26"],
+    ["theorem34", "--max-size", "26"],
 ]
 
 # table: both tables, and the --kmax bounds of table1 (table2 has none)

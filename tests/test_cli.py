@@ -23,6 +23,7 @@ from grassperm.grassmann import (
     TAIL_VALUES,
     count_bigrassmannian,
     count_involutions,
+    count_union_with_inverse,
     enumerate_grassmannian,
     grassmannian_blocks,
     inverse_is_grassmannian,
@@ -36,7 +37,6 @@ from grassperm.patterns import (
     finite_class_count,
     finite_class_formula,
     one_descent_patterns,
-    weiner_formula,
 )
 from grassperm.perms import (
     direct_sum,
@@ -588,14 +588,6 @@ def test_count_oracle_caps_end_at_the_scan_bound(capsys, monkeypatch):
     assert (code, err) == (0, "count: 5\n")
 
 
-@pytest.fixture
-def no_fork(monkeypatch):
-    """Make os.fork raise, so that a command that forks fails."""
-    def refuse():
-        raise AssertionError("forked a child")
-    monkeypatch.setattr(os, "fork", refuse)
-
-
 def test_member_weights_ignore_a_fixed_first_value():
     # the core walk counts the size-n members 1 + q with the weights of
     # their q, so every weight it takes must give 1 + q what it gives q
@@ -868,7 +860,7 @@ def test_oracle_column_raises_the_first_error_in_row_order(capsys,
         assert err.startswith(f"error: {message}"), refused
 
 
-def test_oracle_column_drops_sizes_above_a_refusal(capsys, no_fork):
+def test_oracle_column_drops_sizes_above_a_refusal(capsys):
     # a first size above the cap is refused before the sizes below it
     # are walked, and the sizes above a refusal cost nothing
     start = time.perf_counter()
@@ -903,28 +895,6 @@ def test_failing_weight_stops_the_column(capsys, monkeypatch):
     rows = "".join(f"{n},{count_involutions(n)},{count_involutions(n)},true\n"
                    for n in range(1, 8))
     assert capsys.readouterr().out == "n,formula,oracle,agree\n" + rows
-
-
-def test_oracle_column_runs_without_fork(capsys, no_fork, monkeypatch):
-    # count and verify compute every row in this process: os.fork raises
-    header = "n,formula,oracle,agree\n"
-    rows = "".join(f"{n},{2 ** n - n},{2 ** n - n},true\n"
-                   for n in range(1, 7))
-    assert run(capsys, "count", "grassmannian", "--n", "1..6",
-               "--oracle")[:2] == (0, header + rows)
-    assert run(capsys, "count", "grassmannian", "--n", "6",
-               "--oracle")[:2] == (0, header + "6,58,58,true\n")
-    for argv in (["count", "union-inverse", "--n", "1..12", "--oracle"],
-                 ["count", "descent-at", "--k", "3", "--n", "4..12",
-                  "--oracle"],
-                 ["count", "avoiders", "--pattern", "4231", "--n", "1..9",
-                  "--oracle"],
-                 ["verify", "prop22", "--max-n", "2"],
-                 ["verify", "prop53", "--max-n", "8"]):
-        assert run(capsys, *argv)[0] == 0, argv
-    monkeypatch.delattr(os, "fork")
-    assert run(capsys, "count", "grassmannian", "--n", "1..6",
-               "--oracle")[:2] == (0, header + rows)
 
 
 # runs a command; with SLOW_N14 set, the core-walk weights of count
@@ -1098,8 +1068,7 @@ VERIFY_SMALL = [
 
 @pytest.mark.parametrize("target,flags", VERIFY_SMALL,
                          ids=[t for t, _ in VERIFY_SMALL])
-def test_verify_targets(capsys, no_fork, target, flags):
-    # the blocks are checked in-process: os.fork raises
+def test_verify_targets(capsys, target, flags):
     code, out, err = run(capsys, "verify", target, *flags)
     assert code == 0
     assert "FAIL" not in out
@@ -1135,8 +1104,6 @@ def test_prop22_counts_the_sn_class_at_every_scan_size(capsys):
     assert (code, err) == (0, f"prop22: {top} checks, all agree\n")
     assert len(rows) == top
     assert all(row.startswith("ok   n=") for row in rows)
-    assert run(capsys, "verify", "prop22", "--max-n", str(top + 1)) == (
-        2, out, f"error: scan size {top + 1} outside 1..{top}\n")
 
 
 def test_prop22_oracle_is_the_sn_counter_above_12(capsys, monkeypatch):
@@ -1167,13 +1134,14 @@ def test_empty_sweep_is_refused(capsys, flags):
                    " in this range\n")
 
 
-def test_sweep_streams_rows_before_a_refusal(capsys):
-    # k = 15 needs size 28, beyond the scan; the rows up to there print
-    code, out, err = run(capsys, "verify", "weiner", "--kmax", "15")
-    assert code == 2
-    assert out.splitlines()[-1] == (
-        f"ok   rising k=15 m=26: {weiner_formula(26, 15)}")
-    assert err.startswith("error: ")
+def test_sweep_streams_rows_before_a_refusal(capsys, monkeypatch):
+    # a block that refuses ends the sweep after the rows before it: with
+    # the scan cut to 8, the S_n counter refuses n = 9
+    monkeypatch.setattr(kernels, "MAX_SCAN_SIZE", 8)
+    code, out, err = run(capsys, "verify", "prop22", "--max-n", "12")
+    assert (code, err) == (2, "error: scan size 9 outside 1..8\n")
+    assert out == "".join(f"ok   n={n}: {count_union_with_inverse(n)}\n"
+                          for n in range(1, 9))
 
 
 def test_theorem34_makes_its_blocks_one_pattern_at_a_time(capsys):
@@ -1192,14 +1160,6 @@ def test_theorem34_makes_its_blocks_one_pattern_at_a_time(capsys):
         tracemalloc.stop()
     assert first == [("sigma=132 n=1", 1, 1), ("sigma=132 n=2", 2, 2)]
     assert peak < 256 * 1024
-    # a size above the enumeration cap is refused before any row
-    code, out, err = run(capsys, "verify", "theorem34", "--max-size", "26",
-                         "--max-n", "1")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: size 26 exceeds the enumeration cap 25;")
-    # and so is a size above the scan's
-    code, out, err = run(capsys, "verify", "theorem34", "--max-n", "27")
-    assert (code, out, err) == (2, "", "error: scan size 27 outside 1..26\n")
 
 
 def test_theorem34_rows_check_the_pattern_automaton(capsys, monkeypatch):
@@ -1227,46 +1187,55 @@ def reached(*args, **kwargs):
     raise Reached
 
 
-def test_prop41_refuses_sizes_above_18(capsys, monkeypatch):
-    # n = 18 is checked; above it the sweep is refused when its blocks
-    # are made, before any row
-    blocks = list(cli.verify_prop41(argparse.Namespace(max_n=18)))
-    monkeypatch.setattr(cli, "enumerate_grassmannian_paths", reached)
-    with pytest.raises(Reached):
-        next(blocks[17])
-    refusal = ("error: verify prop41 holds each size's family in memory,"
-               " so its sizes end at 18, got 19\n")
-    for n in ("19", "30"):
+def largest(target, flag):
+    """The largest value of a verify flag, as its target states it."""
+    return cli.VERIFY_TARGETS[target][2][flag][1]
+
+
+VERIFY_FLAGS = [(target, flag) for target, (_, _, flags)
+                in cli.VERIFY_TARGETS.items() for flag in flags]
+
+
+@pytest.mark.parametrize("target, flag", VERIFY_FLAGS,
+                         ids=[" ".join(pair) for pair in VERIFY_FLAGS])
+def test_verify_refuses_a_flag_above_its_bound(capsys, monkeypatch, target,
+                                               flag):
+    # refused before the target makes a block, so nothing reaches
+    # stdout; the message quotes the first value over the bound, not the
+    # one typed
+    bound = largest(target, flag)
+    option = "--" + flag.replace("_", "-")
+    refusal = (2, "", f"error: verify {target} {option} ends at {bound},"
+                      f" got {bound + 1}\n")
+    _, doc, flags = cli.VERIFY_TARGETS[target]
+    for value in (str(bound + 1), str(10 ** 8)):
+        with monkeypatch.context() as patch:
+            patch.setitem(cli.VERIFY_TARGETS, target, (reached, doc, flags))
+            assert run(capsys, "verify", target, option, value) == refusal
         start = time.perf_counter()
-        assert run(capsys, "verify", "prop41", "--max-n", n) == (
-            2, "", refusal), n
-        assert time.perf_counter() - start < 1, n
+        assert run(capsys, "verify", target, option, value) == refusal
+        assert time.perf_counter() - start < 1, value
 
 
-def test_prop21_refuses_sizes_above_18(capsys, monkeypatch):
-    # n = 18 is checked; above it the sweep is refused when its blocks
-    # are made, before either row walks
-    blocks = list(cli.verify_prop21(argparse.Namespace(max_n=18)))
-    monkeypatch.setattr(cli, "enumerate_grassmannian", reached)
-    with pytest.raises(Reached):
-        next(blocks[17])
-    refusal = ("error: verify prop21 walks each size's family, so its"
-               " sizes end at 18, got 19\n")
-    for n in ("19", "30"):
-        start = time.perf_counter()
-        assert run(capsys, "verify", "prop21", "--max-n", n) == (
-            2, "", refusal), n
-        assert time.perf_counter() - start < 1, n
-
-
-@pytest.mark.parametrize("target, flag, last", [
-    ("prop22", "--max-n", "ok   n=26: 134214750"),
-    ("weiner", "--kmax", f"ok   rising k=15 m=26: {weiner_formula(26, 15)}"),
+@pytest.mark.parametrize("target, walk", [
+    ("prop21", "enumerate_grassmannian"),
+    ("prop41", "enumerate_grassmannian_paths"),
 ])
-def test_sweep_makes_its_blocks_as_it_reaches_them(capsys, target, flag,
-                                                   last):
-    # a list of 10^6 blocks took 222 MB before the first row, so this
-    # fails before the command below could ask for 10^8 of them
+def test_walked_sweeps_reach_their_largest_size(monkeypatch, target, walk):
+    # the block of the largest size walks that size's family
+    n = largest(target, "max_n")
+    assert n == cli.MAX_WALKED_SIZE
+    blocks = list(cli.VERIFY_TARGETS[target][0](argparse.Namespace(max_n=n)))
+    monkeypatch.setattr(cli, walk, reached)
+    with pytest.raises(Reached):
+        next(blocks[n - 1])
+
+
+@pytest.mark.parametrize("target", ["prop22", "weiner"])
+def test_sweep_makes_its_blocks_as_it_reaches_them(target):
+    # a list of 10^6 blocks took 222 MB before the first row; a target
+    # called directly takes any bound, and still makes one block at a
+    # time
     args = argparse.Namespace(max_n=10 ** 6, kmax=10 ** 6)
     tracemalloc.start()
     try:
@@ -1276,20 +1245,12 @@ def test_sweep_makes_its_blocks_as_it_reaches_them(capsys, target, flag,
     finally:
         tracemalloc.stop()
     assert first and peak < 256 * 1024, peak
-    # the rows print up to the scan's largest size, then its refusal
-    code, out, err = run(capsys, "verify", target, flag, str(10 ** 8))
-    assert code == 2
-    assert out.splitlines()[-1] == last
-    assert err == "error: scan size 27 outside 1..26\n"
 
 
-def test_thm51_refuses_sizes_above_the_count_limit(capsys):
-    # past it the odd counts near int()'s 4300-digit printing limit; the
-    # sweep is refused when its blocks are made, before any row
-    n = cli.MAX_COUNT_SIZE
-    for max_n in (n + 1, 10 ** 8):
-        assert run(capsys, "verify", "thm51", "--max-n", str(max_n)) == (
-            2, "", f"error: verify thm51 sizes end at {n}, got {n + 1}\n")
+def test_thm51_checks_up_to_the_count_limit():
+    # past it the odd counts near int()'s 4300-digit printing limit
+    n = largest("thm51", "max_n")
+    assert n == cli.MAX_COUNT_SIZE
     blocks = list(cli.verify_thm51(argparse.Namespace(max_n=n)))
     assert len(blocks) == n + 5
     rows = [row for block in blocks[:n] for row in block]
@@ -1329,11 +1290,11 @@ def test_verify_help_describes_every_target(capsys):
     assert exc.value.code == 0
     # argparse wraps lines, also after hyphens, so compare without spaces
     text = "".join(capsys.readouterr().out.split())
-    for name, (_, doc, defaults) in cli.VERIFY_TARGETS.items():
+    for name, (_, doc, flags) in cli.VERIFY_TARGETS.items():
         assert "".join(f"{name}: {doc}".split()) in text
         # the help names every default that cmd_verify fills in
-        for value in defaults.values():
-            assert f"{name}default{value}" in text, name
+        for default, _ in flags.values():
+            assert f"{name}default{default}" in text, name
     assert "<function" not in text
 
 

@@ -15,13 +15,13 @@ from grassperm.grassmann import (
     sole_descent,
 )
 from grassperm.patterns import (
+    avoider_counts,
     contains_pattern,
-    count_avoiders_by_scan,
     count_avoiders_closed_form,
     weiner_formula,
 )
 from grassperm.parity import odd_count
-from grassperm.perms import inverse, inversion_count
+from grassperm.perms import descent_positions, inverse, inversion_count
 
 PATTERNS = [(1, 2), (1, 2, 3), (1, 3, 2), (2, 3, 1), (1, 2, 3, 4),
             (2, 4, 1, 3), (3, 1, 2, 4), (1, 2, 3, 4, 5), (3, 5, 1, 2, 4)]
@@ -38,11 +38,21 @@ def test_avoider_count_matches_enumeration():
         for n in range(1, 13):
             assert kernels.count_grassmannian_avoiders(n, sigma) == \
                 brute_avoiders(n, sigma), (sigma, n)
-    # the kernel refuses these; the scan counts them by enumeration
+    # the oracle column scans these by enumeration
     for sigma in TWO_DESCENT_PATTERNS:
-        for n in range(1, 13):
-            assert count_avoiders_by_scan(n, sigma) == \
-                brute_avoiders(n, sigma), (sigma, n)
+        assert list(avoider_counts(sigma, range(1, 13))) == [
+            brute_avoiders(n, sigma) for n in range(1, 13)], sigma
+
+
+def test_two_descent_count_is_the_scan():
+    # the whole family avoids a pattern with two or more descents, so
+    # the kernel counts every word; the oracle column still scans
+    for sigma in itertools.permutations(range(1, 5)):
+        if len(descent_positions(sigma)) < 2:
+            continue
+        assert [kernels.count_grassmannian_avoiders(n, sigma)
+                for n in range(1, 9)] == list(
+            avoider_counts(sigma, range(1, 9))), sigma
 
 
 def longest_rising(p):
@@ -174,8 +184,7 @@ def test_scan_guards():
                                             (1, 3, 2))
     with pytest.raises(ValueError):
         kernels.count_grassmannian_avoiders(5, ())
-    with pytest.raises(ValueError):
-        kernels.count_grassmannian_avoiders(5, (3, 2, 1))
+    assert kernels.count_grassmannian_avoiders(5, (3, 2, 1)) == 2 ** 5 - 5
     with pytest.raises(ValueError):
         kernels.count_sn_avoiding_321_2143(0)
     with pytest.raises(ValueError):
@@ -233,7 +242,7 @@ def test_word_counts_give_each_size_of_a_column():
     for automaton in (kernels.ONE_DESCENT, kernels.ONE_BA, kernels.ODD,
                       kernels.EVEN, kernels.descent_at(3)):
         column = list(kernels.word_counts(automaton, range(3, 41)))
-        assert column == [kernels.count_words(automaton, n)
+        assert column == [next(kernels.word_counts(automaton, range(n, n + 1)))
                           for n in range(3, 41)]
     assert list(kernels.word_counts(kernels.ONE_BA, range(1, 8))) == [
         1, 2, 5, 11, 21, 36, 57]  # 1 + C(n+1, 3)
@@ -242,7 +251,8 @@ def test_word_counts_give_each_size_of_a_column():
 def test_odd_member_count_matches_enumeration():
     for n in range(1, 15):
         odd = sum(inversion_count(p) % 2 for p in enumerate_grassmannian(n))
-        assert kernels.count_words(kernels.ODD, n) == odd, n
+        assert next(kernels.word_counts(kernels.ODD, range(n, n + 1))) == \
+            odd, n
 
 
 def test_odd_member_count_matches_closed_form():
