@@ -276,27 +276,19 @@ def cmd_count(args: argparse.Namespace) -> int:
         raise ValueError(f"sizes end at {MAX_COUNT_SIZE}, got"
                          f" {shown(args.n.strip())}")
     formula, oracle = COUNT_FAMILIES[args.family](args)
-    # The formula column comes first, up to its first refusal, and the
-    # oracle runs only on the sizes before that.  A CSV or b-file row is
-    # written as soon as its oracle value is known, so the first error a
-    # row-by-row loop would meet (the oracle's, which the column raises
-    # in row order, else the formula's refusal) ends the table after the
-    # rows before it.  Before each oracle value after the first, stdout
-    # is flushed, so that the rows before reach a pipe then and not at
-    # exit.  A JSON document is written whole or not at all.
-    formulas: list[int] = []
-    refusal = None
-    for n in sizes:
-        try:
-            formulas.append(formula(n))
-        except ValueError as exc:
-            refusal = exc
-            break
-    checked = sizes[:len(formulas)]
-    column = oracle(checked) if args.oracle else None
+    # Row by row: each size's formula, then the next value of the oracle
+    # column, built over the whole range.  Every column is lazy, so no
+    # size past the last row pulled runs, and the first error of either
+    # side ends the table after the rows before it.  A CSV or b-file row is
+    # written as soon as it is known, and stdout is flushed before each
+    # oracle value after the first, so that the rows before reach a pipe
+    # then and not at exit.  A JSON document is written whole or not at
+    # all.
+    column = oracle(sizes) if args.oracle else None
     header = ["n", "formula"] + (["oracle", "agree"] if args.oracle else [])
     rows: list[dict[str, object]] = []
-    for n, value in zip(checked, formulas):
+    for n in sizes:
+        value = formula(n)
         row: dict[str, object] = {"n": n, "formula": value}
         if column is not None:
             if rows:
@@ -312,8 +304,6 @@ def cmd_count(args: argparse.Namespace) -> int:
             print(",".join(str(row[key]).lower()
                            if key == "agree" else str(row[key])
                            for key in header))
-    if refusal is not None:
-        raise refusal
     if args.format == "json":
         import json
         print(json.dumps(rows))
@@ -378,10 +368,9 @@ def verify_theorem34(args: argparse.Namespace) -> Iterator[Iterator[Row]]:
     sizes = range(1, args.max_n + 1)
 
     def rows(sigma: Perm) -> Iterator[Row]:
-        # one pass of the pattern's automaton over every size
+        # the pattern's one oracle column, over every size
         name = format_permutation(sigma)
-        column = kernels.word_counts(kernels.avoiding(sigma), sizes)
-        for n, got in zip(sizes, column):
+        for n, got in zip(sizes, avoider_counts(sigma, sizes)):
             yield (f"sigma={name} n={n}",
                    count_avoiders_closed_form(n, sigma), got)
     # one pattern at a time, each size's walk made as the sweep reaches it

@@ -143,77 +143,68 @@ def _dyck_walk(n: int, most: int) -> Iterator[str]:
     The walk is a preorder in which a node's D branch comes before its
     U branch.
 
-    A node is a prefix with its height h, the up-steps r still to
-    place, its current U-run (0 after a D, 1 after its first U, 2
-    beyond) and the long ascents it may still start.  Once at most
-    TAIL_STEPS steps remain (2r + h of them) the node's whole subtree
-    is the prefix plus each entry, in order, of
+    A node is a prefix and its key (h, r, run, left): its height, the
+    up-steps still to place, its current U-run (0 after a D, 1 after
+    its first U, 2 beyond) and the long ascents it may still start.
+    moves(key) gives the node's steps in order, each with the key it
+    leads to: D if h > 0, then U if r > 0, unless run = 1 and left = 0,
+    since that U would make the run long; the U that does make a run
+    long spends one of left.  left is capped at r, which is all a
+    suffix with r up-steps can use, so keys that differ only in an
+    unusable allowance are one key.  Each key's moves are made once per
+    call, as it is met.
 
-        completions(h, 0, run, left) = [D^h]
-        completions(h, r, run, left) = D + completions(h - 1, r, 0, left)
-                                           if h > 0
-                                     + U + completions(h + 1, r - 1,
-                                                       run', left')
-                                           unless run = 1 and left = 0
-
-    where run' is 1 after a D and 2 otherwise, and the U that makes a
-    run long spends one of left.  left is capped at r, which is all a
-    suffix with r up-steps can use, so suffixes that differ only in an
-    unusable allowance share one entry.  The table is filled as keys
-    are met, once per call; it holds suffixes of at most TAIL_STEPS
-    steps, a fixed size whatever n is.  A subtree is the prefix, then
-    the entries joined by a newline and the prefix, then a newline:
-    one join in C and no string per path.  Only the nodes above the
-    tails are visited one at a time.  The stack holds at most one
-    waiting branch per step of the current prefix, each with a prefix
-    of at most 2n steps, so memory grows with n^2.
+    Once at most TAIL_STEPS steps remain (2r + h of them) the node's
+    whole subtree is the prefix plus each entry, in order, of
+    completions(key): each step of moves(key) followed by each entry
+    for the key it leads to, or the empty suffix for a finished path.
+    The table is filled as keys are met, once per call; it holds
+    suffixes of at most TAIL_STEPS steps, a fixed size whatever n is.
+    A subtree is the prefix, then the entries joined by a newline and
+    the prefix, then a newline: one join in C and no string per path.
+    Only the nodes above the tails are visited one at a time, each
+    pushing its moves on a stack, the last first.  The stack holds at
+    most one waiting branch per step of the current prefix, each with a
+    prefix of at most 2n steps, so memory grows with n^2.
     """
-    table: dict[tuple[int, int, int, int], list[str]] = {}
+    known: dict[tuple[int, int, int, int], list[tuple[str, tuple]]] = {}
 
-    def completions(h: int, r: int, run: int, left: int) -> list[str]:
-        key = (h, r, run, left)
-        if key in table:
-            return table[key]
-        if r == 0:
-            out = ["D" * h]
-        else:
-            out = []
-            if h > 0:
-                out += ["D" + s for s in completions(h - 1, r, 0, left)]
-            if run != 1:
-                out += ["U" + s for s in completions(
-                    h + 1, r - 1, 1 if run == 0 else 2, min(left, r - 1))]
-            elif left:
-                out += ["U" + s for s in completions(
-                    h + 1, r - 1, 2, min(left - 1, r - 1))]
-        table[key] = out
+    def moves(key: tuple[int, int, int, int]) -> list[tuple[str, tuple]]:
+        h, r, run, left = key
+        out = [("D", (h - 1, r, 0, left))] if h > 0 else []
+        if r and (run != 1 or left):
+            out.append(("U", (h + 1, r - 1, 1 if run == 0 else 2,
+                              min(left - (run == 1), r - 1))))
+        known[key] = out
         return out
 
-    # downs[h]: the forced rest of a path at height h with every
-    # up-step placed, and its newline
-    downs = ["D" * h + "\n" for h in range(n + 1)]
-    # prefix, height, up-steps so far, the current U-run and the long
-    # ascents so far
-    stack = [("", 0, 0, 0, 0)]
+    table: dict[tuple[int, int, int, int], list[str]] = {}
+
+    def completions(key: tuple[int, int, int, int]) -> list[str]:
+        if key not in table:
+            # only a finished path, at height 0 with no up-step left,
+            # has no move; its one completion is the empty suffix
+            table[key] = [step + s
+                          for step, nxt in known.get(key) or moves(key)
+                          for s in completions(nxt)] or [""]
+        return table[key]
+
+    stack = [("", (0, n, 0, min(most, n)))]
     pop, push = stack.pop, stack.append
     while stack:
-        prefix, h, ups, run, longs = pop()
-        r = n - ups
+        prefix, key = pop()
+        h, r, _, _ = key
         if 2 * r + h <= TAIL_STEPS:
-            tails = completions(h, r, run, min(most - longs, r))
-            yield prefix + ("\n" + prefix).join(tails) + "\n"
+            yield prefix + ("\n" + prefix).join(completions(key)) + "\n"
             continue
-        if r == 0:  # all n up-steps placed: the rest is forced
-            yield prefix + downs[h]
-            continue
-        # pushed U first so that the D branch comes out first; a run's
-        # second U makes it long, and is refused once `most` are spent
-        if run != 1:
-            push((prefix + "U", h + 1, ups + 1, 1 if run == 0 else 2, longs))
-        elif longs != most:
-            push((prefix + "U", h + 1, ups + 1, 2, longs + 1))
-        if h > 0:
-            push((prefix + "D", h - 1, ups, 0, longs))
+        # a node above the tails has one move or two; the second is
+        # pushed first, so that the first comes out first
+        steps = known.get(key) or moves(key)
+        if len(steps) == 2:
+            step, nxt = steps[1]
+            push((prefix + step, nxt))
+        step, nxt = steps[0]
+        push((prefix + step, nxt))
 
 
 def enumerate_dyck_paths(n: int, *, cap: int | None = None) -> Iterator[str]:

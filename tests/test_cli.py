@@ -860,6 +860,30 @@ def test_oracle_column_raises_the_first_error_in_row_order(capsys,
         assert err.startswith(f"error: {message}"), refused
 
 
+def test_count_asks_each_row_formula_before_its_oracle(capsys, monkeypatch):
+    # one loop over the rows: an oracle that refuses size 3 ends the table
+    # after rows 1-2, and no formula past size 3 is called
+    asked = []
+
+    def formula(n):
+        asked.append(n)
+        return 2 ** n - n
+
+    def column(sizes):
+        for n in sizes:
+            if n == 3:
+                raise ValueError("oracle refuses 3")
+            yield 2 ** n - n
+    monkeypatch.setitem(cli.COUNT_FAMILIES, "grassmannian",
+                        lambda args: (formula, column))
+    code, out, err = run(capsys, "count", "grassmannian", "--n", "1..8",
+                         "--oracle")
+    assert (code, out, err) == (
+        2, "n,formula,oracle,agree\n1,1,1,true\n2,2,2,true\n",
+        "error: oracle refuses 3\n")
+    assert asked == [1, 2, 3]
+
+
 def test_oracle_column_drops_sizes_above_a_refusal(capsys):
     # a first size above the cap is refused before the sizes below it
     # are walked, and the sizes above a refusal cost nothing

@@ -6,6 +6,7 @@ from functools import partial
 
 import pytest
 
+from grassperm import dyck
 from grassperm.dyck import (
     MAX_PATH_STEPS,
     TAIL_STEPS,
@@ -183,6 +184,21 @@ def test_walk_matches_the_per_node_reference():
             assert "".join(blocks) == "".join(
                 path + "\n" for path in dyck_walk(n, most)), (n, most)
             assert all(block.endswith("\n") for block in blocks), (n, most)
+
+
+@pytest.mark.parametrize("tail_steps", [0, 20])
+def test_each_half_of_the_walk_alone(monkeypatch, tail_steps):
+    # TAIL_STEPS 0 leaves every step to the stack, one block per path,
+    # and 20 = 2n at n = 10 every step to the table, one block in all;
+    # either alone lists the reference's paths
+    monkeypatch.setattr(dyck, "TAIL_STEPS", tail_steps)
+    for n in range(0, 11):
+        for most in (1, n):
+            blocks = list(_dyck_walk(n, most))
+            paths = list(dyck_walk(n, most))
+            assert "".join(blocks) == "".join(
+                path + "\n" for path in paths), (n, most)
+            assert len(blocks) == (len(paths) if tail_steps == 0 else 1)
 
 
 def test_blocks_are_the_paths_joined():
